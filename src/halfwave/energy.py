@@ -27,9 +27,11 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import GridMismatch, InvalidField
 from .families import NonlinearityFamily
-from .grids import Field, Grid
+from .grids import Field, Grid, half_pairing, halflap, inv_multiplier
 
 PotentialValues = Union[float, np.ndarray]
+
+RIESZ_RTOL = 1e-13  # relative CG tolerance of the varying-potential Riesz solve
 
 
 class PairField:
@@ -103,12 +105,9 @@ def _potential_array(V: PotentialValues, grid: Grid) -> np.ndarray:
 
 def weighted_inner(u: Field, v: Field, V: PotentialValues) -> float:
     """<u,v> = integral((-Delta)^{1/4}u (-Delta)^{1/4}v) + integral(V u v)."""
-    u._check_same_grid(v)
-    g = u.grid
-    Va = _potential_array(V, g)
-    k = np.abs(g.wavenumbers)
-    semi = np.sum(k * u.hat * np.conj(v.hat)).real * g.spacing / g.n_points
-    return float(semi + g.spacing * np.sum(Va * u.values * v.values))
+    semi = half_pairing(u, v)
+    Va = _potential_array(V, u.grid)
+    return float(semi + u.grid.spacing * np.sum(Va * u.values * v.values))
 
 
 def weighted_norm(u: Field, V: PotentialValues) -> float:
@@ -123,26 +122,25 @@ def pair_norm(w: PairField, V: PotentialValues) -> float:
     return float(np.sqrt(max(pair_inner(w, w, V), 0.0)))
 
 
-def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues, tol: float = 1e-13) -> np.ndarray:
+def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
     """Invert (-Delta)^{1/2} + V; exact multiplier for scalar V, CG otherwise."""
     Va = _potential_array(V, grid)
-    k = np.abs(grid.wavenumbers)
     if Va.ndim == 0:
-        return np.fft.ifft(np.fft.fft(rhs) / (k + float(Va))).real
+        return inv_multiplier(rhs, grid, float(Va))
 
     vbar = float(np.mean(Va))
     n = grid.n_points
 
     def apply_op(x):
-        return np.fft.ifft(k * np.fft.fft(x)).real + Va * x
+        return halflap(x, grid) + Va * x
 
     def apply_prec(x):
-        return np.fft.ifft(np.fft.fft(x) / (k + vbar)).real
+        return inv_multiplier(x, grid, vbar)
 
     op = LinearOperator((n, n), matvec=apply_op)
     prec = LinearOperator((n, n), matvec=apply_prec)
     x0 = apply_prec(rhs)
-    sol, info = cg(op, rhs, x0=x0, rtol=tol, atol=0.0, M=prec, maxiter=400)
+    sol, info = cg(op, rhs, x0=x0, rtol=RIESZ_RTOL, atol=0.0, M=prec, maxiter=400)
     if info != 0:
         raise InvalidField(f"Riesz CG solve did not converge (info={info})")
     return sol
@@ -171,13 +169,10 @@ def energy(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
 def _strong_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
     g = w.grid
     Va = _potential_array(V, g)
-    k = np.abs(g.wavenumbers)
-    au = np.fft.ifft(k * w.u.hat).real
-    av = np.fft.ifft(k * w.v.hat).real
     fam.guard_amplitude(w.u.values, "u")
     fam.guard_amplitude(w.v.values, "v")
-    r_u = au + Va * w.u.values - fam.g(w.v.values)  # u-equation residual
-    r_v = av + Va * w.v.values - fam.f(w.u.values)  # v-equation residual
+    r_u = halflap(w.u.values, g) + Va * w.u.values - fam.g(w.v.values)  # u-equation residual
+    r_v = halflap(w.v.values, g) + Va * w.v.values - fam.f(w.u.values)  # v-equation residual
     return r_u, r_v
 
 
@@ -227,15 +222,6 @@ def wminus_riesz(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> F
     fam.guard_amplitude(w.v.values, "v")
     drive = fam.f(w.u.values) - fam.g(w.v.values)
     return Field(g, w.v.values - w.u.values - riesz_solve(drive, g, V))
-
-
-def wplus_riesz(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> Field:
-    """Riesz representative of b -> <J'(w), (b, b)> in H^{1/2}_V."""
-    g = w.grid
-    fam.guard_amplitude(w.u.values, "u")
-    fam.guard_amplitude(w.v.values, "v")
-    drive = fam.f(w.u.values) + fam.g(w.v.values)
-    return Field(g, w.u.values + w.v.values - riesz_solve(drive, g, V))
 
 
 def nehari_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):

@@ -1,23 +1,35 @@
-"""Periodic grid, Fourier-multiplier fractional Laplacian, and inner products.
+"""Periodic grid, the package's one spectral kernel, and inner products.
 
 Conventions fixed once for the whole package:
 
 * domain is ``[-L/2, L/2)`` sampled at ``x_j = -L/2 + j*h`` with ``h = L/N``;
-* wavenumbers ``k_j = 2*pi*j/L`` in standard FFT ordering;
+* wavenumbers ``k_j = 2*pi*j/L``: ``Grid.wavenumbers`` is the full spectrum in
+  standard FFT ordering, ``Grid.abs_k`` is ``|k|`` on the ``rfft``
+  half-spectrum ``j = 0..N/2``; both are cached and read-only;
 * forward FFT unnormalized, inverse carries ``1/N`` (numpy default);
+* every linear operator of the system is a real Fourier multiplier ``m(k)``
+  applied to real samples as ``irfft(m * rfft(u), N)`` (:func:`multiply`);
+  :func:`halflap`, :func:`inv_multiplier` and :func:`translate` are the
+  multipliers ``|k|``, ``1/(|k| + c)`` and ``exp(-i k s)``.  The Nyquist bin
+  of ``irfft`` is real, so a translation scales the mode ``(-1)^j`` by
+  ``cos(pi s / h)``, exactly as the real part of the full complex transform;
 * integrals are the uniform-weight sum ``h * sum(...)``, which is the
   trapezoid rule on a periodic grid (spectrally accurate for smooth data);
 * ``(-Delta)^s`` is the Fourier multiplier ``|k|^(2s)`` with the zero mode
   mapped to exactly 0;
-* the H^{1/2} inner product is
-  ``<u,v> = integral((-Delta)^{1/4}u * (-Delta)^{1/4}v) + V0*integral(u*v)``,
-  evaluated spectrally as ``(h/N) * sum((|k| + V0) * uhat * conj(vhat))``.
+* the seminorm pairing ``integral((-Delta)^{1/4}u * (-Delta)^{1/4}v)`` is
+  evaluated spectrally as ``(h/N) * sum(|k| * uhat * conj(vhat))``
+  (:func:`half_pairing`); the H^{1/2} inner product adds ``V0*integral(u*v)``.
+
+This module is the only place in the package that calls an FFT or builds a
+wavenumber array; every other module goes through the functions above.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +63,16 @@ class Grid:
         xs.flags.writeable = False
         return xs
 
-    @property
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
+        k.flags.writeable = False
+        return k
+
+    @cached_property
+    def abs_k(self) -> np.ndarray:
+        """|k| on the rfft half-spectrum (N/2 + 1 entries)."""
+        k = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
         k.flags.writeable = False
         return k
 
@@ -160,22 +179,45 @@ HALF = SpectralExponent(0.5)
 QUARTER = SpectralExponent(0.25)
 
 
+def multiply(vals: np.ndarray, grid: Grid, mult) -> np.ndarray:
+    """Apply the Fourier multiplier ``mult`` (on the rfft half-spectrum) to
+    real samples along the last axis."""
+    return np.fft.irfft(mult * np.fft.rfft(vals), grid.n_points)
+
+
+def halflap(vals: np.ndarray, grid: Grid) -> np.ndarray:
+    """(-Delta)^{1/2}: the multiplier |k|."""
+    return multiply(vals, grid, grid.abs_k)
+
+
+def inv_multiplier(vals: np.ndarray, grid: Grid, shift: float) -> np.ndarray:
+    """((-Delta)^{1/2} + shift)^{-1}: the multiplier 1/(|k| + shift)."""
+    return multiply(vals, grid, 1.0 / (grid.abs_k + shift))
+
+
+def translate(vals: np.ndarray, grid: Grid, s: float) -> np.ndarray:
+    """Continuous translation u(x) -> u(x - s): the phase twist exp(-i k s)."""
+    return multiply(vals, grid, np.exp(-1j * grid.abs_k * s))
+
+
 def apply_fractional_laplacian(u: Field, s: SpectralExponent = HALF) -> Field:
     """Apply (-Delta)^s as the Fourier multiplier |k|^(2s); zero mode -> 0."""
-    k = u.grid.wavenumbers
-    mult = np.abs(k) ** (2.0 * s.s)
-    mult[0] = 0.0
-    out = np.fft.ifft(mult * u.hat).real
-    return Field(u.grid, out)
+    return Field(u.grid, multiply(u.values, u.grid, u.grid.abs_k ** (2.0 * s.s)))
 
 
 def multiplier_solve(u: Field, shift: float) -> Field:
     """Invert ((-Delta)^{1/2} + shift) spectrally; requires shift > 0."""
     if shift <= 0:
         raise InvalidField(f"operator shift must be positive, got {shift}")
-    k = u.grid.wavenumbers
-    out = np.fft.ifft(u.hat / (np.abs(k) + shift)).real
-    return Field(u.grid, out)
+    return Field(u.grid, inv_multiplier(u.values, u.grid, shift))
+
+
+def half_pairing(u: Field, v: Field) -> float:
+    """integral((-Delta)^{1/4}u * (-Delta)^{1/4}v), spectrally."""
+    u._check_same_grid(v)
+    g = u.grid
+    val = np.sum(np.abs(g.wavenumbers) * u.hat * np.conj(v.hat)).real
+    return float(val * g.spacing / g.n_points)
 
 
 def l2_inner(u: Field, v: Field) -> float:
@@ -197,13 +239,9 @@ def integrate(u: Field) -> float:
 
 def h_half_inner(u: Field, v: Field, V0: float) -> float:
     """H^{1/2} inner product: Gagliardo seminorm pairing + V0 * L2 pairing."""
-    u._check_same_grid(v)
     if not V0 > 0:
         raise InvalidField(f"V0 must be positive, got {V0}")
-    g = u.grid
-    k = np.abs(g.wavenumbers)
-    val = np.sum((k + V0) * u.hat * np.conj(v.hat)).real
-    return float(val * g.spacing / g.n_points)
+    return half_pairing(u, v) + V0 * l2_inner(u, v)
 
 
 def h_half_norm(u: Field, V0: float) -> float:
@@ -212,10 +250,7 @@ def h_half_norm(u: Field, V0: float) -> float:
 
 def seminorm_sq(u: Field) -> float:
     """Squared Gagliardo seminorm ||(-Delta)^{1/4} u||_{L2}^2, spectrally."""
-    g = u.grid
-    k = np.abs(g.wavenumbers)
-    val = np.sum(k * np.abs(u.hat) ** 2).real
-    return float(val * g.spacing / g.n_points)
+    return half_pairing(u, u)
 
 
 # -- serialization ----------------------------------------------------------

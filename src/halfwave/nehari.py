@@ -30,12 +30,16 @@ from .energy import (
     el_residual_norms,
     energy,
     nehari_residuals,
+    pair_inner,
+    ray_derivative,
     weighted_inner,
     weighted_norm,
 )
 from .errors import MaxIterations, NoAscent, OverflowGuard, Stagnation
 from .families import NonlinearityFamily
-from .grids import Field, Grid
+from .grids import Field, Grid, halflap, inv_multiplier, translate
+
+NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
 
 
 @dataclass(frozen=True)
@@ -109,46 +113,28 @@ class GroundStateResult:
 # -- inner level --------------------------------------------------------------
 
 
-def make_preconditioner(grid: Grid, V):
-    """Inverse-multiplier map (|k| + mean V)^{-1}.
-
-    Exact Riesz map for scalar V; for a varying potential it is the
-    spectrally equivalent preconditioner used for all descent directions
-    (exact representatives are only needed in final reports).  It must be
-    applied to exact strong-form residuals: shortcuts of the form
-    u - P(f) are biased whenever P is not the exact inverse.
-    """
-    Va = np.asarray(V, dtype=float)
-    shift = float(Va) if Va.ndim == 0 else float(np.mean(Va))
-    k = np.abs(grid.wavenumbers)
-
-    def apply(vals: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(vals) / (k + shift)).real
-
-    return apply
-
-
 def make_gradient_maps(grid: Grid, V, fam: NonlinearityFamily):
     """Preconditioned diagonal/antidiagonal derivative representatives.
 
     Both evaluate P(strong residual): ``plus(u, v)`` represents
     b -> <J'(w), (b, b)> and ``minus(u, v)`` represents
     q -> <J'(w), (q, -q)>; they vanish exactly at critical points.
+    P = (|k| + mean V)^{-1} is the exact Riesz map for scalar V and, for a
+    varying potential, the spectrally equivalent preconditioner used for all
+    descent directions (exact representatives are only needed in reports).
     """
     Va = np.asarray(V, dtype=float)
-    k = np.abs(grid.wavenumbers)
-    precond = make_preconditioner(grid, V)
+    vbar = float(np.mean(V))
 
-    def halflap(vals):
-        return np.fft.ifft(k * np.fft.fft(vals)).real
-
+    # P is applied to exact strong-form residuals only: shortcuts of the
+    # form u - P(f) are biased whenever P is not the exact inverse
     def plus(u, v):
         s = u + v
-        return precond(halflap(s) + Va * s - fam.f(u) - fam.g(v))
+        return inv_multiplier(halflap(s, grid) + Va * s - fam.f(u) - fam.g(v), grid, vbar)
 
     def minus(u, v):
         d = v - u
-        return precond(halflap(d) + Va * d - fam.f(u) + fam.g(v))
+        return inv_multiplier(halflap(d, grid) + Va * d - fam.f(u) + fam.g(v), grid, vbar)
 
     return plus, minus
 
@@ -176,9 +162,12 @@ class _RaySlice:
         return 0.5 * t * t - q_norm_sq - self.h * float(np.sum(dens))
 
     def ray_slope(self, t, q):
-        """dJ/dt = t - integral((f(u) + g(v)) * ahat)."""
+        """dJ/dt = t - integral((f(u) + g(v)) * ahat) and its t-derivative
+        1 - integral((f'(u) + g'(v)) * ahat^2)."""
         u, v = self.components(t, q)
-        return t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
+        s = t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
+        curv = self.fam.f_prime(u) + self.fam.g_prime(v)
+        return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
 
 
 def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False) -> float:
@@ -192,10 +181,8 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = Fal
         t = t0
         ok = False
         for _ in range(8):
-            s = sl.ray_slope(t, q)
-            dt_fd = 1e-6 * (1.0 + t)
-            sp = (sl.ray_slope(t + dt_fd, q) - sl.ray_slope(t - dt_fd, q)) / (2.0 * dt_fd)
-            if not np.isfinite(s) or sp >= -1e-300:
+            s, sp = sl.ray_slope(t, q)
+            if not (np.isfinite(s) and sp < -1e-300):
                 break
             step = s / sp
             if abs(step) > 0.3 * (1.0 + t):
@@ -292,8 +279,8 @@ def inner_maximize(
         j_cur = sl.j_value(t, q, q_norm_sq)
 
         # residuals (scale-free)
-        nw2 = max(pair_inner_fast(w, V), 1e-300)
-        ray_res = abs(ray_pairing_fast(w, fam, V)) / nw2
+        nw2 = max(pair_inner(w, w, V), 1e-300)
+        ray_res = abs(ray_derivative(w, fam, V)) / nw2
         minus_res = np.sqrt(rho_norm_sq) / np.sqrt(2.0 * nw2)
         iters = sweep + 1
         if ray_res <= inner_tol and minus_res <= inner_tol:
@@ -337,20 +324,10 @@ def inner_maximize(
     )
 
 
-def pair_inner_fast(w: PairField, V) -> float:
-    return weighted_inner(w.u, w.u, V) + weighted_inner(w.v, w.v, V)
-
-
-def ray_pairing_fast(w: PairField, fam: NonlinearityFamily, V) -> float:
-    h = w.grid.spacing
-    nl = fam.f(w.u.values) * w.u.values + fam.g(w.v.values) * w.v.values
-    return 2.0 * weighted_inner(w.u, w.v, V) - h * float(np.sum(nl))
-
-
 # -- Newton polish ------------------------------------------------------------
 
 
-def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, max_newton: int = 25):
+def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     """Matrix-free Newton refinement of the coupled strong system.
 
     Levenberg-Marquardt shift handles the nearly-flat translational mode of
@@ -361,35 +338,26 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, max_
     grid = w.grid
     n = grid.n_points
     h = grid.spacing
-    k = np.abs(grid.wavenumbers)
     Va = np.asarray(V, dtype=float)
-    vbar = float(Va) if Va.ndim == 0 else float(np.mean(Va))
+    vbar = float(np.mean(V))
 
+    # uv stacks (u, v); reshaped to (2, N), one kernel call serves both
     def strong(uv):
         u, v = uv[:n], uv[n:]
-        au = np.fft.ifft(k * np.fft.fft(u)).real
-        av = np.fft.ifft(k * np.fft.fft(v)).real
-        r_u = au + Va * u - fam.g(v)
-        r_v = av + Va * v - fam.f(u)
-        return np.concatenate([r_u, r_v])
+        au, av = halflap(uv.reshape(2, n), grid)
+        return np.concatenate([au + Va * u - fam.g(v), av + Va * v - fam.f(u)])
 
     def res_norm(r):
         return np.sqrt(h) * np.linalg.norm(r)
 
     def prec(x):
-        xu, xv = x[:n], x[n:]
-        pu = np.fft.ifft(np.fft.fft(xu) / (k + vbar)).real
-        pv = np.fft.ifft(np.fft.fft(xv) / (k + vbar)).real
-        return np.concatenate([pu, pv])
+        return inv_multiplier(x.reshape(2, n), grid, vbar).ravel()
 
     pc = LinearOperator((2 * n, 2 * n), matvec=prec)
 
     def shifted(uv, s):
         """Continuous spatial translation by s (spectral phase twist)."""
-        phase = np.exp(-1j * grid.wavenumbers * s)
-        su = np.fft.ifft(phase * np.fft.fft(uv[:n])).real
-        sv = np.fft.ifft(phase * np.fft.fft(uv[n:])).real
-        return np.concatenate([su, sv])
+        return translate(uv.reshape(2, n), grid, s).ravel()
 
     def align_translation(uv, r_now):
         """Minimize the residual over sub-cell translations.
@@ -432,7 +400,7 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, max_
     scale = max(np.sqrt(h) * np.linalg.norm(uv), 1.0)
     lam = 0.0
     steps = 0
-    for _ in range(max_newton):
+    for _ in range(NEWTON_MAX_STEPS):
         if best_norm <= target:
             break
         u, v = uv[:n], uv[n:]
@@ -444,9 +412,9 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, max_
 
             def jac(x):
                 xu, xv = x[:n], x[n:]
-                yu = np.fft.ifft(k * np.fft.fft(xu)).real + (Va + shift) * xu - gp * xv
-                yv = np.fft.ifft(k * np.fft.fft(xv)).real + (Va + shift) * xv - fp * xu
-                return np.concatenate([yu, yv])
+                au, av = halflap(x.reshape(2, n), grid)
+                return np.concatenate([au + (Va + shift) * xu - gp * xv,
+                                       av + (Va + shift) * xv - fp * xu])
 
             op = LinearOperator((2 * n, 2 * n), matvec=jac)
             delta, info = gmres(op, r, M=pc, rtol=1e-8, atol=0.0, restart=60, maxiter=200)
@@ -650,9 +618,7 @@ def _finalize(
 
 def initial_directions(grid: Grid, cfg: SolverConfig, V) -> List[PairField]:
     """Deterministic family of diagonal bump starts (centered + perturbed)."""
-    Va = np.asarray(V, dtype=float)
-    vbar = float(Va) if Va.ndim == 0 else float(np.mean(Va))
-    width0 = 1.0 / np.sqrt(vbar)
+    width0 = 1.0 / np.sqrt(float(np.mean(V)))
     outs = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + 1000 * r)
@@ -738,6 +704,7 @@ def scalar_diagonal_solve(
     cfg = cfg.validated()
     h = grid.spacing
     Va = np.asarray(V, dtype=float)
+    vbar = float(np.mean(V))
 
     def normalize(vals):
         nrm = weighted_norm(Field(grid, vals), V)
@@ -772,10 +739,7 @@ def scalar_diagonal_solve(
                 b = m2
         return 0.5 * (a + b)
 
-    precond = make_preconditioner(grid, V)
-    k_abs = np.abs(grid.wavenumbers)
     if init is None:
-        vbar = float(Va) if Va.ndim == 0 else float(np.mean(Va))
         init = Field(grid, np.exp(-(grid.x**2) * vbar / 2.0))
     d = normalize(init.values)
     t = 1.0
@@ -783,8 +747,8 @@ def scalar_diagonal_solve(
     for _ in range(cfg.max_outer):
         t = best_t(d, t)
         z = t * d
-        strong_z = np.fft.ifft(k_abs * np.fft.fft(z)).real + Va * z - fam.f(z)
-        grad = precond(strong_z)
+        strong_z = halflap(z, grid) + Va * z - fam.f(z)
+        grad = inv_multiplier(strong_z, grid, vbar)  # exact strong residual only
         coeff = weighted_inner(Field(grid, grad), Field(grid, d), V)
         tang = grad - coeff * d
         gnorm = weighted_norm(Field(grid, tang), V) * t
@@ -807,11 +771,8 @@ def scalar_diagonal_solve(
 
     u = t * d
     # scalar Newton polish on K u = f(u)
-    k = np.abs(grid.wavenumbers)
-    vbar = float(Va) if Va.ndim == 0 else float(np.mean(Va))
-
     def strong(x):
-        return np.fft.ifft(k * np.fft.fft(x)).real + Va * x - fam.f(x)
+        return halflap(x, grid) + Va * x - fam.f(x)
 
     r = strong(u)
     best_u, best_norm = u.copy(), np.sqrt(h) * np.linalg.norm(r)
@@ -821,10 +782,10 @@ def scalar_diagonal_solve(
         fp = fam.f_prime(u)
 
         def jac(x):
-            return np.fft.ifft(k * np.fft.fft(x)).real + Va * x - fp * x
+            return halflap(x, grid) + Va * x - fp * x
 
         def prec(x):
-            return np.fft.ifft(np.fft.fft(x) / (k + vbar)).real
+            return inv_multiplier(x, grid, vbar)
 
         op = LinearOperator((grid.n_points, grid.n_points), matvec=jac)
         pc = LinearOperator((grid.n_points, grid.n_points), matvec=prec)

@@ -1,5 +1,7 @@
+import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from halfwave.grids import (
     apply_fractional_laplacian,
     h_half_inner,
     h_half_norm,
+    halflap,
     integrate,
     l2_inner,
     l2_norm,
@@ -21,6 +24,7 @@ from halfwave.grids import (
     multiplier_solve,
     read_field_binary,
     seminorm_sq,
+    translate,
     write_field_binary,
     write_field_csv,
 )
@@ -254,3 +258,66 @@ class TestConcurrency:
             )
         for a, b in zip(sequential, parallel):
             assert np.array_equal(a, b)
+
+
+class TestSpectralKernel:
+    def test_wavenumbers_cached_read_only(self):
+        g = Grid(40.0, 64)
+        assert g.wavenumbers is g.wavenumbers
+        assert g.abs_k is g.abs_k
+        assert not g.wavenumbers.flags.writeable
+        assert not g.abs_k.flags.writeable
+        # |k| on the rfft half-spectrum: j = 0..N/2, k_j = 2 pi j / L
+        assert g.abs_k.shape == (33,)
+        assert np.allclose(g.abs_k, 2.0 * np.pi * np.arange(33) / g.length, rtol=1e-15)
+
+    def test_translate_by_whole_cells_is_roll(self):
+        g = Grid(40.0, 64)
+        x = np.random.default_rng(31).normal(size=64)
+        for m in (1, 5, -3, 17):
+            assert np.max(np.abs(translate(x, g, m * g.spacing) - np.roll(x, m))) <= 1e-13
+
+    def test_translate_cosine_closed_form(self):
+        g = Grid(40.0, 128)
+        for m in (1, 7, 30):
+            kx = 2.0 * np.pi * m / g.length
+            for s in (0.013, -0.4, 2.7):
+                got = translate(np.cos(kx * g.x), g, s)
+                assert np.max(np.abs(got - np.cos(kx * (g.x - s)))) <= 1e-13
+
+    def test_translate_round_trip(self):
+        g = Grid(40.0, 256)
+        x = np.exp(-g.x**2) + 0.3 * np.sin(6.0 * np.pi * g.x / g.length)
+        for s in (0.37 * g.spacing, -1.9, 5.05):
+            back = translate(translate(x, g, s), g, -s)
+            assert np.max(np.abs(back - x)) <= 1e-13
+
+    def test_translate_nyquist_mode(self):
+        # the real Nyquist bin of irfft keeps only the cosine of the phase
+        g = Grid(40.0, 64)
+        alt = (-1.0) ** np.arange(64)
+        for s in (0.25 * g.spacing, 0.5 * g.spacing, 1.3 * g.spacing):
+            expected = np.cos(np.pi * s / g.spacing) * alt
+            assert np.max(np.abs(translate(alt, g, s) - expected)) <= 1e-13
+
+    def test_multiplier_acts_on_last_axis(self):
+        g = Grid(40.0, 128)
+        rows = np.stack([np.cos(2.0 * np.pi * m * g.x / g.length) for m in (2, 9)])
+        out = halflap(rows, g)
+        for row, m in zip(out, (2, 9)):
+            lam = 2.0 * np.pi * m / g.length
+            assert np.max(np.abs(row - lam * np.cos(lam * g.x))) <= 1e-12
+
+    def test_only_grids_touches_the_spectrum(self):
+        # every FFT and |k| array goes through halfwave.grids
+        src = Path(__file__).resolve().parents[1] / "src" / "halfwave"
+        banned = re.compile(r"np\.fft|numpy\.fft|scipy\.fft|fftfreq|\.wavenumbers")
+        modules = sorted(p for p in src.glob("*.py") if p.name != "grids.py")
+        assert len(modules) >= 5
+        offenders = [
+            f"{p.name}:{i}: {line.strip()}"
+            for p in modules
+            for i, line in enumerate(p.read_text().splitlines(), 1)
+            if banned.search(line)
+        ]
+        assert offenders == []

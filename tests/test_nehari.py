@@ -16,6 +16,7 @@ from halfwave.grids import Field, Grid, l2_norm
 from halfwave.nehari import (
     GroundStateResult,
     SolverConfig,
+    _RaySlice,
     inner_maximize,
     outer_minimize,
     scalar_diagonal_solve,
@@ -87,6 +88,16 @@ class TestInnerMaximize:
                 Field(grid, t * ahat + q.values), Field(grid, t * ahat - q.values)
             )
             assert energy(z, fam, 1.0) <= j_star + 1e-9
+
+    def test_ray_slope_derivative_against_central_difference(self, grid):
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid).values
+        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0)), asym, 1.0, grid)
+        q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
+        for t in (0.5, 1.5, 3.0):
+            dt = 1e-5 * (1.0 + t)
+            fd = (sl.ray_slope(t + dt, q)[0] - sl.ray_slope(t - dt, q)[0]) / (2.0 * dt)
+            assert sl.ray_slope(t, q)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
     def test_budget_exhaustion_carries_best(self, grid):
         # asymmetric coupling needs several antidiagonal sweeps
