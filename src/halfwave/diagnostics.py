@@ -244,7 +244,7 @@ def moser_table(n_list, r1: float, grid: Grid, refinements: int = 2) -> List[Mos
                     seminorm_sq=semi,
                     rel_err_vs_pi=(semi - np.pi) / np.pi,
                     l2_sq=l2_norm(mf.raw) ** 2,
-                    l2_sq_exact=moser_l2sq_exact(n, r1),
+                    l2_sq_exact=float(moser_l2sq_exact(n, r1)),
                 )
             )
     return rows

@@ -88,7 +88,8 @@ def decompose(w: PairField) -> Decomposition:
     return Decomposition(PairField(fa, fa), PairField(fb, -fb))
 
 
-def _potential_array(V: PotentialValues, grid: Grid) -> np.ndarray:
+def potential_array(V: PotentialValues, grid: Grid) -> np.ndarray:
+    """V as a validated positive scalar or sample array on ``grid``."""
     V = np.asarray(V, dtype=float)
     if V.ndim == 0:
         if not V > 0:
@@ -103,15 +104,23 @@ def _potential_array(V: PotentialValues, grid: Grid) -> np.ndarray:
     return V
 
 
+def inner_values(a: np.ndarray, b: np.ndarray, Va, grid: Grid) -> float:
+    """:func:`weighted_inner` on sample arrays, ``Va`` from :func:`potential_array`."""
+    return float(half_pairing(a, b, grid) + grid.spacing * np.sum(Va * a * b))
+
+
+def norm_values(a: np.ndarray, Va, grid: Grid) -> float:
+    return float(np.sqrt(max(inner_values(a, a, Va, grid), 0.0)))
+
+
 def weighted_inner(u: Field, v: Field, V: PotentialValues) -> float:
     """<u,v> = integral((-Delta)^{1/4}u (-Delta)^{1/4}v) + integral(V u v)."""
-    semi = half_pairing(u, v)
-    Va = _potential_array(V, u.grid)
-    return float(semi + u.grid.spacing * np.sum(Va * u.values * v.values))
+    u._check_same_grid(v)
+    return inner_values(u.values, v.values, potential_array(V, u.grid), u.grid)
 
 
 def weighted_norm(u: Field, V: PotentialValues) -> float:
-    return float(np.sqrt(max(weighted_inner(u, u, V), 0.0)))
+    return norm_values(u.values, potential_array(V, u.grid), u.grid)
 
 
 def pair_inner(w1: PairField, w2: PairField, V: PotentialValues) -> float:
@@ -124,7 +133,7 @@ def pair_norm(w: PairField, V: PotentialValues) -> float:
 
 def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
     """Invert (-Delta)^{1/2} + V; exact multiplier for scalar V, CG otherwise."""
-    Va = _potential_array(V, grid)
+    Va = potential_array(V, grid)
     if Va.ndim == 0:
         return inv_multiplier(rhs, grid, float(Va))
 
@@ -168,7 +177,7 @@ def energy(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
 
 def _strong_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
     g = w.grid
-    Va = _potential_array(V, g)
+    Va = potential_array(V, g)
     fam.guard_amplitude(w.u.values, "u")
     fam.guard_amplitude(w.v.values, "v")
     r_u = halflap(w.u.values, g) + Va * w.u.values - fam.g(w.v.values)  # u-equation residual

@@ -3,9 +3,8 @@
 Conventions fixed once for the whole package:
 
 * domain is ``[-L/2, L/2)`` sampled at ``x_j = -L/2 + j*h`` with ``h = L/N``;
-* wavenumbers ``k_j = 2*pi*j/L``: ``Grid.wavenumbers`` is the full spectrum in
-  standard FFT ordering, ``Grid.abs_k`` is ``|k|`` on the ``rfft``
-  half-spectrum ``j = 0..N/2``; both are cached and read-only;
+* wavenumbers ``k_j = 2*pi*j/L``; ``Grid.abs_k`` is ``|k|`` on the ``rfft``
+  half-spectrum ``j = 0..N/2``, cached and read-only;
 * forward FFT unnormalized, inverse carries ``1/N`` (numpy default);
 * every linear operator of the system is a real Fourier multiplier ``m(k)``
   applied to real samples as ``irfft(m * rfft(u), N)`` (:func:`multiply`);
@@ -18,8 +17,9 @@ Conventions fixed once for the whole package:
 * ``(-Delta)^s`` is the Fourier multiplier ``|k|^(2s)`` with the zero mode
   mapped to exactly 0;
 * the seminorm pairing ``integral((-Delta)^{1/4}u * (-Delta)^{1/4}v)`` is
-  evaluated spectrally as ``(h/N) * sum(|k| * uhat * conj(vhat))``
-  (:func:`half_pairing`); the H^{1/2} inner product adds ``V0*integral(u*v)``.
+  ``(h/N) * (2 * sum_j |k_j| Re(uhat_j conj(vhat_j)) - Nyquist term)`` on the
+  ``rfft`` half-spectrum (:func:`half_pairing`, on sample arrays); the
+  H^{1/2} inner product adds ``V0*integral(u*v)``.
 
 This module is the only place in the package that calls an FFT or builds a
 wavenumber array; every other module goes through the functions above.
@@ -64,12 +64,6 @@ class Grid:
         return xs
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.spacing)
-        k.flags.writeable = False
-        return k
-
-    @cached_property
     def abs_k(self) -> np.ndarray:
         """|k| on the rfft half-spectrum (N/2 + 1 entries)."""
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.spacing)
@@ -93,14 +87,14 @@ class Grid:
 
 
 class Field:
-    """Real sample vector living on a Grid, with a lazy spectral cache.
+    """Real sample vector living on a Grid, validated at the API boundary.
 
-    Values are frozen at construction; all operations return new fields, so
-    the cached spectrum can never go stale and instances are safe to share
-    across threads.
+    Values are checked finite, copied and frozen at construction; all
+    operations return new fields, so instances are safe to share across
+    threads.  Solver loops work on plain arrays instead.
     """
 
-    __slots__ = ("grid", "_values", "_hat")
+    __slots__ = ("grid", "_values")
 
     def __init__(self, grid: Grid, values):
         values = np.asarray(values, dtype=np.float64)
@@ -114,19 +108,10 @@ class Field:
         values.flags.writeable = False
         self.grid = grid
         self._values = values
-        self._hat = None
 
     @property
     def values(self) -> np.ndarray:
         return self._values
-
-    @property
-    def hat(self) -> np.ndarray:
-        """Unnormalized forward FFT of the samples (cached)."""
-        if self._hat is None:
-            self._hat = np.fft.fft(self._values)
-            self._hat.flags.writeable = False
-        return self._hat
 
     # -- algebra ------------------------------------------------------------
 
@@ -212,12 +197,13 @@ def multiplier_solve(u: Field, shift: float) -> Field:
     return Field(u.grid, inv_multiplier(u.values, u.grid, shift))
 
 
-def half_pairing(u: Field, v: Field) -> float:
-    """integral((-Delta)^{1/4}u * (-Delta)^{1/4}v), spectrally."""
-    u._check_same_grid(v)
-    g = u.grid
-    val = np.sum(np.abs(g.wavenumbers) * u.hat * np.conj(v.hat)).real
-    return float(val * g.spacing / g.n_points)
+def half_pairing(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """integral((-Delta)^{1/4}a * (-Delta)^{1/4}b): modes j and N - j are
+    conjugate, so twice the rfft half-spectrum sum less the Nyquist term."""
+    ahat = np.fft.rfft(a)
+    bhat = ahat if b is a else np.fft.rfft(b)
+    terms = grid.abs_k * (ahat.real * bhat.real + ahat.imag * bhat.imag)
+    return float((2.0 * np.sum(terms) - terms[-1]) * grid.spacing / grid.n_points)
 
 
 def l2_inner(u: Field, v: Field) -> float:
@@ -241,7 +227,7 @@ def h_half_inner(u: Field, v: Field, V0: float) -> float:
     """H^{1/2} inner product: Gagliardo seminorm pairing + V0 * L2 pairing."""
     if not V0 > 0:
         raise InvalidField(f"V0 must be positive, got {V0}")
-    return half_pairing(u, v) + V0 * l2_inner(u, v)
+    return V0 * l2_inner(u, v) + half_pairing(u.values, v.values, u.grid)
 
 
 def h_half_norm(u: Field, V0: float) -> float:
@@ -250,7 +236,7 @@ def h_half_norm(u: Field, V0: float) -> float:
 
 def seminorm_sq(u: Field) -> float:
     """Squared Gagliardo seminorm ||(-Delta)^{1/4} u||_{L2}^2, spectrally."""
-    return half_pairing(u, u)
+    return half_pairing(u.values, u.values, u.grid)
 
 
 # -- serialization ----------------------------------------------------------

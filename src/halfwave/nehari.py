@@ -29,17 +29,19 @@ from .energy import (
     PairField,
     el_residual_norms,
     energy,
+    inner_values,
     nehari_residuals,
-    pair_inner,
-    ray_derivative,
-    weighted_inner,
-    weighted_norm,
+    norm_values,
+    potential_array,
+    weighted_inner,  # noqa: F401  (perfbench/spans.py patches these names here)
+    weighted_norm,  # noqa: F401
 )
-from .errors import MaxIterations, NoAscent, OverflowGuard, Stagnation
+from .errors import InvalidField, MaxIterations, NoAscent, OverflowGuard, Stagnation
 from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
+LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
 
 
 @dataclass(frozen=True)
@@ -142,12 +144,10 @@ def make_gradient_maps(grid: Grid, V, fam: NonlinearityFamily):
 class _RaySlice:
     """State for maximizing J over {t*(ahat,ahat) + (q,-q)}."""
 
-    def __init__(self, ahat: np.ndarray, fam: NonlinearityFamily, V, grid: Grid):
+    def __init__(self, ahat: np.ndarray, fam: NonlinearityFamily, h: float):
         self.ahat = ahat
         self.fam = fam
-        self.V = V
-        self.grid = grid
-        self.h = grid.spacing
+        self.h = h
 
     def components(self, t, q):
         return t * self.ahat + q, t * self.ahat - q
@@ -168,6 +168,15 @@ class _RaySlice:
         s = t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
         curv = self.fam.f_prime(u) + self.fam.g_prime(v)
         return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
+
+    def ray_pairing(self, t, q, q_norm_sq):
+        """<J'(w), w> = t^2 - 2||q||^2 - integral(f(u)u + g(v)v), as
+        ||(ahat, ahat)|| = 1 gives <u, v> = t^2/2 - ||q||^2."""
+        u, v = self.components(t, q)
+        self.fam.guard_amplitude(u, "u")
+        self.fam.guard_amplitude(v, "v")
+        dens = self.fam.f(u) * u + self.fam.g(v) * v
+        return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(dens))
 
 
 def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False) -> float:
@@ -248,19 +257,24 @@ def inner_maximize(
     when the residual targets are not met within the budget.
     """
     grid = direction.grid
+    Va = potential_array(V, grid)
     a = 0.5 * (direction.u.values + direction.v.values)
-    a_field = Field(grid, a)
-    na = weighted_norm(a_field, V)
+    na = norm_values(a, Va, grid)
     if na <= 1e-12:
         raise NoAscent("direction has no diagonal component")
     ahat = a / (np.sqrt(2.0) * na)  # ||(ahat, ahat)||_W = 1
 
-    sl = _RaySlice(ahat, fam, V, grid)
-    _, grad_minus = make_gradient_maps(grid, V, fam)
+    sl = _RaySlice(ahat, fam, grid.spacing)
+    _, grad_minus = make_gradient_maps(grid, Va, fam)
     q = np.zeros(grid.n_points) if warm_phi is None else warm_phi.copy()
-    q_field = Field(grid, q)
-    q_norm_sq = weighted_inner(q_field, q_field, V)
+    q_norm_sq = inner_values(q, q, Va, grid)
     t = warm_t if warm_t is not None else 1.0
+
+    def point(ray_res, minus_res, level):
+        """The slice point at the current (t, q), as fields."""
+        u, v = sl.components(t, q)
+        w = PairField(Field(grid, u), Field(grid, v))
+        return NehariPoint(w, float(t), Field(grid, q), ray_res, minus_res, float(level), iters)
 
     iters = 0
     bb_step = 0.5
@@ -273,24 +287,25 @@ def inner_maximize(
 
         # concave ascent in the antidiagonal coordinate; preconditioned gradient
         u, v = sl.components(t, q)
-        w = PairField(Field(grid, u), Field(grid, v))
-        rho = Field(grid, grad_minus(u, v))
-        rho_norm_sq = weighted_inner(rho, rho, V)
+        rho = grad_minus(u, v)
+        rho_norm_sq = inner_values(rho, rho, Va, grid)
+        if not np.isfinite(rho_norm_sq):
+            raise InvalidField("antidiagonal gradient has NaN/Inf samples")
         j_cur = sl.j_value(t, q, q_norm_sq)
 
         # residuals (scale-free)
-        nw2 = max(pair_inner(w, w, V), 1e-300)
-        ray_res = abs(ray_derivative(w, fam, V)) / nw2
+        nw2 = max(t * t + 2.0 * q_norm_sq, 1e-300)
+        ray_res = abs(sl.ray_pairing(t, q, q_norm_sq)) / nw2
         minus_res = np.sqrt(rho_norm_sq) / np.sqrt(2.0 * nw2)
         iters = sweep + 1
         if ray_res <= inner_tol and minus_res <= inner_tol:
-            return NehariPoint(w, float(t), Field(grid, q), ray_res, minus_res, j_cur, iters)
+            return point(ray_res, minus_res, j_cur)
 
-        cross = weighted_inner(q_field, rho, V)
+        cross = inner_values(q, rho, Va, grid)
         step = bb_step
         for _ in range(40):
             q_try_norm_sq = q_norm_sq + 2.0 * step * cross + step * step * rho_norm_sq
-            j_try = sl.j_value(t, q + step * rho.values, q_try_norm_sq)
+            j_try = sl.j_value(t, q + step * rho, q_try_norm_sq)
             if j_try >= j_cur + 1e-4 * step * rho_norm_sq:
                 break
             step *= 0.5
@@ -299,24 +314,18 @@ def inner_maximize(
         if step > 0.0:
             if prev_rho is not None and prev_step is not None:
                 # Barzilai-Borwein proposal from successive gradients
-                diff = rho.values - prev_rho
-                diff_field = Field(grid, diff)
-                denom = weighted_inner(diff_field, diff_field, V)
+                diff = rho - prev_rho
+                denom = inner_values(diff, diff, Va, grid)
                 if denom > 1e-300:
-                    s_dot_y = -prev_step * weighted_inner(Field(grid, prev_rho), diff_field, V)
+                    s_dot_y = -prev_step * inner_values(prev_rho, diff, Va, grid)
                     bb = abs(s_dot_y) / denom
                     bb_step = min(max(bb, 1e-3), 4.0)
-            prev_rho = rho.values
+            prev_rho = rho
             prev_step = step
-            q = q + step * rho.values
-            q_field = Field(grid, q)
-            q_norm_sq = weighted_inner(q_field, q_field, V)
+            q = q + step * rho
+            q_norm_sq = inner_values(q, q, Va, grid)
 
-    u, v = sl.components(t, q)
-    w = PairField(Field(grid, u), Field(grid, v))
-    best = NehariPoint(
-        w, float(t), Field(grid, q), ray_res, minus_res, sl.j_value(t, q, q_norm_sq), iters
-    )
+    best = point(ray_res, minus_res, sl.j_value(t, q, q_norm_sq))
     raise MaxIterations(
         f"inner maximization: residuals ({ray_res:.2e}, {minus_res:.2e}) "
         f"above tol {inner_tol:.2e} after {max_inner} sweeps",
@@ -450,8 +459,8 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 # -- outer level ----------------------------------------------------------------
 
 
-def _diag_normalize(a_vals: np.ndarray, grid: Grid, V) -> np.ndarray:
-    nrm = weighted_norm(Field(grid, a_vals), V)
+def _diag_normalize(a_vals: np.ndarray, grid: Grid, Va) -> np.ndarray:
+    nrm = norm_values(a_vals, Va, grid)
     if nrm <= 1e-14:
         raise NoAscent("diagonal direction vanished during outer descent")
     return a_vals / (np.sqrt(2.0) * nrm)
@@ -467,11 +476,11 @@ def outer_minimize(
     """Descend F(s) = J(m(s)) over the unit diagonal sphere from one start."""
     cfg = cfg.validated()
     grid = init_direction.grid
-    Va = np.asarray(V, dtype=float)
+    Va = potential_array(V, grid)
     autonomous = Va.ndim == 0
 
     a = _diag_normalize(
-        0.5 * (init_direction.u.values + init_direction.v.values), grid, V
+        0.5 * (init_direction.u.values + init_direction.v.values), grid, Va
     )
     warm_t, warm_phi = None, None
     trace: List[IterationRecord] = []
@@ -480,28 +489,21 @@ def outer_minimize(
     message = ""
 
     def eval_F(a_vals, wt, wq, tol):
-        pt = inner_maximize(
-            PairField(Field(grid, a_vals), Field(grid, a_vals)),
-            fam,
-            V,
-            inner_tol=tol,
-            max_inner=cfg.max_inner,
-            warm_t=wt,
-            warm_phi=wq,
-        )
-        return pt
+        a_field = Field(grid, a_vals)
+        return inner_maximize(PairField(a_field, a_field), fam, V, inner_tol=tol,
+                              max_inner=cfg.max_inner, warm_t=wt, warm_phi=wq)
 
-    grad_plus, _ = make_gradient_maps(grid, V, fam)
+    grad_plus, _ = make_gradient_maps(grid, Va, fam)
     inner_tol_eff = max(cfg.inner_tol, 1e-6)
     point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
     for outer in range(cfg.max_outer):
         warm_t, warm_phi = point.t, point.phi.values
         pu, pv = point.w.u.values, point.w.v.values
-        c = Field(grid, grad_plus(pu, pv))
-        coeff = weighted_inner(c, Field(grid, a), V)
-        tang = 0.5 * c.values - coeff * a
-        tang_norm = weighted_norm(Field(grid, tang), V) * np.sqrt(2.0)
-        grad_norm = point.t * tang_norm
+        c = grad_plus(pu, pv)
+        coeff = inner_values(c, a, Va, grid)
+        tang = 0.5 * c - coeff * a
+        tang_norm = norm_values(tang, Va, grid) * np.sqrt(2.0)
+        grad_norm = float(point.t * tang_norm)
         trace.append(IterationRecord(outer, point.level, grad_norm, point.inner_iters))
         levels.append(point.level)
 
@@ -525,11 +527,11 @@ def outer_minimize(
 
         # Armijo backtracking along the projected direction, BB warm step
         descent = point.t * tang
-        dir_norm_sq = 2.0 * weighted_norm(Field(grid, descent), V) ** 2
+        dir_norm_sq = 2.0 * norm_values(descent, Va, grid) ** 2
         accepted = False
         step = alpha
         for _ in range(cfg.max_linesearch):
-            a_try = _diag_normalize(a - step * descent, grid, V)
+            a_try = _diag_normalize(a - step * descent, grid, Va)
             try:
                 pt_try = eval_F(a_try, warm_t, warm_phi, inner_tol_eff)
             except (NoAscent, MaxIterations) as err:
@@ -647,8 +649,9 @@ def solve_ground_state(
 
     Failed restarts (budget exhaustion, stagnation) contribute their
     best-so-far candidate; the merge prefers feasible results (residuals at
-    tolerance), then the lowest level, then the restart index, which makes
-    the outcome independent of execution order.
+    tolerance), then the lowest level up to ``LEVEL_TIE_RTOL``, then the
+    smallest EL residual, then the restart index, which makes the outcome
+    independent of execution order.
     """
     cfg = cfg.validated()
     if inits is None:
@@ -675,15 +678,14 @@ def solve_ground_state(
     if not results:
         raise NoAscent("all restarts failed before producing a candidate")
 
-    def merge_key(r: GroundStateResult):
-        # candidates within a loose residual bar compete on level; the
-        # converged flag still records certificate quality, so a lower
-        # near-converged state is preferred over a higher fully-converged
-        # one (weakly pinned off-center states may stall at ~1e-4)
-        candidate = r.el_residual <= max(cfg.el_tol, 1e-3)
-        return (not candidate, r.level, r.restart_index)
-
-    return sorted(results, key=merge_key)[0]
+    # candidates within a loose residual bar compete on level; the
+    # converged flag still records certificate quality, so a lower
+    # near-converged state is preferred over a higher fully-converged
+    # one (weakly pinned off-center states may stall at ~1e-4)
+    pool = [r for r in results if r.el_residual <= max(cfg.el_tol, 1e-3)] or results
+    lowest = min(r.level for r in pool)
+    tied = [r for r in pool if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
+    return min(tied, key=lambda r: (r.el_residual, r.restart_index))
 
 
 # -- scalar diagonal oracle -------------------------------------------------------
@@ -703,11 +705,11 @@ def scalar_diagonal_solve(
         raise NoAscent("scalar diagonal solve requires f = g")
     cfg = cfg.validated()
     h = grid.spacing
-    Va = np.asarray(V, dtype=float)
-    vbar = float(np.mean(V))
+    Va = potential_array(V, grid)
+    vbar = float(np.mean(Va))
 
     def normalize(vals):
-        nrm = weighted_norm(Field(grid, vals), V)
+        nrm = norm_values(vals, Va, grid)
         if nrm <= 1e-14:
             raise NoAscent("scalar direction vanished")
         return vals / nrm
@@ -749,9 +751,11 @@ def scalar_diagonal_solve(
         z = t * d
         strong_z = halflap(z, grid) + Va * z - fam.f(z)
         grad = inv_multiplier(strong_z, grid, vbar)  # exact strong residual only
-        coeff = weighted_inner(Field(grid, grad), Field(grid, d), V)
+        coeff = inner_values(grad, d, Va, grid)
         tang = grad - coeff * d
-        gnorm = weighted_norm(Field(grid, tang), V) * t
+        gnorm = norm_values(tang, Va, grid) * t
+        if not np.isfinite(gnorm):
+            raise InvalidField("scalar descent gradient has NaN/Inf samples")
         if gnorm <= cfg.outer_tol:
             break
         level = scalar_I(t, d)
@@ -760,7 +764,7 @@ def scalar_diagonal_solve(
         for _ in range(cfg.max_linesearch):
             d_try = normalize(d - step * t * tang)
             t_try = best_t(d_try, t)
-            if scalar_I(t_try, d_try) <= level - cfg.armijo_c * step * (t * weighted_norm(Field(grid, tang), V)) ** 2:
+            if scalar_I(t_try, d_try) <= level - cfg.armijo_c * step * gnorm**2:
                 d, t = d_try, t_try
                 accepted = True
                 break

@@ -75,6 +75,15 @@ class TestDecomposition:
         with pytest.raises(GridMismatch):
             PairField(u, v)
 
+    def test_pairings_reject_grid_mismatch(self):
+        u = Field(Grid(40.0, 64), np.ones(64))
+        for other in (Grid(40.0, 128), Grid(20.0, 64)):
+            v = Field(other, np.ones(other.n_points))
+            with pytest.raises(GridMismatch):
+                weighted_inner(u, v, 1.0)
+            with pytest.raises(GridMismatch):
+                h_half_inner(u, v, 1.0)
+
 
 class TestPhi:
     def test_zero(self, grid, fam):
@@ -186,14 +195,14 @@ class TestGradient:
         w = smooth_random_pair(grid, np.random.default_rng(5), amplitude=0.5)
         strong = energy_gradient(w, fam, 1.0, form="strong")
         riesz = energy_gradient(w, fam, 1.0, form="riesz")
-        k = np.abs(grid.wavenumbers)
+        k = np.abs(2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing))
         back = np.fft.ifft((k + 1.0) * np.fft.fft(riesz.u.values)).real
         assert np.allclose(back, strong.u.values, atol=1e-10)
 
     def test_riesz_solve_varying_potential_against_dense(self):
         g = Grid(20.0, 128)
         V = 1.0 + 0.5 * np.sin(2 * np.pi * g.x / g.length) ** 2
-        k = np.abs(g.wavenumbers)
+        k = np.abs(2.0 * np.pi * np.fft.fftfreq(g.n_points, d=g.spacing))
         dense = np.zeros((128, 128))
         for j in range(128):
             e = np.zeros(128)

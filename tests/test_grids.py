@@ -16,6 +16,7 @@ from halfwave.grids import (
     apply_fractional_laplacian,
     h_half_inner,
     h_half_norm,
+    half_pairing,
     halflap,
     integrate,
     l2_inner,
@@ -52,7 +53,7 @@ class TestGridBasics:
 
     def test_one_zero_wavenumber(self):
         g = Grid(40.0, 256)
-        assert np.count_nonzero(g.wavenumbers == 0.0) == 1
+        assert np.count_nonzero(g.abs_k == 0.0) == 1
 
     def test_rejects_odd_or_tiny_n(self):
         with pytest.raises(InvalidField):
@@ -175,7 +176,8 @@ class TestInnerProducts:
         u = smooth_random(g, rng)
         v = smooth_random(g, rng)
         direct = g.spacing * np.sum(u.values * v.values)
-        spectral = g.spacing / g.n_points * np.sum(u.hat * np.conj(v.hat)).real
+        uhat, vhat = np.fft.fft(u.values), np.fft.fft(v.values)
+        spectral = g.spacing / g.n_points * np.sum(uhat * np.conj(vhat)).real
         assert spectral == pytest.approx(direct, rel=1e-10)
 
     def test_multiplier_solve_inverts(self):
@@ -263,9 +265,7 @@ class TestConcurrency:
 class TestSpectralKernel:
     def test_wavenumbers_cached_read_only(self):
         g = Grid(40.0, 64)
-        assert g.wavenumbers is g.wavenumbers
         assert g.abs_k is g.abs_k
-        assert not g.wavenumbers.flags.writeable
         assert not g.abs_k.flags.writeable
         # |k| on the rfft half-spectrum: j = 0..N/2, k_j = 2 pi j / L
         assert g.abs_k.shape == (33,)
@@ -321,3 +321,36 @@ class TestSpectralKernel:
             if banned.search(line)
         ]
         assert offenders == []
+
+
+class TestHalfPairing:
+    """The rfft half-spectrum pairing against its full-spectrum definition."""
+
+    def test_zero_mode_contributes_nothing(self):
+        g = Grid(40.0, 256)
+        rng = np.random.default_rng(41)
+        a = smooth_random(g, rng).values
+        b = smooth_random(g, rng).values
+        assert half_pairing(np.full(256, 3.7), b, g) == pytest.approx(0.0, abs=1e-12)
+        assert half_pairing(np.full(256, 3.7), np.full(256, 3.7), g) == pytest.approx(0.0, abs=1e-12)
+        assert half_pairing(a + 2.5, b, g) == pytest.approx(half_pairing(a, b, g), rel=1e-12)
+
+    def test_nyquist_mode_counted_once(self):
+        # (-1)^j is the mode |k| = pi N / L with |uhat|^2 = N^2: seminorm = pi N
+        for n in (16, 64, 256):
+            g = Grid(40.0, n)
+            alt = Field(g, (-1.0) ** np.arange(n))
+            assert seminorm_sq(alt) == pytest.approx(np.pi * n, rel=1e-13)
+
+    def test_matches_full_complex_spectrum(self):
+        for length, n in ((40.0, 256), (13.0, 128), (160.0, 1024)):
+            g = Grid(length, n)
+            rng = np.random.default_rng(n)
+            k = np.abs(2.0 * np.pi * np.fft.fftfreq(n, d=g.spacing))
+            for _ in range(5):
+                a = smooth_random(g, rng, modes=12).values
+                b = smooth_random(g, rng, modes=12).values
+                full = np.sum(k * np.fft.fft(a) * np.conj(np.fft.fft(b))).real * g.spacing / n
+                assert half_pairing(a, b, g) == pytest.approx(full, rel=1e-12, abs=1e-12)
+                full_aa = np.sum(k * np.abs(np.fft.fft(a)) ** 2) * g.spacing / n
+                assert half_pairing(a, a, g) == pytest.approx(full_aa, rel=1e-12)
