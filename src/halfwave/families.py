@@ -9,6 +9,7 @@ symbolic reasoning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
@@ -18,6 +19,7 @@ from .errors import OverflowGuard, UnknownFamily
 from .grids import Field, integrate
 
 EXP_ARG_LIMIT = 700.0  # exp() ceiling in double precision
+F_SERIES_RTOL = 1e-13  # cancellation allowed in F, G before the series takes over
 
 
 @dataclass(frozen=True)
@@ -67,27 +69,47 @@ class NonlinearityFamily:
             )
 
 
-def _cubic_exp_F(t, b):
-    # exp(s)(s-1)+1 cancels catastrophically for small s = b t^2; its Taylor
-    # coefficients are (n-1)/n!, so switch to the series below s = 1e-3
-    t = np.asarray(t, dtype=float)
-    s = b * t * t
-    closed = np.exp(s) * (s - 1.0) + 1.0
-    series = s * s * (
-        1.0 / 2 + s * (1.0 / 3 + s * (1.0 / 8 + s * (1.0 / 30 + s * (1.0 / 144 + s / 840))))
-    )
-    return np.where(s < 1e-3, series, closed) / (2.0 * b * b)
+def _horner(coefs, s):
+    """Polynomial with coefficients ``coefs``, highest power first, at s."""
+    acc = coefs[0] * s + coefs[1]
+    for c in coefs[2:]:
+        acc *= s
+        acc += c
+    return acc
 
 
-def _quintic_exp_G(t, b):
-    # same treatment; Taylor coefficients of exp(s)(s^2-2s+2)-2 are (m-1)(m-2)/m!
-    t = np.asarray(t, dtype=float)
-    s = b * t * t
-    closed = np.exp(s) * (s * s - 2.0 * s + 2.0) - 2.0
-    series = s**3 * (
-        1.0 / 3 + s * (1.0 / 4 + s * (1.0 / 10 + s * (1.0 / 36 + s * (1.0 / 168 + s / 960))))
-    )
-    return np.where(s < 1e-3, series, closed) / (2.0 * b**3)
+def _odd_power_exp(m: int, b: float):
+    """(f, F, f') of f(t) = t^(2m+1) exp(b t^2), every power built from t*t.
+
+    With s = b t^2, F = (e^s P_m(s) - P_m(0)) / (2 b^(m+1)) for P_m(s) =
+    sum_k (-1)^(m-k) m!/k! s^k.  The difference loses about eps (m+1)!/s^(m+1)
+    (relative) to cancellation; where that exceeds F_SERIES_RTOL, F sums
+    s^(m+1) sum_n s^n/(n! (n+m+1)) instead, up to its first term below eps/2.
+    """
+    eps = np.finfo(float).eps
+    switch = math.pow(eps * math.factorial(m + 1) / F_SERIES_RTOL, 1.0 / (m + 1))
+    poly = [math.perm(m, m - k) * (-1.0 if (m - k) % 2 else 1.0) for k in range(m, -1, -1)]
+    series = [1.0 / (math.factorial(n) * (n + m + 1)) for n in range(40)]
+    series = [c for n, c in enumerate(series) if (m + 1) * c * math.pow(switch, n) >= eps / 2][::-1]
+    scale = 0.5 / math.pow(b, m + 1)
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        t2 = t * t
+        return math.prod([t2] * m, start=t * np.exp(b * t2))
+
+    def F(t):
+        t = np.asarray(t, dtype=float)
+        s = b * (t * t)
+        small = math.prod([s] * (m + 1), start=_horner(series, s))
+        return np.where(s < switch, small, np.exp(s) * _horner(poly, s) - poly[-1]) * scale
+
+    def fp(t):
+        t = np.asarray(t, dtype=float)
+        t2 = t * t
+        return math.prod([t2] * m, start=(2.0 * b * t2 + (2 * m + 1)) * np.exp(b * t2))
+
+    return f, F, fp
 
 
 def _restrict(fun):
@@ -118,54 +140,29 @@ def builtin_family(
         raise UnknownFamily(f"beta0 must be positive, got {beta0}")
     b = float(beta0)
 
-    def f_cubic_exp(t):
-        t = np.asarray(t, dtype=float)
-        return t**3 * np.exp(b * t * t)
-
-    def g_quintic_exp(t):
-        t = np.asarray(t, dtype=float)
-        return t**5 * np.exp(b * t * t)
-
     def f_cubic(t):
         t = np.asarray(t, dtype=float)
-        return t**3
+        return t * t * t
 
     def F_cubic(t):
         t = np.asarray(t, dtype=float)
-        return 0.25 * t**4
+        return 0.25 * (t * t) * (t * t)
 
     kappa0 = max(8.0 * np.sqrt(np.e) * V0 / b, np.pi / (b * r1)) + 1.0
-
-    def fp_cubic_exp(t):
-        t = np.asarray(t, dtype=float)
-        return (3.0 * t * t + 2.0 * b * t**4) * np.exp(b * t * t)
-
-    def gp_quintic_exp(t):
-        t = np.asarray(t, dtype=float)
-        return (5.0 * t**4 + 2.0 * b * t**6) * np.exp(b * t * t)
 
     def fp_cubic(t):
         t = np.asarray(t, dtype=float)
         return 3.0 * t * t
 
     if name == "cubic_exp":
-        f = g = f_cubic_exp
-        F = G = lambda t: _cubic_exp_F(t, b)
-        fp = gp = fp_cubic_exp
-        exponential, symmetric = True, True
+        f, F, fp = g, G, gp = _odd_power_exp(1, b)
     elif name == "cubic_quintic_exp":
-        f, g = f_cubic_exp, g_quintic_exp
-        F = lambda t: _cubic_exp_F(t, b)
-        G = lambda t: _quintic_exp_G(t, b)
-        fp, gp = fp_cubic_exp, gp_quintic_exp
-        exponential, symmetric = True, False
+        (f, F, fp), (g, G, gp) = _odd_power_exp(1, b), _odd_power_exp(2, b)
     elif name == "cubic":
-        f = g = f_cubic
-        F = G = F_cubic
-        fp = gp = fp_cubic
-        exponential, symmetric = False, True
+        f, F, fp = g, G, gp = f_cubic, F_cubic, fp_cubic
     else:
         raise UnknownFamily(f"no builtin family named {name!r}")
+    exponential, symmetric = name != "cubic", g is f
 
     if sign_restricted:
         f, g, F, G = _restrict(f), _restrict(g), _restrict(F), _restrict(G)

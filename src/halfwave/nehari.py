@@ -41,6 +41,7 @@ from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
+RAY_J_ULPS = 4  # ulps of |J(t0)| a warm ray maximizer's J may fall below J(t0)
 LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
 
 
@@ -179,12 +180,14 @@ class _RaySlice:
         return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(dens))
 
 
-def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False) -> float:
-    """Locate argmax of t -> J on the ray.
+def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False):
+    """Locate argmax of t -> J on the ray; returns (t, J(t)).
 
     Warm calls try safeguarded Newton on the slope first (the maximizer
     moves little between sweeps); cold calls, or Newton failures, fall back
-    to bracketed scan plus golden-section refinement.
+    to bracketed scan plus golden-section refinement.  Near a converged
+    maximizer J is flat to round-off, so the warm result is kept unless J
+    falls more than RAY_J_ULPS ulp of |J(t0)| below J(t0).
     """
     if warm and t0 > 1e-8:
         t = t0
@@ -204,8 +207,10 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = Fal
                 ok = True
                 break
             t = t_new
-        if ok and sl.j_value(t, q, q_norm_sq) >= sl.j_value(t0, q, q_norm_sq) - 1e-300:
-            return t
+        if ok:
+            j_t, j_t0 = sl.j_value(t, q, q_norm_sq), sl.j_value(t0, q, q_norm_sq)
+            if j_t >= j_t0 - RAY_J_ULPS * np.finfo(float).eps * abs(j_t0):
+                return t, j_t
 
     t_hi = max(2.0 * t0, 1.0)
     j_hi = sl.j_value(t_hi, q, q_norm_sq)
@@ -238,7 +243,8 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = Fal
             a, c, jc = c, d, jd
             d = a + inv_gold * (b - a)
             jd = sl.j_value(d, q, q_norm_sq)
-    return 0.5 * (a + b)
+    t = 0.5 * (a + b)
+    return t, sl.j_value(t, q, q_norm_sq)
 
 
 def inner_maximize(
@@ -281,7 +287,7 @@ def inner_maximize(
     prev_rho = None
     prev_step = None
     for sweep in range(max_inner):
-        t = _maximize_along_ray(sl, t, q, q_norm_sq, warm=(sweep > 0 or warm_t is not None))
+        t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq, warm=(sweep > 0 or warm_t is not None))
         if t <= 1e-12:
             raise NoAscent("maximum collapses onto the antidiagonal subspace")
 
@@ -291,7 +297,6 @@ def inner_maximize(
         rho_norm_sq = inner_values(rho, rho, Va, grid)
         if not np.isfinite(rho_norm_sq):
             raise InvalidField("antidiagonal gradient has NaN/Inf samples")
-        j_cur = sl.j_value(t, q, q_norm_sq)
 
         # residuals (scale-free)
         nw2 = max(t * t + 2.0 * q_norm_sq, 1e-300)

@@ -1,9 +1,15 @@
+import ast
+import math
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from halfwave.errors import OverflowGuard, UnknownFamily
 from halfwave.families import (
+    F_SERIES_RTOL,
     NonlinearityFamily,
     audit_hypotheses,
     builtin_family,
@@ -84,6 +90,142 @@ class TestBuiltins:
         assert np.all(cubic_exp.F(ts) >= 0.0)
         assert cubic_exp.F(0.0) == 0.0
         assert cubic_exp.G(0.0) == 0.0
+
+
+EXP_FAMILIES = [
+    (name, beta) for name in ("cubic_exp", "cubic_quintic_exp") for beta in (0.8, 1.0)
+]
+KERNELS = ("f", "g", "F", "G", "fp", "gp")
+
+
+def _odd_power(name):
+    """(kernel prefix, m) pairs: f = t^(2m+1) exp(beta t^2)."""
+    return (("f", 1), ("g", 2 if name == "cubic_quintic_exp" else 1))
+
+
+def _mp_f(t, beta, m):
+    return t ** (2 * m + 1) * mp.exp(mp.mpf(beta) * t * t)
+
+
+def _rel_err(got, exact):
+    return abs(float((mp.mpf(float(got)) - exact) / exact))
+
+
+class TestKernelOracle:
+    """The exponential kernels against mpmath at 40 digits; beta is the same
+    double on both sides, so the oracle is exact for the kernel's inputs."""
+
+    TS = np.concatenate([-np.logspace(-4, np.log10(5.0), 40), np.logspace(-4, np.log10(5.0), 120)])
+
+    @pytest.mark.parametrize("name,beta", EXP_FAMILIES)
+    def test_f_and_g(self, name, beta):
+        fam = builtin_family(name, beta)
+        with mp.workdps(40):
+            for key, m in _odd_power(name):
+                kernel = getattr(fam, key)
+                worst = max(_rel_err(kernel(t), _mp_f(mp.mpf(t), beta, m)) for t in self.TS)
+                assert worst <= 1e-14, (key, worst)
+
+    @pytest.mark.parametrize("name,beta", EXP_FAMILIES)
+    def test_derivatives_against_complex_step(self, name, beta):
+        fam = builtin_family(name, beta)
+        h = mp.mpf("1e-30")
+        with mp.workdps(40):
+            for key, m in _odd_power(name):
+                kernel = getattr(fam, key + "p")
+                worst = max(
+                    _rel_err(kernel(t), mp.im(_mp_f(mp.mpc(t, h), beta, m)) / h) for t in self.TS
+                )
+                assert worst <= 1e-14, (key, worst)
+
+    @pytest.mark.parametrize("name,beta", EXP_FAMILIES)
+    def test_antiderivatives_across_series_switch(self, name, beta):
+        fam = builtin_family(name, beta)
+        eps = np.finfo(float).eps
+        with mp.workdps(30):
+            for key, m in _odd_power(name):
+                kernel = getattr(fam, key.upper())
+                # s = beta t^2 on a log grid, at the old switch s = 1e-3 and its
+                # worst points, and just either side of the switch derived from m
+                switch = (eps * math.factorial(m + 1) / F_SERIES_RTOL) ** (1.0 / (m + 1))
+                s = np.concatenate([
+                    np.logspace(-8, np.log10(25.0), 30),
+                    [1e-3, 1.02e-3, 1.34e-3],
+                    switch * np.array([0.9, 0.999, 1.0, 1.001, 1.1]),
+                ])
+                for t in np.sqrt(s / beta):
+                    exact = mp.quad(lambda x: _mp_f(x, beta, m), [0, mp.mpf(t)])
+                    assert _rel_err(kernel(t), exact) <= 1e-12, (key, t)
+                    assert _rel_err(kernel(-t), exact) <= 1e-12, (key, -t)
+
+
+class TestKernelShapes:
+    """Every kernel maps float64 inputs of any shape to float64 of that shape."""
+
+    N = 64
+    INPUTS = {
+        "float": 0.7,
+        "0-d": np.array(-0.7),
+        "1-D": np.linspace(-2.0, 2.0, N),
+        "(2, N)": np.stack([np.linspace(-2.0, 2.0, N), np.linspace(1.5, -0.5, N)]),
+    }
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp", "cubic"])
+    @pytest.mark.parametrize("kind", list(INPUTS))
+    def test_shape_dtype_and_values(self, name, restricted, kind):
+        fam = builtin_family(name, 1.0, sign_restricted=restricted)
+        x = self.INPUTS[kind]
+        before = np.array(x, copy=True)
+        for key in KERNELS:
+            kernel = getattr(fam, key)
+            out = kernel(x)
+            assert np.shape(out) == np.shape(x), key
+            assert np.asarray(out).dtype == np.float64, key
+            # the same samples evaluated one by one, as 1-D arrays
+            flat = np.ravel(x)
+            one_by_one = np.array([kernel(np.array([v]))[0] for v in flat])
+            np.testing.assert_array_equal(np.ravel(out), one_by_one, err_msg=key)
+            np.testing.assert_array_equal(np.asarray(x), before, err_msg=key)
+
+
+def pow_lines(source):
+    """Line numbers of ``**`` in builtin_family and in every module-level
+    function it calls, directly or through another such function."""
+    tree = ast.parse(source)
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    todo, seen, lines = ["builtin_family"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+                lines.add(node.lineno)
+            if isinstance(node, ast.Name) and node.id in defs:
+                todo.append(node.id)
+    return sorted(lines)
+
+
+def test_kernels_are_power_free():
+    src = Path(__file__).resolve().parents[1] / "src" / "halfwave" / "families.py"
+    assert pow_lines(src.read_text()) == []
+
+
+def test_power_guard_sees_pow():
+    flagged = pow_lines(
+        "def helper(t):\n"
+        "    return t ** 3\n"
+        "def unused(t):\n"
+        "    return t ** 4\n"
+        "def builtin_family(b):\n"
+        "    def f(t):\n"
+        "        t **= 2\n"
+        "        return t\n"
+        "    return lambda t: helper(t) + b ** 2\n"
+    )
+    assert flagged == [2, 7, 9]
 
 
 class TestAudit:

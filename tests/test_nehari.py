@@ -21,6 +21,7 @@ from halfwave.grids import Field, Grid, l2_norm
 from halfwave.nehari import (
     GroundStateResult,
     SolverConfig,
+    _maximize_along_ray,
     _RaySlice,
     initial_directions,
     inner_maximize,
@@ -113,6 +114,48 @@ class TestInnerMaximize:
             inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-14, max_inner=2)
         assert exc.value.best is not None
         assert exc.value.best.t > 0
+
+
+class _FlatRay:
+    """Ray with slope 1 - t, so warm Newton lands on t = 1 exactly, and
+    J(1) = j_top - drop; every J evaluation is recorded."""
+
+    def __init__(self, j_top, drop):
+        self.j_top, self.drop, self.calls = j_top, drop, []
+
+    def ray_slope(self, t, q):
+        return 1.0 - t, -1.0
+
+    def j_value(self, t, q, q_norm_sq):
+        self.calls.append(t)
+        return self.j_top - self.drop if t == 1.0 else self.j_top
+
+
+class TestRaySearch:
+    @pytest.mark.parametrize("j_top", [1.0060139, 0.5, 3.0])
+    def test_warm_maximizer_one_ulp_low_is_kept(self, j_top):
+        ray = _FlatRay(j_top, j_top - np.nextafter(j_top, 0.0))
+        t0 = 1.0 + 1e-9
+        t, j = _maximize_along_ray(ray, t0, None, 0.0, warm=True)
+        assert (t, j) == (1.0, np.nextafter(j_top, 0.0))
+        assert ray.calls == [1.0, t0]  # no cold scan
+
+    def test_warm_maximizer_far_below_falls_back(self):
+        ray = _FlatRay(1.0, 1e-9)
+        t, j = _maximize_along_ray(ray, 1.0 + 1e-9, None, 0.0, warm=True)
+        assert len(ray.calls) > 50
+        assert j == ray.j_value(t, None, 0.0)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_returns_j_at_maximizer(self, grid, warm):
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid).values
+        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0)), asym, grid.spacing)
+        q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
+        q_norm_sq = weighted_inner(Field(grid, q), Field(grid, q), 1.0)
+        t, j = _maximize_along_ray(sl, 1.0, q, q_norm_sq, warm=warm)
+        assert j == sl.j_value(t, q, q_norm_sq)
+        assert abs(sl.ray_slope(t, q)[0]) <= 1e-6
 
 
 class TestGroundStateSolve:
