@@ -51,7 +51,6 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
         "seed": 0,
         "threads": 1,
         "newton_polish": True,
-        "polish_handoff": 1e-4,
     },
     "moser": {
         "n_list": [4, 16, 64],

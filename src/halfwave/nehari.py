@@ -17,6 +17,7 @@ and thread-count independent in parallel mode.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -43,6 +44,18 @@ from .grids import Field, Grid, halflap, inv_multiplier, translate
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
 RAY_J_ULPS = 4  # ulps of |J(t0)| a warm ray maximizer's J may fall below J(t0)
 LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
+# outer gradient, relative to 1 + |level|, at which the descent hands over to
+# Newton: a constant V leaves one minimizer up to translation, so Newton can
+# take over early; a varying V pins the profile only weakly, so the descent
+# must localize it first
+POLISH_HANDOFF_CONSTANT_V = 1e-2
+POLISH_HANDOFF_VARYING_V = 1e-4
+# Eisenstat-Walker choice-2 forcing terms for the Newton-GMRES solves
+EW_GAMMA = 0.9
+EW_ALPHA = 2.0
+EW_ETA_MAX = 0.5
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,7 +72,6 @@ class SolverConfig:
     seed: int = 0
     threads: int = 1
     newton_polish: bool = True
-    polish_handoff: float = 1e-4
     stagnation_window: int = 50
     stagnation_eps: float = 1e-14
 
@@ -346,7 +358,9 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 
     Levenberg-Marquardt shift handles the nearly-flat translational mode of
     shallow potentials (a pure Newton step along it leaves the basin); the
-    linear solves are GMRES preconditioned by the inverse multiplier.
+    linear solves are GMRES preconditioned by the inverse multiplier, to the
+    Eisenstat-Walker choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
+    floored at half the relative accuracy the target needs.
     Returns the best iterate reached.
     """
     grid = w.grid
@@ -407,6 +421,18 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
                 break
         return best_uv, best_r
 
+    # Jacobian at the current iterate (fp, gp) with the Levenberg-Marquardt
+    # shift lam; matvecs counts its applications for the step log
+    def jac(x):
+        nonlocal matvecs
+        matvecs += 1
+        xu, xv = x[:n], x[n:]
+        au, av = halflap(x.reshape(2, n), grid)
+        return np.concatenate([au + (Va + lam) * xu - gp * xv,
+                               av + (Va + lam) * xv - fp * xu])
+
+    op = LinearOperator((2 * n, 2 * n), matvec=jac, dtype=float)
+
     uv = np.concatenate([w.u.values, w.v.values])
     r = strong(uv)
     uv, r = align_translation(uv, r)
@@ -414,24 +440,26 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     scale = max(np.sqrt(h) * np.linalg.norm(uv), 1.0)
     lam = 0.0
     steps = 0
+    eta, prev_norm = EW_ETA_MAX, None
     for _ in range(NEWTON_MAX_STEPS):
         if best_norm <= target:
             break
+        # forcing term: solve as accurately as the last step's contraction
+        # warrants, never more than the target itself needs
+        if prev_norm is not None:
+            eta_ew = EW_GAMMA * (best_norm / prev_norm) ** EW_ALPHA
+            guard = EW_GAMMA * eta**EW_ALPHA
+            eta = min(EW_ETA_MAX, max(eta_ew, guard) if guard > 0.1 else eta_ew)
+        eta = min(EW_ETA_MAX, max(eta, 0.5 * target / best_norm))
+        prev_norm = best_norm
         u, v = uv[:n], uv[n:]
         fp = fam.f_prime(u)
         gp = fam.g_prime(v)
+        matvecs = 0
         improved = False
+        damp = 0.0
         for _ in range(6):
-            shift = lam
-
-            def jac(x):
-                xu, xv = x[:n], x[n:]
-                au, av = halflap(x.reshape(2, n), grid)
-                return np.concatenate([au + (Va + shift) * xu - gp * xv,
-                                       av + (Va + shift) * xv - fp * xu])
-
-            op = LinearOperator((2 * n, 2 * n), matvec=jac)
-            delta, info = gmres(op, r, M=pc, rtol=1e-8, atol=0.0, restart=60, maxiter=200)
+            delta, info = gmres(op, r, M=pc, rtol=eta, atol=0.0, restart=60, maxiter=200)
             step_size = np.sqrt(h) * np.linalg.norm(delta)
             if info != 0 or step_size > 0.5 * scale:
                 lam = max(4.0 * lam, 1e-3)
@@ -449,11 +477,15 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
                     break
                 damp *= 0.5
             if improved:
-                lam = lam / 4.0 if lam > 1e-10 else 0.0
                 break
             lam = max(4.0 * lam, 1e-3)
+        log.debug(
+            "newton step: residual %.3e, lambda %.1e, eta %.2e, gmres matvecs %d, damping %g",
+            best_norm, lam, eta, matvecs, damp if improved else 0.0,
+        )
         if not improved:
             break
+        lam = lam / 4.0 if lam > 1e-10 else 0.0
         uv, r = align_translation(uv, r)
         if res_norm(r) < best_norm:
             best_uv, best_norm = uv.copy(), res_norm(r)
@@ -462,6 +494,24 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 
 
 # -- outer level ----------------------------------------------------------------
+
+
+def _centre_on_grid_point(w: PairField) -> PairField:
+    """Translate w so the peak of |u|+|v| (3-point parabolic fit) sits on a
+    grid point.
+
+    On a grid a constant-V ground state has an on-grid minimizer and a
+    mid-cell saddle, the same profile moved by h/2; Newton converges to the
+    one nearer its start.
+    """
+    grid = w.grid
+    p = np.abs(w.u.values) + np.abs(w.v.values)
+    j = int(np.argmax(p))
+    pm, p0, pp = p[j - 1], p[j], p[(j + 1) % p.size]
+    curv = pm - 2.0 * p0 + pp
+    offset = 0.5 * (pm - pp) / curv if curv < 0.0 else 0.0  # cells
+    uv = translate(np.stack([w.u.values, w.v.values]), grid, -offset * grid.spacing)
+    return PairField(Field(grid, uv[0]), Field(grid, uv[1]))
 
 
 def _diag_normalize(a_vals: np.ndarray, grid: Grid, Va) -> np.ndarray:
@@ -478,7 +528,15 @@ def outer_minimize(
     cfg: SolverConfig,
     restart_index: int = 0,
 ) -> GroundStateResult:
-    """Descend F(s) = J(m(s)) over the unit diagonal sphere from one start."""
+    """Descend F(s) = J(m(s)) over the unit diagonal sphere from one start.
+
+    With ``cfg.newton_polish`` the descent hands over to ``_newton_polish``
+    once the gradient falls below the handoff threshold (relative to
+    1 + |level|), which depends on V: POLISH_HANDOFF_CONSTANT_V for a
+    constant V, POLISH_HANDOFF_VARYING_V otherwise.  When the early
+    constant-V polish is rejected, the descent resumes to the varying-V
+    threshold and polishes there.
+    """
     cfg = cfg.validated()
     grid = init_direction.grid
     Va = potential_array(V, grid)
@@ -492,6 +550,7 @@ def outer_minimize(
     levels: List[float] = []
     alpha = 1.0
     message = ""
+    handoff = POLISH_HANDOFF_CONSTANT_V if autonomous else POLISH_HANDOFF_VARYING_V
 
     def eval_F(a_vals, wt, wq, tol):
         a_field = Field(grid, a_vals)
@@ -515,9 +574,15 @@ def outer_minimize(
         if grad_norm <= cfg.outer_tol:
             message = "gradient at tolerance"
             break
-        if cfg.newton_polish and grad_norm <= cfg.polish_handoff * (1.0 + abs(point.level)):
+        if cfg.newton_polish and grad_norm <= handoff * (1.0 + abs(point.level)):
             message = "handed to newton polish"
-            break
+            if handoff == POLISH_HANDOFF_VARYING_V:
+                break
+            polished = _polish(point, fam, V, trace, cfg, restart_index, autonomous,
+                               message, early=True)
+            if polished is not None:
+                return polished
+            handoff = POLISH_HANDOFF_VARYING_V
         # inner accuracy tracks the outer gradient (inexact descent)
         inner_tol_eff = max(cfg.inner_tol, min(1e-5, 0.02 * grad_norm))
         if (
@@ -564,21 +629,47 @@ def outer_minimize(
             ),
         )
 
-    result = _package(
-        point, fam, V, trace, cfg, message or "descent converged", restart_index, autonomous
-    )
+    message = message or "descent converged"
     if cfg.newton_polish:
-        polished, res, steps = _newton_polish(point.w, fam, V, target=0.05 * cfg.el_tol)
-        if res < result.el_residual:
-            w_out = polished
-            if autonomous:
-                w_out, _ = recenter_pair(w_out)
-            result = _finalize(
-                w_out, fam, V, trace, restart_index, autonomous, cfg,
-                message=result.message + f" + newton polish ({steps} steps)",
-                newton_steps=steps,
-            )
-    return result
+        return _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early=False)
+    return _package(point, fam, V, trace, cfg, message, restart_index, autonomous)
+
+
+def _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early):
+    """Newton polish from the descent state ``point``.
+
+    The polished state replaces the descent state when its strong residual
+    is below the descent state's EL residual.  An early handoff starts from
+    the state centred on a grid point (``_centre_on_grid_point``) and is
+    kept only if, besides, the polish does not raise the level (up to
+    LEVEL_TIE_RTOL) and meets the Nehari constraints to ``el_tol``; if not,
+    it returns None so the descent can resume.
+    """
+    result = _package(point, fam, V, trace, cfg, message, restart_index, autonomous)
+    start = _centre_on_grid_point(point.w) if early else point.w
+    polished, res, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
+    out = None
+    if res < result.el_residual:
+        w_out = recenter_pair(polished)[0] if autonomous else polished
+        out = _finalize(
+            w_out, fam, V, trace, restart_index, autonomous, cfg,
+            message=message + f" + newton polish ({steps} steps)",
+            newton_steps=steps,
+        )
+    accepted = out is not None and (
+        not early
+        or (out.level <= result.level + LEVEL_TIE_RTOL * abs(result.level)
+            and out.nehari_residual <= cfg.el_tol)
+    )
+    log.info(
+        "newton handoff (%s, threshold %.0e): level %.15g -> %.15g, %s",
+        message, POLISH_HANDOFF_CONSTANT_V if early else POLISH_HANDOFF_VARYING_V,
+        result.level, out.level if out is not None else float("nan"),
+        "accepted" if accepted else "rejected",
+    )
+    if accepted:
+        return out
+    return None if early else result
 
 
 def _package(point, fam, V, trace, cfg, message, restart_index, autonomous):

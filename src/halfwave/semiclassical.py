@@ -219,8 +219,10 @@ def concentration_sweep(
 ) -> SweepResult:
     """Solve across a descending epsilon ladder and track concentration.
 
-    Sequential mode warm-starts each solve from the previous recentered
-    solution (continuation); parallel mode cold-starts every epsilon and
+    Sequential mode warm-starts each solve from the previous solution
+    (continuation), moved so that a peak at y on rung eps sits at
+    y * eps / eps' on rung eps' (the same physical point, so the profile
+    stays in its well); parallel mode cold-starts every epsilon and
     must match sequential levels to solver accuracy.  Per-epsilon failures
     are recorded and the sweep continues.
     """
@@ -280,15 +282,21 @@ def concentration_sweep(
                 errors[e] = str(err)
     else:
         # first rung multi-starts unless an explicit init is handed in;
-        # later rungs continue from the previous recentered profile
+        # later rungs continue from the previous profile, moved so its peak
+        # stays at the same physical point x = eps * y
         warm: Optional[PairField] = init
+        prev = None  # (eps, solution) of the last rung solved
         for e in eps:
+            if prev is not None:
+                e_prev, w_prev = prev
+                j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
+                warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
             try:
                 res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
                 records.append(make_record(e, res))
-                warm, _ = recenter_pair(res.w)
+                prev = (e, res.w)
             except HalfwaveError as err:
                 errors[e] = str(err)
-                warm = None
+                warm, prev = None, None
 
     return SweepResult(records=records, autonomous_level=auto.level, errors=errors)

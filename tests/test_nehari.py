@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import logging
 import time
 from pathlib import Path
 
@@ -17,8 +18,11 @@ from halfwave.energy import (
 )
 from halfwave.errors import HalfwaveError, MaxIterations, NoAscent
 from halfwave.families import builtin_family
-from halfwave.grids import Field, Grid, l2_norm
+from halfwave import nehari
+from halfwave.grids import Field, Grid, l2_norm, translate
 from halfwave.nehari import (
+    POLISH_HANDOFF_CONSTANT_V,
+    POLISH_HANDOFF_VARYING_V,
     GroundStateResult,
     SolverConfig,
     _maximize_along_ray,
@@ -264,16 +268,28 @@ class TestScalarDiagonalOracle:
             scalar_diagonal_solve(asym, 1.0, grid, SolverConfig(seed=0))
 
 
+DEFAULT_GRID = Grid(40.0, 2048)  # README/CLI default
+DEFAULT_GROUND_LEVEL = 1.006013857769  # on-grid minimizer on DEFAULT_GRID
+DEFAULT_SADDLE_LEVEL = 1.006416452903  # the same state moved by h/2
+
+
+@pytest.fixture(scope="module")
+def default_starts(fam):
+    """outer_minimize from each start of the seed-0, 5-restart default solve."""
+    cfg = SolverConfig(restarts=5, seed=0)
+    return [
+        outer_minimize(init, fam, 1.0, cfg, restart_index=i)
+        for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0))
+    ]
+
+
 class TestRestartMerge:
-    def test_tied_levels_go_to_smallest_el_residual(self, fam):
+    def test_tied_levels_go_to_smallest_el_residual(self, fam, default_starts):
         # on constant V every restart reaches one state; levels that agree to
         # round-off (1e-12 relative) must not let round-off pick the winner
-        grid = Grid(40.0, 2048)
+        grid = DEFAULT_GRID
         cfg = SolverConfig(restarts=5, seed=0)
-        per_start = [
-            outer_minimize(init, fam, 1.0, cfg, restart_index=i)
-            for i, init in enumerate(initial_directions(grid, cfg, 1.0))
-        ]
+        per_start = default_starts
         lowest = min(r.level for r in per_start)
         tied = [r for r in per_start if r.level - lowest <= 1e-12 * abs(lowest)]
         assert len(tied) >= 2
@@ -282,6 +298,71 @@ class TestRestartMerge:
         assert won.el_residual == best.el_residual
         assert won.restart_index == best.restart_index
         assert won.level == best.level
+
+
+def _translated(w, s):
+    uv = translate(np.stack([w.u.values, w.v.values]), w.grid, s)
+    return PairField(Field(w.grid, uv[0]), Field(w.grid, uv[1]))
+
+
+class TestNewtonHandoff:
+    def test_every_start_reaches_on_grid_minimizer(self, default_starts):
+        # a constant-V descent hands over at gradient 1e-2; without centring
+        # the handoff state on a grid point, Newton lands on the mid-cell
+        # saddle from starts 1 and 3
+        for res in default_starts:
+            assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
+            assert res.converged
+            # taken at the early handoff, not after a rejected polish
+            last = res.trace[-1]
+            assert last.grad_norm > POLISH_HANDOFF_VARYING_V * (1.0 + abs(last.level))
+            assert last.grad_norm <= POLISH_HANDOFF_CONSTANT_V * (1.0 + abs(last.level))
+
+    @pytest.mark.parametrize("fault", ["saddle", "off_manifold"])
+    def test_rejected_polish_resumes_descent(self, fam, monkeypatch, fault):
+        cfg = SolverConfig(restarts=1, seed=0)
+        init = initial_directions(DEFAULT_GRID, cfg, 1.0)[0]
+        real = nehari._newton_polish
+        calls = []
+
+        def faulty_first(w, fam_, V, target):
+            calls.append(w)
+            if len(calls) > 1:
+                return real(w, fam_, V, target)
+            if fault == "saddle":  # polish from half a cell over: higher level
+                return real(_translated(w, 0.5 * DEFAULT_GRID.spacing), fam_, V, target)
+            out, res, steps = real(w, fam_, V, target)  # off the Nehari manifold
+            return 1.01 * out, res, steps
+
+        monkeypatch.setattr(nehari, "_newton_polish", faulty_first)
+        res = outer_minimize(init, fam, 1.0, cfg)
+        monkeypatch.setattr(nehari, "_newton_polish", real)
+        monkeypatch.setattr(nehari, "POLISH_HANDOFF_CONSTANT_V", POLISH_HANDOFF_VARYING_V)
+        tight = outer_minimize(init, fam, 1.0, cfg)
+        assert len(calls) == 2
+        assert res.level == pytest.approx(tight.level, rel=1e-10, abs=0)
+        assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
+        assert len(res.trace) == len(tight.trace)
+        assert res.converged
+
+    def test_handoff_and_newton_steps_are_logged(self, fam, caplog):
+        caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig(restarts=5, seed=0))
+        handoffs = [r for r in caplog.records if r.getMessage().startswith("newton handoff")]
+        steps = [r for r in caplog.records if r.getMessage().startswith("newton step")]
+        assert len(handoffs) == 5
+        for rec in handoffs:
+            _, threshold, handoff_level, polished_level, verdict = rec.args
+            assert threshold == POLISH_HANDOFF_CONSTANT_V
+            assert verdict == "accepted"
+            assert polished_level <= handoff_level
+        assert len(steps) >= 5
+        for rec in steps:
+            assert rec.levelno == logging.DEBUG
+            residual, lam, eta, matvecs, damping = rec.args
+            assert residual > 0.0 and lam >= 0.0 and 0.0 < eta <= nehari.EW_ETA_MAX
+            assert matvecs >= 1 and 0.0 <= damping <= 1.0
+        assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
 
 
 def _nan_above(fun, amp):

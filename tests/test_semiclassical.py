@@ -163,3 +163,20 @@ class TestConcentrationSweep:
         prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
         x_eps = 0.25 * sweep_grid.x[int(np.argmax(prof))]
         assert min(abs(x_eps - 2.0), abs(x_eps + 2.0)) <= 0.5
+        # a varying V hands over to Newton only at gradient 1e-4: a 1e-2
+        # handoff here stops at 1.0107162330456525
+        assert res.level == pytest.approx(1.0102371015541878, rel=1e-9, abs=0)
+
+    def test_sequential_double_well_sweep_stays_in_the_well(self, fam, cfg, sweep_grid):
+        # each rung continues from the previous profile at the same physical
+        # point; rolling its peak to x = 0 would put it on the hump
+        pot = double_well(1.0, 2.0, separation=2.0)
+        eps = [1.0, 0.5, 0.35, 0.25]
+        sweep = concentration_sweep(eps, pot, fam, sweep_grid, cfg)
+        assert not sweep.errors
+        assert [r.epsilon for r in sweep.records] == eps
+        for rec in sweep.records:
+            assert abs(abs(rec.x_eps) - 2.0) <= 0.05
+            assert rec.converged
+            cold = solve_rescaled(rec.epsilon, pot, fam, sweep_grid, cfg)
+            assert rec.level == pytest.approx(cold.level, rel=1e-4, abs=0)
