@@ -85,6 +85,8 @@ def _odd_power_exp(m: int, b: float):
     sum_k (-1)^(m-k) m!/k! s^k.  The difference loses about eps (m+1)!/s^(m+1)
     (relative) to cancellation; where that exceeds F_SERIES_RTOL, F sums
     s^(m+1) sum_n s^n/(n! (n+m+1)) instead, up to its first term below eps/2.
+    F evaluates the series on every sample and the closed form only on the
+    samples at or above the switch.
     """
     eps = np.finfo(float).eps
     switch = math.pow(eps * math.factorial(m + 1) / F_SERIES_RTOL, 1.0 / (m + 1))
@@ -101,8 +103,11 @@ def _odd_power_exp(m: int, b: float):
     def F(t):
         t = np.asarray(t, dtype=float)
         s = b * (t * t)
-        small = math.prod([s] * (m + 1), start=_horner(series, s))
-        return np.where(s < switch, small, np.exp(s) * _horner(poly, s) - poly[-1]) * scale
+        out = np.asarray(math.prod([s] * (m + 1), start=_horner(series, s)))
+        big = s >= switch
+        sb = s[big]
+        out[big] = np.exp(sb) * _horner(poly, sb) - poly[-1]
+        return out * scale
 
     def fp(t):
         t = np.asarray(t, dtype=float)

@@ -2,13 +2,15 @@
 
 Outer level: Riemannian descent of F(s) = J(m(s)) over the unit sphere of
 the diagonal subspace (retraction = renormalization, Armijo backtracking
-with Barzilai-Borwein step proposals).  Inner level: for a fixed diagonal
-direction, maximize J over the span of the ray and the antidiagonal
-subspace by alternating a bracketed 1-D search in the ray coordinate with
-preconditioned concave ascent in the antidiagonal coordinate.  An optional
-matrix-free Newton polish drives the strong-form residual of the coupled
-system to the requested tolerance once the descent has localized the
-candidate; the inner/outer machinery itself is first-order only.
+from the last accepted step, grown by 1/shrink).  Inner level: for a fixed
+diagonal direction, maximize J over the span of the ray and the
+antidiagonal subspace, where the maximizer is unique (Szulkin-Weth) and J
+is concave in the antidiagonal coordinate: one bracketed or warm 1-D
+search in the ray coordinate, then joint Newton steps in (ray,
+antidiagonal), each a truncated preconditioned CG solve globalized by an
+Armijo test on J.  An optional matrix-free Newton polish drives the
+strong-form residual of the coupled system to the requested tolerance once
+the descent has localized the candidate.
 
 All randomness is seeded; restarts are independent and merged
 deterministically, so runs are reproducible bit-for-bit in sequential mode
@@ -42,7 +44,10 @@ from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
-RAY_J_ULPS = 4  # ulps of |J(t0)| a warm ray maximizer's J may fall below J(t0)
+# ulps of |J| within which J is flat to round-off: a warm ray maximizer's J
+# may fall this far below J(t0), and a slice Newton step that predicts less
+# increase is taken whole
+RAY_J_ULPS = 4
 LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
 # outer gradient, relative to 1 + |level|, at which the descent hands over to
 # Newton: a constant V leaves one minimizer up to translation, so Newton can
@@ -54,6 +59,9 @@ POLISH_HANDOFF_VARYING_V = 1e-4
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
 EW_ETA_MAX = 0.5
+# inner slice Newton: largest CG forcing term, and the CG iteration cap
+SLICE_ETA_MAX = 0.03
+SLICE_CG_MAX = 20
 
 log = logging.getLogger(__name__)
 
@@ -128,12 +136,11 @@ class GroundStateResult:
 # -- inner level --------------------------------------------------------------
 
 
-def make_gradient_maps(grid: Grid, V, fam: NonlinearityFamily):
-    """Preconditioned diagonal/antidiagonal derivative representatives.
+def make_diagonal_gradient(grid: Grid, V, fam: NonlinearityFamily):
+    """Preconditioned diagonal derivative representative.
 
-    Both evaluate P(strong residual): ``plus(u, v)`` represents
-    b -> <J'(w), (b, b)> and ``minus(u, v)`` represents
-    q -> <J'(w), (q, -q)>; they vanish exactly at critical points.
+    ``plus(u, v)`` evaluates P(strong residual), which represents
+    b -> <J'(w), (b, b)> and vanishes exactly at critical points.
     P = (|k| + mean V)^{-1} is the exact Riesz map for scalar V and, for a
     varying potential, the spectrally equivalent preconditioner used for all
     descent directions (exact representatives are only needed in reports).
@@ -147,11 +154,7 @@ def make_gradient_maps(grid: Grid, V, fam: NonlinearityFamily):
         s = u + v
         return inv_multiplier(halflap(s, grid) + Va * s - fam.f(u) - fam.g(v), grid, vbar)
 
-    def minus(u, v):
-        d = v - u
-        return inv_multiplier(halflap(d, grid) + Va * d - fam.f(u) + fam.g(v), grid, vbar)
-
-    return plus, minus
+    return plus
 
 
 class _RaySlice:
@@ -196,7 +199,7 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = Fal
     """Locate argmax of t -> J on the ray; returns (t, J(t)).
 
     Warm calls try safeguarded Newton on the slope first (the maximizer
-    moves little between sweeps); cold calls, or Newton failures, fall back
+    moves little between calls); cold calls, or Newton failures, fall back
     to bracketed scan plus golden-section refinement.  Near a converged
     maximizer J is flat to round-off, so the warm result is kept unless J
     falls more than RAY_J_ULPS ulp of |J(t0)| below J(t0).
@@ -259,6 +262,63 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = Fal
     return t, sl.j_value(t, q, q_norm_sq)
 
 
+def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
+    """-J_tt and the operator -H of J on the slice at (u, v) = sl.components(t, q).
+
+    With K = (-Delta)^{1/2} + V, s = f'(u) + g'(v) and
+    c = (f'(u) - g'(v)) ahat,
+
+        -H (dt, dq) = (-J_tt dt + h sum(c dq), c dt + 2 K dq + s dq),
+        -J_tt = h sum(s ahat^2) - 1,
+
+    self-adjoint in (a, x).(b, y) = ab + h sum(x y); the q part is the L2
+    representative, like r = -2 K q - f(u) + g(v) for J_q.
+    """
+    h, ahat = sl.h, sl.ahat
+    fpu, gpv = sl.fam.f_prime(u), sl.fam.g_prime(v)
+    s = fpu + gpv
+    c = (fpu - gpv) * ahat
+    m_tt = h * float(s @ (ahat * ahat)) - 1.0
+
+    def neg_hess(dt, dq):
+        return m_tt * dt + h * float(c @ dq), c * dt + 2.0 * (halflap(dq, grid) + Va * dq) + s * dq
+
+    return m_tt, neg_hess
+
+
+def _slice_pcg(neg_hess, m_tt, jt, r, rho, grid: Grid, vbar, eta):
+    """Inexact Newton step (dt, dq) solving -H (dt, dq) = (J_t, r).
+
+    Truncated PCG (Steihaug 1983) preconditioned by
+    (1/(-J_tt), (2 (|k| + vbar))^{-1}), whose action on r is rho/2.  It stops
+    at preconditioned relative residual ``eta``, after SLICE_CG_MAX
+    iterations, or on non-positive curvature at its current iterate (the
+    preconditioned gradient if that is the first direction).
+    """
+    h = grid.spacing
+    xt, xq = 0.0, np.zeros_like(r)
+    rt, rq = jt, r
+    zt, zq = jt / m_tt, 0.5 * rho
+    pt, pq = zt, zq
+    rz = rt * zt + h * float(rq @ zq)
+    stop = eta * eta * rz
+    for k in range(SLICE_CG_MAX):
+        at, aq = neg_hess(pt, pq)
+        curv = pt * at + h * float(pq @ aq)
+        if not curv > 0.0:
+            return (zt, zq) if k == 0 else (xt, xq)
+        alpha = rz / curv
+        xt, xq = xt + alpha * pt, xq + alpha * pq
+        rt, rq = rt - alpha * at, rq - alpha * aq
+        zt, zq = rt / m_tt, 0.5 * inv_multiplier(rq, grid, vbar)
+        rz_new = rt * zt + h * float(rq @ zq)
+        if rz_new <= stop:
+            break
+        beta, rz = rz_new / rz, rz_new
+        pt, pq = zt + beta * pt, zq + beta * pq
+    return xt, xq
+
+
 def inner_maximize(
     direction: PairField,
     fam: NonlinearityFamily,
@@ -270,9 +330,20 @@ def inner_maximize(
 ) -> NehariPoint:
     """Maximize J over the ray-antidiagonal slice spanned by ``direction``.
 
+    One ray search (``_maximize_along_ray``: bracketed when cold, Newton
+    from ``warm_t`` when warm) places t; then Newton iterations in (t, q),
+    each solved inexactly by ``_slice_pcg`` to the forcing term
+    min(SLICE_ETA_MAX, sqrt(residual)) and globalized by an Armijo test on
+    J, run until the ray and antidiagonal residuals are at ``inner_tol``.
+    Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
+    to round-off and the full step is taken.  Where the ray is not concave
+    the step is a warm ray search instead.  ``inner_iters`` counts the
+    iterations, i.e. the residual evaluations.
+
     Raises NoAscent when the diagonal part of the direction vanishes or the
     maximum collapses to the origin; MaxIterations (carrying the best point)
-    when the residual targets are not met within the budget.
+    when the residual targets are not met within ``max_inner`` iterations
+    or the line search stalls.
     """
     grid = direction.grid
     Va = potential_array(V, grid)
@@ -282,11 +353,13 @@ def inner_maximize(
         raise NoAscent("direction has no diagonal component")
     ahat = a / (np.sqrt(2.0) * na)  # ||(ahat, ahat)||_W = 1
 
-    sl = _RaySlice(ahat, fam, grid.spacing)
-    _, grad_minus = make_gradient_maps(grid, Va, fam)
+    h = grid.spacing
+    vbar = float(np.mean(Va))
+    sl = _RaySlice(ahat, fam, h)
     q = np.zeros(grid.n_points) if warm_phi is None else warm_phi.copy()
     q_norm_sq = inner_values(q, q, Va, grid)
-    t = warm_t if warm_t is not None else 1.0
+    t0 = warm_t if warm_t is not None else 1.0
+    t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq, warm=warm_t is not None)
 
     def point(ray_res, minus_res, level):
         """The slice point at the current (t, q), as fields."""
@@ -294,18 +367,16 @@ def inner_maximize(
         w = PairField(Field(grid, u), Field(grid, v))
         return NehariPoint(w, float(t), Field(grid, q), ray_res, minus_res, float(level), iters)
 
-    iters = 0
-    bb_step = 0.5
-    prev_rho = None
-    prev_step = None
-    for sweep in range(max_inner):
-        t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq, warm=(sweep > 0 or warm_t is not None))
+    reason = "iteration budget exhausted"
+    for it in range(max_inner):
         if t <= 1e-12:
             raise NoAscent("maximum collapses onto the antidiagonal subspace")
 
-        # concave ascent in the antidiagonal coordinate; preconditioned gradient
+        # gradient: J_t, the L2 representative r of J_q, and rho = P r
         u, v = sl.components(t, q)
-        rho = grad_minus(u, v)
+        fu, gv = fam.f(u), fam.g(v)
+        r = -2.0 * (halflap(q, grid) + Va * q) - fu + gv
+        rho = inv_multiplier(r, grid, vbar)  # exact strong residual only
         rho_norm_sq = inner_values(rho, rho, Va, grid)
         if not np.isfinite(rho_norm_sq):
             raise InvalidField("antidiagonal gradient has NaN/Inf samples")
@@ -314,39 +385,38 @@ def inner_maximize(
         nw2 = max(t * t + 2.0 * q_norm_sq, 1e-300)
         ray_res = abs(sl.ray_pairing(t, q, q_norm_sq)) / nw2
         minus_res = np.sqrt(rho_norm_sq) / np.sqrt(2.0 * nw2)
-        iters = sweep + 1
+        iters = it + 1
         if ray_res <= inner_tol and minus_res <= inner_tol:
             return point(ray_res, minus_res, j_cur)
+        if iters == max_inner:
+            break
 
-        cross = inner_values(q, rho, Va, grid)
-        step = bb_step
+        jt = t - h * float((fu + gv) @ ahat)
+        eta = min(SLICE_ETA_MAX, np.sqrt(max(ray_res, minus_res)))
+        m_tt, neg_hess = _slice_hessian(sl, u, v, Va, grid)
+        if not m_tt > 0.0:  # the ray is not concave at t
+            t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq, warm=True)
+            continue
+        dt, dq = _slice_pcg(neg_hess, m_tt, jt, r, rho, grid, vbar, eta)
+        gain = jt * dt + h * float(r @ dq)  # predicted increase <grad J, step>
+        flat = abs(gain) <= RAY_J_ULPS * np.finfo(float).eps * abs(j_cur)
+        step = 1.0
         for _ in range(40):
-            q_try_norm_sq = q_norm_sq + 2.0 * step * cross + step * step * rho_norm_sq
-            j_try = sl.j_value(t, q + step * rho, q_try_norm_sq)
-            if j_try >= j_cur + 1e-4 * step * rho_norm_sq:
+            t_try, q_try = t + step * dt, q + step * dq
+            q_try_norm_sq = inner_values(q_try, q_try, Va, grid)
+            j_try = sl.j_value(t_try, q_try, q_try_norm_sq)
+            if (gain > 0.0 and j_try >= j_cur + 1e-4 * step * gain) or (flat and j_try > -np.inf):
                 break
             step *= 0.5
         else:
-            step = 0.0
-        if step > 0.0:
-            if prev_rho is not None and prev_step is not None:
-                # Barzilai-Borwein proposal from successive gradients
-                diff = rho - prev_rho
-                denom = inner_values(diff, diff, Va, grid)
-                if denom > 1e-300:
-                    s_dot_y = -prev_step * inner_values(prev_rho, diff, Va, grid)
-                    bb = abs(s_dot_y) / denom
-                    bb_step = min(max(bb, 1e-3), 4.0)
-            prev_rho = rho
-            prev_step = step
-            q = q + step * rho
-            q_norm_sq = inner_values(q, q, Va, grid)
+            reason = "line search stalled"
+            break
+        t, q, q_norm_sq, j_cur = t_try, q_try, q_try_norm_sq, j_try
 
-    best = point(ray_res, minus_res, sl.j_value(t, q, q_norm_sq))
     raise MaxIterations(
         f"inner maximization: residuals ({ray_res:.2e}, {minus_res:.2e}) "
-        f"above tol {inner_tol:.2e} after {max_inner} sweeps",
-        best=best,
+        f"above tol {inner_tol:.2e}, {iters} of {max_inner} iterations used ({reason})",
+        best=point(ray_res, minus_res, j_cur),
     )
 
 
@@ -557,7 +627,7 @@ def outer_minimize(
         return inner_maximize(PairField(a_field, a_field), fam, V, inner_tol=tol,
                               max_inner=cfg.max_inner, warm_t=wt, warm_phi=wq)
 
-    grad_plus, _ = make_gradient_maps(grid, Va, fam)
+    grad_plus = make_diagonal_gradient(grid, Va, fam)
     inner_tol_eff = max(cfg.inner_tol, 1e-6)
     point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
     for outer in range(cfg.max_outer):
@@ -595,7 +665,7 @@ def outer_minimize(
                 best=_package(point, fam, V, trace, cfg, "stagnation", restart_index, autonomous),
             )
 
-        # Armijo backtracking along the projected direction, BB warm step
+        # Armijo backtracking along the projected direction from the last step
         descent = point.t * tang
         dir_norm_sq = 2.0 * norm_values(descent, Va, grid) ** 2
         accepted = False

@@ -11,6 +11,7 @@ from halfwave.errors import OverflowGuard, UnknownFamily
 from halfwave.families import (
     F_SERIES_RTOL,
     NonlinearityFamily,
+    _horner,
     audit_hypotheses,
     builtin_family,
     default_audit_grid,
@@ -157,6 +158,43 @@ class TestKernelOracle:
                     exact = mp.quad(lambda x: _mp_f(x, beta, m), [0, mp.mpf(t)])
                     assert _rel_err(kernel(t), exact) <= 1e-12, (key, t)
                     assert _rel_err(kernel(-t), exact) <= 1e-12, (key, -t)
+
+
+def _where_antiderivative(m, b):
+    """F of t^(2m+1) exp(b t^2) as both branches over every sample, picked
+    by np.where: the formula F must reproduce bit for bit."""
+    eps = np.finfo(float).eps
+    switch = math.pow(eps * math.factorial(m + 1) / F_SERIES_RTOL, 1.0 / (m + 1))
+    poly = [math.perm(m, m - k) * (-1.0 if (m - k) % 2 else 1.0) for k in range(m, -1, -1)]
+    series = [1.0 / (math.factorial(n) * (n + m + 1)) for n in range(40)]
+    series = [c for n, c in enumerate(series) if (m + 1) * c * math.pow(switch, n) >= eps / 2][::-1]
+
+    def F(t):
+        s = b * (t * t)
+        small = math.prod([s] * (m + 1), start=_horner(series, s))
+        return np.where(s < switch, small, np.exp(s) * _horner(poly, s) - poly[-1]) * (
+            0.5 / math.pow(b, m + 1)
+        )
+
+    return F
+
+
+@pytest.mark.parametrize("name,beta", EXP_FAMILIES)
+def test_antiderivatives_bitwise_equal_where_formula(name, beta):
+    fam = builtin_family(name, beta)
+    rng = np.random.default_rng(11)
+    grid = Grid(40.0, 512)
+    for key, m in _odd_power(name):
+        kernel, oracle = getattr(fam, key.upper()), _where_antiderivative(m, beta)
+        for _ in range(20):
+            # a bump whose peak lies above the switch and whose tails below
+            amp = rng.uniform(0.6, 2.0)
+            t = amp * np.exp(-((grid.x - rng.uniform(-5, 5)) ** 2) / rng.uniform(0.5, 8.0))
+            t = t * rng.choice([-1.0, 1.0], size=t.size)
+            assert np.array_equal(kernel(t), oracle(t))
+        out = kernel(np.array([np.nan, 0.1, np.nan, 2.0]))
+        assert np.array_equal(np.isnan(out), [True, False, True, False])
+        assert np.isnan(kernel(np.nan))
 
 
 class TestKernelShapes:

@@ -13,13 +13,14 @@ from halfwave.energy import (
     PairField,
     el_residual_norms,
     energy,
+    nehari_residuals,
     weighted_inner,
     weighted_norm,
 )
 from halfwave.errors import HalfwaveError, MaxIterations, NoAscent
 from halfwave.families import builtin_family
 from halfwave import nehari
-from halfwave.grids import Field, Grid, l2_norm, translate
+from halfwave.grids import Field, Grid, halflap, l2_norm, translate
 from halfwave.nehari import (
     POLISH_HANDOFF_CONSTANT_V,
     POLISH_HANDOFF_VARYING_V,
@@ -100,6 +101,25 @@ class TestInnerMaximize:
             )
             assert energy(z, fam, 1.0) <= j_star + 1e-9
 
+    def test_maximality_over_slice_asymmetric(self, grid):
+        # f != g, so the maximizer has q != 0: it beats 50 random slice
+        # competitors and 50 near it
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid)
+        pt = inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-11)
+        assert weighted_norm(pt.phi, 1.0) > 1e-2 * pt.t
+        ahat = b.values / (np.sqrt(2.0) * weighted_norm(b, 1.0))
+        rng = np.random.default_rng(5)
+        for i in range(100):
+            if i < 50:
+                t = rng.uniform(0.0, 2.0 * pt.t)
+                q = smooth_random(grid, rng, amplitude=rng.uniform(0.0, 0.5)).values
+            else:
+                t = pt.t * (1.0 + rng.uniform(-1e-2, 1e-2))
+                q = pt.phi.values + smooth_random(grid, rng, amplitude=1e-2).values
+            z = PairField(Field(grid, t * ahat + q), Field(grid, t * ahat - q))
+            assert energy(z, asym, 1.0) <= pt.level + 1e-12
+
     def test_ray_slope_derivative_against_central_difference(self, grid):
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         b = gaussian_bump(grid).values
@@ -110,6 +130,52 @@ class TestInnerMaximize:
             fd = (sl.ray_slope(t + dt, q)[0] - sl.ray_slope(t - dt, q)[0]) / (2.0 * dt)
             assert sl.ray_slope(t, q)[1] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
+    def test_slice_hessian_against_central_difference(self, grid):
+        # -H of J in (t, q) at a state with q != 0 against central
+        # differences of (J_t, J_q), J_q as its L2 representative
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid).values
+        h = grid.spacing
+        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0)), asym, h)
+        rng = np.random.default_rng(4)
+        t, q = 1.5, smooth_random(grid, rng, amplitude=0.2).values
+
+        def grad(t, q):
+            u, v = sl.components(t, q)
+            j_q = -2.0 * (halflap(q, grid) + q) - asym.f(u) + asym.g(v)
+            return t - h * np.sum((asym.f(u) + asym.g(v)) * sl.ahat), j_q
+
+        m_tt, neg_hess = nehari._slice_hessian(sl, *sl.components(t, q), 1.0, grid)
+        assert m_tt == pytest.approx(-sl.ray_slope(t, q)[1], rel=1e-14)
+        for dt, dq in [(1.0, 0.0 * q), (0.0, smooth_random(grid, rng).values),
+                       (0.7, smooth_random(grid, rng, amplitude=0.5).values)]:
+            eps = 1e-5
+            (tp, qp), (tm, qm) = grad(t + eps * dt, q + eps * dq), grad(t - eps * dt, q - eps * dq)
+            fd_t, fd_q = (tm - tp) / (2.0 * eps), (qm - qp) / (2.0 * eps)
+            op_t, op_q = neg_hess(dt, dq)
+            scale = abs(fd_t) + np.max(np.abs(fd_q))
+            assert abs(op_t - fd_t) <= 1e-6 * scale
+            assert np.max(np.abs(op_q - fd_q)) <= 1e-6 * scale
+        # self-adjoint in ab + h sum(x y)
+        x, y = smooth_random(grid, rng).values, smooth_random(grid, rng).values
+        (ax_t, ax_q), (ay_t, ay_q) = neg_hess(0.3, x), neg_hess(-1.1, y)
+        lhs = 0.3 * ay_t + h * np.sum(x * ay_q)
+        assert lhs == pytest.approx(-1.1 * ax_t + h * np.sum(y * ax_q), rel=1e-12)
+
+    def test_slice_newton_iteration_bounds(self, grid):
+        # cold: one bracketed ray search then Newton to 1e-12; warm: from
+        # that point on a perturbed direction to 1e-10
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid)
+        cold = inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-12)
+        assert max(cold.ray_residual, cold.minus_residual) <= 1e-12
+        assert cold.inner_iters <= 8
+        d = b + smooth_random(grid, np.random.default_rng(3)) * 1e-2
+        warm = inner_maximize(PairField(d, d), asym, 1.0, inner_tol=1e-10,
+                              warm_t=cold.t, warm_phi=cold.phi.values)
+        assert max(warm.ray_residual, warm.minus_residual) <= 1e-10
+        assert warm.inner_iters <= 6
+
     def test_budget_exhaustion_carries_best(self, grid):
         # asymmetric coupling needs several antidiagonal sweeps
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
@@ -118,6 +184,24 @@ class TestInnerMaximize:
             inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-14, max_inner=2)
         assert exc.value.best is not None
         assert exc.value.best.t > 0
+
+    def test_budget_message_gives_count_and_reason(self, grid, monkeypatch):
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid)
+        with pytest.raises(MaxIterations, match=r"2 of 2 iterations used \(iteration budget exhausted\)"):
+            inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-14, max_inner=2)
+        # a step that only descends: the line search stalls on the first
+        # iteration, and the best point is the one its residuals describe
+        real = nehari._slice_pcg
+        monkeypatch.setattr(nehari, "_slice_pcg", lambda *args: tuple(-x for x in real(*args)))
+        with pytest.raises(MaxIterations, match=r"1 of 300 iterations used \(line search stalled\)") as exc:
+            inner_maximize(PairField(b, b), asym, 1.0, inner_tol=1e-12)
+        best = exc.value.best
+        assert best.inner_iters == 1
+        ray, minus = nehari_residuals(best.w, asym, 1.0)
+        assert best.ray_residual == pytest.approx(ray, abs=1e-12)
+        assert best.minus_residual == pytest.approx(minus, rel=1e-6)
+        assert minus > 1e-6
 
 
 class _FlatRay:
@@ -392,7 +476,9 @@ class TestFaultInjection:
 
 # calls that build or validate a Field (or go through one) per loop iteration
 LOOP_BANNED = {"Field", "PairField", "weighted_inner", "weighted_norm", "pair_inner", "ray_derivative"}
-LOOP_FUNCTIONS = {"inner_maximize", "outer_minimize", "scalar_diagonal_solve"}
+LOOP_FUNCTIONS = {
+    "inner_maximize", "_slice_hessian", "_slice_pcg", "outer_minimize", "scalar_diagonal_solve"
+}
 
 
 def banned_loop_calls(source):
