@@ -47,7 +47,6 @@ from .errors import (
     MaxIterations,
     NoAscent,
     OverflowGuard,
-    Stagnation,
     UnderResolved,
     UnknownFamily,
 )

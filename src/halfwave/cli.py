@@ -194,7 +194,6 @@ def cmd_sweep(args) -> int:
             cfg.family,
             cfg.grid,
             cfg.solver,
-            parallel=cfg.sweep_parallel,
             keep_solutions=bool(args.dump_fields),
         )
     except HalfwaveError as err:

@@ -44,13 +44,9 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
         "el_tol": 1e-6,
         "max_inner": 300,
         "max_outer": 600,
-        "max_linesearch": 30,
-        "armijo_c": 1e-4,
-        "armijo_shrink": 0.5,
         "restarts": 5,
         "seed": 0,
         "threads": 1,
-        "newton_polish": True,
     },
     "moser": {
         "n_list": [4, 16, 64],
@@ -58,7 +54,6 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
     },
     "sweep": {
         "eps_list": [1.0, 0.5, 0.25, 0.125],
-        "parallel": False,
     },
     "theta": {
         "theta_list": [0.5, 1.0, 2.0, 4.0],
@@ -87,7 +82,6 @@ class RunConfig:
     moser_n_list: list
     moser_r1: float
     sweep_eps_list: list
-    sweep_parallel: bool
     theta_list: list
     resolved: Dict[str, Any]
 
@@ -196,7 +190,6 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
         moser_n_list=n_list,
         moser_r1=moser_r1,
         sweep_eps_list=eps_list,
-        sweep_parallel=bool(sweep_sec["parallel"]),
         theta_list=theta_list,
         resolved=sections,
     )

@@ -40,14 +40,6 @@ class MaxIterations(HalfwaveError):
         self.best = best
 
 
-class Stagnation(HalfwaveError):
-    """Level stopped moving while residuals are still above tolerance."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class UnderResolved(HalfwaveError):
     """Grid spacing too coarse for the requested feature scale."""
 

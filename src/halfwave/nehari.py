@@ -8,13 +8,14 @@ antidiagonal subspace, where the maximizer is unique (Szulkin-Weth) and J
 is concave in the antidiagonal coordinate: one bracketed or warm 1-D
 search in the ray coordinate, then joint Newton steps in (ray,
 antidiagonal), each a truncated preconditioned CG solve globalized by an
-Armijo test on J.  An optional matrix-free Newton polish drives the
-strong-form residual of the coupled system to the requested tolerance once
-the descent has localized the candidate.
+Armijo test on J.  A matrix-free Newton polish then drives the strong-form
+residual of the coupled system to the requested tolerance once the descent
+has localized the candidate.
 
 All randomness is seeded; restarts are independent and merged
 deterministically, so runs are reproducible bit-for-bit in sequential mode
-and thread-count independent in parallel mode.
+(``threads=1``) and thread-count independent when a pool of ``threads``
+workers runs the restarts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .energy import (
     weighted_inner,  # noqa: F401  (perfbench/spans.py patches these names here)
     weighted_norm,  # noqa: F401
 )
-from .errors import InvalidField, MaxIterations, NoAscent, OverflowGuard, Stagnation
+from .errors import InvalidField, MaxIterations, NoAscent, OverflowGuard
 from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
@@ -62,6 +63,11 @@ EW_ETA_MAX = 0.5
 # inner slice Newton: largest CG forcing term, and the CG iteration cap
 SLICE_ETA_MAX = 0.03
 SLICE_CG_MAX = 20
+# Armijo backtracking of the outer descent and of the scalar oracle: trial
+# budget, sufficient-decrease constant and step shrink factor
+MAX_LINESEARCH = 30
+ARMIJO_C = 1e-4
+ARMIJO_SHRINK = 0.5
 
 log = logging.getLogger(__name__)
 
@@ -73,15 +79,9 @@ class SolverConfig:
     el_tol: float = 1e-6
     max_inner: int = 300
     max_outer: int = 600
-    max_linesearch: int = 30
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     restarts: int = 5
     seed: int = 0
     threads: int = 1
-    newton_polish: bool = True
-    stagnation_window: int = 50
-    stagnation_eps: float = 1e-14
 
     def validated(self) -> "SolverConfig":
         for name in ("inner_tol", "outer_tol", "el_tol"):
@@ -185,14 +185,11 @@ class _RaySlice:
         curv = self.fam.f_prime(u) + self.fam.g_prime(v)
         return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
 
-    def ray_pairing(self, t, q, q_norm_sq):
-        """<J'(w), w> = t^2 - 2||q||^2 - integral(f(u)u + g(v)v), as
+    def ray_pairing(self, t, q_norm_sq, u, v, fu, gv):
+        """<J'(w), w> = t^2 - 2||q||^2 - integral(f(u)u + g(v)v) at
+        (u, v) = components(t, q), given fu = f(u) and gv = g(v), as
         ||(ahat, ahat)|| = 1 gives <u, v> = t^2/2 - ||q||^2."""
-        u, v = self.components(t, q)
-        self.fam.guard_amplitude(u, "u")
-        self.fam.guard_amplitude(v, "v")
-        dens = self.fam.f(u) * u + self.fam.g(v) * v
-        return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(dens))
+        return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(fu * u + gv * v))
 
 
 def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False):
@@ -340,11 +337,14 @@ def inner_maximize(
     the step is a warm ray search instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
-    Raises NoAscent when the diagonal part of the direction vanishes or the
-    maximum collapses to the origin; MaxIterations (carrying the best point)
-    when the residual targets are not met within ``max_inner`` iterations
-    or the line search stalls.
+    Raises ValueError when ``max_inner < 1``; NoAscent when the diagonal
+    part of the direction vanishes or the maximum collapses to the origin;
+    OverflowGuard when an iterate leaves the exp-safe amplitude range;
+    MaxIterations (carrying the best point) when the residual targets are
+    not met within ``max_inner`` iterations or the line search stalls.
     """
+    if max_inner < 1:
+        raise ValueError("max_inner must be >= 1")
     grid = direction.grid
     Va = potential_array(V, grid)
     a = 0.5 * (direction.u.values + direction.v.values)
@@ -374,6 +374,8 @@ def inner_maximize(
 
         # gradient: J_t, the L2 representative r of J_q, and rho = P r
         u, v = sl.components(t, q)
+        fam.guard_amplitude(u, "u")
+        fam.guard_amplitude(v, "v")
         fu, gv = fam.f(u), fam.g(v)
         r = -2.0 * (halflap(q, grid) + Va * q) - fu + gv
         rho = inv_multiplier(r, grid, vbar)  # exact strong residual only
@@ -383,7 +385,7 @@ def inner_maximize(
 
         # residuals (scale-free)
         nw2 = max(t * t + 2.0 * q_norm_sq, 1e-300)
-        ray_res = abs(sl.ray_pairing(t, q, q_norm_sq)) / nw2
+        ray_res = abs(sl.ray_pairing(t, q_norm_sq, u, v, fu, gv)) / nw2
         minus_res = np.sqrt(rho_norm_sq) / np.sqrt(2.0 * nw2)
         iters = it + 1
         if ray_res <= inner_tol and minus_res <= inner_tol:
@@ -600,12 +602,14 @@ def outer_minimize(
 ) -> GroundStateResult:
     """Descend F(s) = J(m(s)) over the unit diagonal sphere from one start.
 
-    With ``cfg.newton_polish`` the descent hands over to ``_newton_polish``
-    once the gradient falls below the handoff threshold (relative to
-    1 + |level|), which depends on V: POLISH_HANDOFF_CONSTANT_V for a
-    constant V, POLISH_HANDOFF_VARYING_V otherwise.  When the early
-    constant-V polish is rejected, the descent resumes to the varying-V
-    threshold and polishes there.
+    The descent hands over to ``_newton_polish`` once the gradient falls
+    below the handoff threshold (relative to 1 + |level|), which depends on
+    V: POLISH_HANDOFF_CONSTANT_V for a constant V, POLISH_HANDOFF_VARYING_V
+    otherwise.  When the early constant-V polish is rejected, the descent
+    resumes to the varying-V threshold and polishes there.  A descent whose
+    Armijo search (MAX_LINESEARCH trials) finds no decrease is polished
+    where it stopped; one that runs out of ``max_outer`` steps raises
+    MaxIterations carrying its best point.
     """
     cfg = cfg.validated()
     grid = init_direction.grid
@@ -617,7 +621,6 @@ def outer_minimize(
     )
     warm_t, warm_phi = None, None
     trace: List[IterationRecord] = []
-    levels: List[float] = []
     alpha = 1.0
     message = ""
     handoff = POLISH_HANDOFF_CONSTANT_V if autonomous else POLISH_HANDOFF_VARYING_V
@@ -639,12 +642,11 @@ def outer_minimize(
         tang_norm = norm_values(tang, Va, grid) * np.sqrt(2.0)
         grad_norm = float(point.t * tang_norm)
         trace.append(IterationRecord(outer, point.level, grad_norm, point.inner_iters))
-        levels.append(point.level)
 
         if grad_norm <= cfg.outer_tol:
             message = "gradient at tolerance"
             break
-        if cfg.newton_polish and grad_norm <= handoff * (1.0 + abs(point.level)):
+        if grad_norm <= handoff * (1.0 + abs(point.level)):
             message = "handed to newton polish"
             if handoff == POLISH_HANDOFF_VARYING_V:
                 break
@@ -655,38 +657,29 @@ def outer_minimize(
             handoff = POLISH_HANDOFF_VARYING_V
         # inner accuracy tracks the outer gradient (inexact descent)
         inner_tol_eff = max(cfg.inner_tol, min(1e-5, 0.02 * grad_norm))
-        if (
-            len(levels) > cfg.stagnation_window
-            and abs(levels[-1] - levels[-1 - cfg.stagnation_window]) < cfg.stagnation_eps
-        ):
-            raise Stagnation(
-                f"level froze at {point.level:.12g} with gradient {grad_norm:.2e} "
-                f"above tol after {outer} outer steps",
-                best=_package(point, fam, V, trace, cfg, "stagnation", restart_index, autonomous),
-            )
 
         # Armijo backtracking along the projected direction from the last step
         descent = point.t * tang
         dir_norm_sq = 2.0 * norm_values(descent, Va, grid) ** 2
         accepted = False
         step = alpha
-        for _ in range(cfg.max_linesearch):
+        for _ in range(MAX_LINESEARCH):
             a_try = _diag_normalize(a - step * descent, grid, Va)
             try:
                 pt_try = eval_F(a_try, warm_t, warm_phi, inner_tol_eff)
             except (NoAscent, MaxIterations) as err:
                 pt_try = getattr(err, "best", None)
                 if pt_try is None:
-                    step *= cfg.armijo_shrink
+                    step *= ARMIJO_SHRINK
                     continue
-            if pt_try.level <= point.level - cfg.armijo_c * step * dir_norm_sq:
+            if pt_try.level <= point.level - ARMIJO_C * step * dir_norm_sq:
                 a = a_try
                 point = pt_try
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
         if accepted:
-            alpha = min(step / cfg.armijo_shrink, 1e3)
+            alpha = min(step / ARMIJO_SHRINK, 1e3)
         else:
             message = "line search exhausted"
             break
@@ -700,9 +693,7 @@ def outer_minimize(
         )
 
     message = message or "descent converged"
-    if cfg.newton_polish:
-        return _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early=False)
-    return _package(point, fam, V, trace, cfg, message, restart_index, autonomous)
+    return _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early=False)
 
 
 def _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early):
@@ -813,11 +804,12 @@ def solve_ground_state(
 ) -> GroundStateResult:
     """Run the descent from several starts and keep the best feasible level.
 
-    Failed restarts (budget exhaustion, stagnation) contribute their
-    best-so-far candidate; the merge prefers feasible results (residuals at
-    tolerance), then the lowest level up to ``LEVEL_TIE_RTOL``, then the
-    smallest EL residual, then the restart index, which makes the outcome
-    independent of execution order.
+    Restarts that exhaust their budget contribute their best-so-far
+    candidate; restarts that end in NoAscent or OverflowGuard are dropped
+    and logged (INFO on ``halfwave.nehari``).  The merge prefers feasible
+    results (residuals at tolerance), then the lowest level up to
+    ``LEVEL_TIE_RTOL``, then the smallest EL residual, then the restart
+    index, which makes the outcome independent of execution order.
     """
     cfg = cfg.validated()
     if inits is None:
@@ -827,11 +819,12 @@ def solve_ground_state(
         idx, init = args
         try:
             return outer_minimize(init, fam, V, cfg, restart_index=idx)
-        except (MaxIterations, Stagnation) as err:
+        except MaxIterations as err:
             if err.best is not None:
                 return err.best
             raise
-        except (NoAscent, OverflowGuard):
+        except (NoAscent, OverflowGuard) as err:
+            log.info("restart %d dropped: %s: %s", idx, type(err).__name__, err)
             return None
 
     tasks = list(enumerate(inits))
@@ -927,17 +920,17 @@ def scalar_diagonal_solve(
         level = scalar_I(t, d)
         step = alpha
         accepted = False
-        for _ in range(cfg.max_linesearch):
+        for _ in range(MAX_LINESEARCH):
             d_try = normalize(d - step * t * tang)
             t_try = best_t(d_try, t)
-            if scalar_I(t_try, d_try) <= level - cfg.armijo_c * step * gnorm**2:
+            if scalar_I(t_try, d_try) <= level - ARMIJO_C * step * gnorm**2:
                 d, t = d_try, t_try
                 accepted = True
                 break
-            step *= cfg.armijo_shrink
+            step *= ARMIJO_SHRINK
         if not accepted:
             break
-        alpha = min(step / cfg.armijo_shrink, 1e3)
+        alpha = min(step / ARMIJO_SHRINK, 1e3)
 
     u = t * d
     # scalar Newton polish on K u = f(u)

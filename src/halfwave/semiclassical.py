@@ -12,7 +12,6 @@ from the autonomous ground state.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -213,18 +212,17 @@ def concentration_sweep(
     fam: NonlinearityFamily,
     grid: Grid,
     cfg: SolverConfig,
-    parallel: bool = False,
     keep_solutions: bool = False,
     init: Optional[PairField] = None,
 ) -> SweepResult:
     """Solve across a descending epsilon ladder and track concentration.
 
-    Sequential mode warm-starts each solve from the previous solution
+    The first rung multi-starts (``solve_rescaled``) unless ``init`` is
+    given; every later rung warm-starts from the previous solution
     (continuation), moved so that a peak at y on rung eps sits at
     y * eps / eps' on rung eps' (the same physical point, so the profile
-    stays in its well); parallel mode cold-starts every epsilon and
-    must match sequential levels to solver accuracy.  Per-epsilon failures
-    are recorded and the sweep continues.
+    stays in its well).  Per-epsilon failures are recorded, the next rung
+    starts cold again, and the sweep continues.
     """
     eps = [float(e) for e in eps_list]
     if len(eps) < 4:
@@ -269,34 +267,19 @@ def concentration_sweep(
     records: List[SweepRecord] = []
     errors: dict = {}
 
-    if parallel:
-        def run_cold(e):
-            return solve_rescaled(e, potential, fam, grid, cfg)
-
-        with ThreadPoolExecutor(max_workers=max(cfg.threads, 2)) as pool:
-            futures = {e: pool.submit(run_cold, e) for e in eps}
-        for e in eps:
-            try:
-                records.append(make_record(e, futures[e].result()))
-            except HalfwaveError as err:
-                errors[e] = str(err)
-    else:
-        # first rung multi-starts unless an explicit init is handed in;
-        # later rungs continue from the previous profile, moved so its peak
-        # stays at the same physical point x = eps * y
-        warm: Optional[PairField] = init
-        prev = None  # (eps, solution) of the last rung solved
-        for e in eps:
-            if prev is not None:
-                e_prev, w_prev = prev
-                j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
-                warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
-            try:
-                res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
-                records.append(make_record(e, res))
-                prev = (e, res.w)
-            except HalfwaveError as err:
-                errors[e] = str(err)
-                warm, prev = None, None
+    warm: Optional[PairField] = init
+    prev = None  # (eps, solution) of the last rung solved
+    for e in eps:
+        if prev is not None:
+            e_prev, w_prev = prev
+            j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
+            warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
+        try:
+            res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
+            records.append(make_record(e, res))
+            prev = (e, res.w)
+        except HalfwaveError as err:
+            errors[e] = str(err)
+            warm, prev = None, None
 
     return SweepResult(records=records, autonomous_level=auto.level, errors=errors)

@@ -77,11 +77,13 @@ class TestSolveCommand:
         assert "n_points" in capsys.readouterr().err
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
-        cfg = tmp_path / "typo.yaml"
-        write_yaml(cfg, {"solver": {"max_outter": 3}})
-        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "max_outter" in capsys.readouterr().err
+        # a typo, and a setting that has been removed
+        for key in ("max_outter", "newton_polish"):
+            cfg = tmp_path / f"{key}.yaml"
+            write_yaml(cfg, {"solver": {key: 3}})
+            code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"solver.{key!r}" in capsys.readouterr().err
 
     def test_forced_failure_keeps_artifacts(self, tmp_path):
         cfg = tmp_path / "force.yaml"
@@ -92,7 +94,6 @@ class TestSolveCommand:
                 "solver": {
                     "max_outer": 1,
                     "restarts": 1,
-                    "newton_polish": False,
                     "outer_tol": 1e-14,
                 },
             },

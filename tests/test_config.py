@@ -30,9 +30,30 @@ class TestResolve:
         with pytest.raises(ConfigError, match="unknown section"):
             resolve({"grids": {}})
 
-    def test_unknown_key_names_path(self):
-        with pytest.raises(ConfigError, match="solver.'max_outter'"):
-            resolve({"solver": {"max_outter": 3}})
+    # a typo, then settings that are gone because only one value was ever
+    # used: a stale config naming one must not be silently accepted
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("solver", "max_outter"),
+            ("solver", "max_linesearch"),
+            ("solver", "armijo_c"),
+            ("solver", "armijo_shrink"),
+            ("solver", "newton_polish"),
+            ("sweep", "parallel"),
+        ],
+    )
+    def test_unknown_key_names_path(self, section, key):
+        with pytest.raises(ConfigError, match=f"{section}.'{key}'"):
+            resolve({section: {key: 3}})
+
+    def test_solver_section_keys(self):
+        resolved = resolve({}).resolved
+        assert list(resolved["solver"]) == [
+            "inner_tol", "outer_tol", "el_tol", "max_inner", "max_outer",
+            "restarts", "seed", "threads",
+        ]
+        assert list(resolved["sweep"]) == ["eps_list"]
 
     def test_small_grid_names_constraint(self):
         with pytest.raises(ConfigError, match="n_points"):

@@ -185,6 +185,11 @@ class TestInnerMaximize:
         assert exc.value.best is not None
         assert exc.value.best.t > 0
 
+    def test_zero_budget_raises_value_error(self, fam):
+        b = gaussian_bump(Grid(40.0, 256))
+        with pytest.raises(ValueError, match="max_inner must be >= 1"):
+            inner_maximize(PairField(b, b), fam, 1.0, max_inner=0)
+
     def test_budget_message_gives_count_and_reason(self, grid, monkeypatch):
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         b = gaussian_bump(grid)
@@ -293,7 +298,7 @@ class TestGroundStateSolve:
         assert par.level == pytest.approx(seq.level, rel=1e-12)
 
     def test_outer_budget_exhaustion(self, fam, grid):
-        cfg = SolverConfig(seed=0, max_outer=1, newton_polish=False, outer_tol=1e-14)
+        cfg = SolverConfig(seed=0, max_outer=1, outer_tol=1e-14)
         b = gaussian_bump(grid)
         with pytest.raises(MaxIterations) as exc:
             outer_minimize(PairField(b, b), fam, 1.0, cfg)
@@ -382,6 +387,20 @@ class TestRestartMerge:
         assert won.el_residual == best.el_residual
         assert won.restart_index == best.restart_index
         assert won.level == best.level
+
+    def test_dropped_restart_is_logged(self, fam, grid, caplog):
+        # a start with no diagonal part ends in NoAscent: the merge goes on
+        # without it, and the log says which restart went and why
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        b = gaussian_bump(grid)
+        cfg = SolverConfig(restarts=2, seed=0)
+        won = solve_ground_state(fam, 1.0, grid, cfg, inits=[PairField(b, -b), PairField(b, b)])
+        dropped = [r for r in caplog.records if r.getMessage().startswith("restart ")]
+        assert len(dropped) == 1
+        assert dropped[0].levelno == logging.INFO
+        assert dropped[0].getMessage().startswith("restart 0 dropped: NoAscent: ")
+        assert won.restart_index == 1
+        assert won.converged
 
 
 def _translated(w, s):
