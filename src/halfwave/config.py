@@ -9,7 +9,7 @@ directory alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -38,16 +38,7 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
         "Vinf": 2.0,
         "separation": 2.0,
     },
-    "solver": {
-        "inner_tol": 1e-9,
-        "outer_tol": 1e-7,
-        "el_tol": 1e-6,
-        "max_inner": 300,
-        "max_outer": 600,
-        "restarts": 5,
-        "seed": 0,
-        "threads": 1,
-    },
+    "solver": asdict(SolverConfig()),
     "moser": {
         "n_list": [4, 16, 64],
         "r1": 2.0,

@@ -101,11 +101,6 @@ class DecayMetrics:
     envelope_exponent: float
     tail_band: float
 
-    @property
-    def tail_ratio(self) -> float:
-        amp = max(self.linf_u, self.linf_v)
-        return self.tail_sup / amp if amp > 0 else 0.0
-
 
 def decay_profile(w: PairField, band_fraction: float = 0.1) -> DecayMetrics:
     """Tail and amplitude metrics for a recentered pair.

@@ -428,12 +428,14 @@ def inner_maximize(
 def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     """Matrix-free Newton refinement of the coupled strong system.
 
-    Levenberg-Marquardt shift handles the nearly-flat translational mode of
-    shallow potentials (a pure Newton step along it leaves the basin); the
-    linear solves are GMRES preconditioned by the inverse multiplier, to the
-    Eisenstat-Walker choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
-    floored at half the relative accuracy the target needs.
-    Returns the best iterate reached.
+    The linear solves are GMRES preconditioned by the inverse multiplier, to
+    the Eisenstat-Walker choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
+    floored at half the relative accuracy the target needs.  A varying
+    potential pins the profile only weakly; Newton-GMRES takes full steps
+    along that translation mode too, with a Levenberg-Marquardt shift (on a
+    GMRES failure or an overlong step) and step halving as safeguards.
+    Every accepted step lowers the residual, so the last iterate is the best.
+    Returns (iterate, its residual norm, accepted steps).
     """
     grid = w.grid
     n = grid.n_points
@@ -455,44 +457,6 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 
     pc = LinearOperator((2 * n, 2 * n), matvec=prec)
 
-    def shifted(uv, s):
-        """Continuous spatial translation by s (spectral phase twist)."""
-        return translate(uv.reshape(2, n), grid, s).ravel()
-
-    def align_translation(uv, r_now):
-        """Minimize the residual over sub-cell translations.
-
-        A varying potential pins the profile only weakly, so the residual
-        component along the translation mode is removed nonlinearly (by a
-        parabolic fit in the shift, iterated a few times) instead of asking
-        the linear solver to invert a near-null direction.
-        """
-        if Va.ndim == 0:
-            return uv, r_now
-        best_uv, best_r = uv, r_now
-        best = res_norm(r_now)
-        step = h
-        for _ in range(12):
-            fm = res_norm(strong(shifted(best_uv, -step)))
-            fp = res_norm(strong(shifted(best_uv, step)))
-            denom = fm - 2.0 * best + fp
-            if denom <= 0.0:
-                s_new = -step if fm < fp else step
-            else:
-                s_new = 0.5 * step * (fm - fp) / denom
-                s_new = float(np.clip(s_new, -2.0 * step, 2.0 * step))
-            cand = shifted(best_uv, s_new)
-            r_cand = strong(cand)
-            val = res_norm(r_cand)
-            if val < best * (1.0 - 1e-12):
-                best_uv, best_r, best = cand, r_cand, val
-                step = max(abs(s_new) * 0.7, 1e-9 * h)
-            else:
-                step *= 0.25
-            if step < 1e-8 * h:
-                break
-        return best_uv, best_r
-
     # Jacobian at the current iterate (fp, gp) with the Levenberg-Marquardt
     # shift lam; matvecs counts its applications for the step log
     def jac(x):
@@ -507,23 +471,22 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 
     uv = np.concatenate([w.u.values, w.v.values])
     r = strong(uv)
-    uv, r = align_translation(uv, r)
-    best_uv, best_norm = uv.copy(), res_norm(r)
+    r_norm = res_norm(r)
     scale = max(np.sqrt(h) * np.linalg.norm(uv), 1.0)
     lam = 0.0
     steps = 0
     eta, prev_norm = EW_ETA_MAX, None
     for _ in range(NEWTON_MAX_STEPS):
-        if best_norm <= target:
+        if r_norm <= target:
             break
         # forcing term: solve as accurately as the last step's contraction
         # warrants, never more than the target itself needs
         if prev_norm is not None:
-            eta_ew = EW_GAMMA * (best_norm / prev_norm) ** EW_ALPHA
+            eta_ew = EW_GAMMA * (r_norm / prev_norm) ** EW_ALPHA
             guard = EW_GAMMA * eta**EW_ALPHA
             eta = min(EW_ETA_MAX, max(eta_ew, guard) if guard > 0.1 else eta_ew)
-        eta = min(EW_ETA_MAX, max(eta, 0.5 * target / best_norm))
-        prev_norm = best_norm
+        eta = min(EW_ETA_MAX, max(eta, 0.5 * target / r_norm))
+        prev_norm = r_norm
         u, v = uv[:n], uv[n:]
         fp = fam.f_prime(u)
         gp = fam.g_prime(v)
@@ -541,9 +504,8 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
                 trial = uv - damp * delta
                 rt = strong(trial)
                 nt = res_norm(rt)
-                if nt < best_norm:
-                    uv, r = trial, rt
-                    best_uv, best_norm = trial.copy(), nt
+                if nt < r_norm:
+                    uv, r, r_norm = trial, rt, nt
                     improved = True
                     steps += 1
                     break
@@ -553,16 +515,13 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
             lam = max(4.0 * lam, 1e-3)
         log.debug(
             "newton step: residual %.3e, lambda %.1e, eta %.2e, gmres matvecs %d, damping %g",
-            best_norm, lam, eta, matvecs, damp if improved else 0.0,
+            r_norm, lam, eta, matvecs, damp if improved else 0.0,
         )
         if not improved:
             break
         lam = lam / 4.0 if lam > 1e-10 else 0.0
-        uv, r = align_translation(uv, r)
-        if res_norm(r) < best_norm:
-            best_uv, best_norm = uv.copy(), res_norm(r)
-    out = PairField(Field(grid, best_uv[:n]), Field(grid, best_uv[n:]))
-    return out, best_norm, steps
+    out = PairField(Field(grid, uv[:n]), Field(grid, uv[n:]))
+    return out, r_norm, steps
 
 
 # -- outer level ----------------------------------------------------------------

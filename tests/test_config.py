@@ -4,6 +4,7 @@ import yaml
 
 from halfwave.config import dump_resolved, load, resolve
 from halfwave.errors import ConfigError
+from halfwave.nehari import SolverConfig
 
 
 class TestResolve:
@@ -54,6 +55,9 @@ class TestResolve:
             "restarts", "seed", "threads",
         ]
         assert list(resolved["sweep"]) == ["eps_list"]
+
+    def test_solver_defaults_are_the_dataclass_defaults(self):
+        assert resolve({}).solver == SolverConfig()
 
     def test_small_grid_names_constraint(self):
         with pytest.raises(ConfigError, match="n_points"):

@@ -34,6 +34,7 @@ from halfwave.nehari import (
     scalar_diagonal_solve,
     solve_ground_state,
 )
+from halfwave.semiclassical import single_well, solve_rescaled
 
 from _testutil import gaussian_bump, smooth_random
 
@@ -467,6 +468,45 @@ class TestNewtonHandoff:
             assert matvecs >= 1 and 0.0 <= damping <= 1.0
         assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
 
+    def test_varying_v_polish_work_is_stable_under_ulp_flips(self, fam, monkeypatch):
+        # a weakly pinned single-well state: the polish must do the same work
+        # from starts one ulp apart, not an amount decided by round-off
+        grid = Grid(80.0, 2048)
+        real = nehari._newton_polish
+        handed = []
+
+        def record(w, fam_, V, target):
+            handed.append((w, V, target))
+            return real(w, fam_, V, target)
+
+        monkeypatch.setattr(nehari, "_newton_polish", record)
+        solve_rescaled(0.5, single_well(1.0, 2.0), fam, grid, SolverConfig(restarts=1, seed=0))
+        w, V, target = handed[0]
+        assert np.ndim(V) == 1
+
+        calls = 0
+
+        def counted(fun):
+            def wrapped(t):
+                nonlocal calls
+                calls += 1
+                return fun(t)
+
+            return wrapped
+
+        cfam = dataclasses.replace(fam, f=counted(fam.f), g=counted(fam.g))
+        work = []
+        for seed in range(5):
+            u = w.u.values
+            if seed:
+                rng = np.random.default_rng(seed)
+                u = np.nextafter(u, rng.choice([-np.inf, np.inf], size=u.size))
+            calls = 0
+            _, res, steps = real(PairField(Field(grid, u), w.v), cfam, V, target)
+            assert res <= target
+            work.append((steps, calls))
+        assert len(set(work)) == 1, work
+
 
 def _nan_above(fun, amp):
     def wrapped(t):
@@ -496,7 +536,8 @@ class TestFaultInjection:
 # calls that build or validate a Field (or go through one) per loop iteration
 LOOP_BANNED = {"Field", "PairField", "weighted_inner", "weighted_norm", "pair_inner", "ray_derivative"}
 LOOP_FUNCTIONS = {
-    "inner_maximize", "_slice_hessian", "_slice_pcg", "outer_minimize", "scalar_diagonal_solve"
+    "inner_maximize", "_slice_hessian", "_slice_pcg", "outer_minimize", "scalar_diagonal_solve",
+    "_newton_polish",
 }
 
 
