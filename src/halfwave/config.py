@@ -139,7 +139,7 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
 
     sol_sec = dict(sections["solver"])
     try:
-        solver = SolverConfig(**sol_sec).validated()
+        solver = SolverConfig(**sol_sec)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"solver: {err}") from err
 

@@ -5,8 +5,8 @@ the diagonal subspace (retraction = renormalization, Armijo backtracking
 from the last accepted step, grown by 1/shrink).  Inner level: for a fixed
 diagonal direction, maximize J over the span of the ray and the
 antidiagonal subspace, where the maximizer is unique (Szulkin-Weth) and J
-is concave in the antidiagonal coordinate: one bracketed or warm 1-D
-search in the ray coordinate, then joint Newton steps in (ray,
+is concave in the antidiagonal coordinate: one safeguarded Newton search
+on the slope in the ray coordinate, then joint Newton steps in (ray,
 antidiagonal), each a truncated preconditioned CG solve globalized by an
 Armijo test on J.  A matrix-free Newton polish then drives the strong-form
 residual of the coupled system to the requested tolerance once the descent
@@ -45,9 +45,8 @@ from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
-# ulps of |J| within which J is flat to round-off: a warm ray maximizer's J
-# may fall this far below J(t0), and a slice Newton step that predicts less
-# increase is taken whole
+# ulps of |J| within which J is flat to round-off: a slice Newton step that
+# predicts less increase is taken whole
 RAY_J_ULPS = 4
 LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
 # outer gradient, relative to 1 + |level|, at which the descent hands over to
@@ -83,14 +82,13 @@ class SolverConfig:
     seed: int = 0
     threads: int = 1
 
-    def validated(self) -> "SolverConfig":
+    def __post_init__(self):
         for name in ("inner_tol", "outer_tol", "el_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("max_inner", "max_outer", "restarts"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        return self
 
 
 @dataclass
@@ -168,19 +166,28 @@ class _RaySlice:
     def components(self, t, q):
         return t * self.ahat + q, t * self.ahat - q
 
-    def j_value(self, t, q, q_norm_sq):
-        """J = t^2/2 - ||q||^2 - Phi; -inf if the exponent guard trips."""
+    def _safe_components(self, t, q):
+        """components(t, q), or None beyond the exp-safe amplitude."""
         u, v = self.components(t, q)
         amp = max(np.max(np.abs(u)), np.max(np.abs(v))) if u.size else 0.0
-        if amp > self.fam.max_safe_amplitude():
+        return None if amp > self.fam.max_safe_amplitude() else (u, v)
+
+    def j_value(self, t, q, q_norm_sq):
+        """J = t^2/2 - ||q||^2 - Phi; -inf if the exponent guard trips."""
+        uv = self._safe_components(t, q)
+        if uv is None:
             return -np.inf
-        dens = self.fam.F(u) + self.fam.G(v)
+        dens = self.fam.F(uv[0]) + self.fam.G(uv[1])
         return 0.5 * t * t - q_norm_sq - self.h * float(np.sum(dens))
 
     def ray_slope(self, t, q):
         """dJ/dt = t - integral((f(u) + g(v)) * ahat) and its t-derivative
-        1 - integral((f'(u) + g'(v)) * ahat^2)."""
-        u, v = self.components(t, q)
+        1 - integral((f'(u) + g'(v)) * ahat^2); (-inf, -inf) if the exponent
+        guard trips."""
+        uv = self._safe_components(t, q)
+        if uv is None:
+            return -np.inf, -np.inf
+        u, v = uv
         s = t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
         curv = self.fam.f_prime(u) + self.fam.g_prime(v)
         return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
@@ -192,71 +199,36 @@ class _RaySlice:
         return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(fu * u + gv * v))
 
 
-def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, warm: bool = False):
-    """Locate argmax of t -> J on the ray; returns (t, J(t)).
+def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq):
+    """Locate argmax of t -> J on the ray from t0 > 0; returns (t, J(t)).
 
-    Warm calls try safeguarded Newton on the slope first (the maximizer
-    moves little between calls); cold calls, or Newton failures, fall back
-    to bracketed scan plus golden-section refinement.  Near a converged
-    maximizer J is flat to round-off, so the warm result is kept unless J
-    falls more than RAY_J_ULPS ulp of |J(t0)| below J(t0).
+    Newton on the slope s = dJ/dt, safeguarded as rtsafe (Numerical Recipes
+    9.4) by a bracket lo < t* < hi with s(lo) > 0 >= s(hi), from (0, inf).
+    A Newton step that leaves the bracket, starts where s' >= 0 (the ray is
+    not concave) or is more than half the previous step gives way to
+    doubling t while hi = inf and to bisection after.  Stops at a step
+    <= 1e-13 (1 + t) and evaluates J once, at the result.  Raises
+    InvalidField on a NaN slope and NoAscent when t overflows (J has no
+    maximum on the ray).
     """
-    if warm and t0 > 1e-8:
-        t = t0
-        ok = False
-        for _ in range(8):
-            s, sp = sl.ray_slope(t, q)
-            if not (np.isfinite(s) and sp < -1e-300):
-                break
-            step = s / sp
-            if abs(step) > 0.3 * (1.0 + t):
-                break
-            t_new = t - step
-            if t_new <= 0.0:
-                break
-            if abs(step) <= 1e-13 * (1.0 + t_new):
-                t = t_new
-                ok = True
-                break
-            t = t_new
-        if ok:
-            j_t, j_t0 = sl.j_value(t, q, q_norm_sq), sl.j_value(t0, q, q_norm_sq)
-            if j_t >= j_t0 - RAY_J_ULPS * np.finfo(float).eps * abs(j_t0):
-                return t, j_t
-
-    t_hi = max(2.0 * t0, 1.0)
-    j_hi = sl.j_value(t_hi, q, q_norm_sq)
-    j_mid = sl.j_value(0.5 * t_hi, q, q_norm_sq)
-    grow = 0
-    while j_hi > j_mid and grow < 60:
-        t_hi *= 1.7
-        j_mid = j_hi
-        j_hi = sl.j_value(t_hi, q, q_norm_sq)
-        grow += 1
-
-    ts = np.linspace(0.0, t_hi, 48)
-    js = np.array([sl.j_value(t, q, q_norm_sq) for t in ts])
-    j_best = int(np.argmax(js))
-    lo = ts[max(j_best - 1, 0)]
-    hi = ts[min(j_best + 1, ts.size - 1)]
-
-    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_gold * (b - a)
-    d = a + inv_gold * (b - a)
-    jc = sl.j_value(c, q, q_norm_sq)
-    jd = sl.j_value(d, q, q_norm_sq)
-    while b - a > 1e-13 * (1.0 + b):
-        if jc > jd:
-            b, d, jd = d, c, jc
-            c = b - inv_gold * (b - a)
-            jc = sl.j_value(c, q, q_norm_sq)
+    lo, hi = 0.0, np.inf
+    t, step = t0, np.inf
+    while True:
+        s, sp = sl.ray_slope(t, q)
+        if np.isnan(s):
+            raise InvalidField("ray slope is NaN")
+        if s > 0.0:
+            lo = t
         else:
-            a, c, jc = c, d, jd
-            d = a + inv_gold * (b - a)
-            jd = sl.j_value(d, q, q_norm_sq)
-    t = 0.5 * (a + b)
-    return t, sl.j_value(t, q, q_norm_sq)
+            hi = t
+        t_new = t - s / sp if sp < 0.0 else np.nan
+        if not (lo <= t_new <= hi and abs(t_new - t) <= 0.5 * step):
+            t_new = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
+        if t_new == np.inf:
+            raise NoAscent("J has no maximum on the ray")
+        t, step = t_new, abs(t_new - t)
+        if step <= 1e-13 * (1.0 + t):
+            return t, sl.j_value(t, q, q_norm_sq)
 
 
 def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
@@ -327,14 +299,14 @@ def inner_maximize(
 ) -> NehariPoint:
     """Maximize J over the ray-antidiagonal slice spanned by ``direction``.
 
-    One ray search (``_maximize_along_ray``: bracketed when cold, Newton
-    from ``warm_t`` when warm) places t; then Newton iterations in (t, q),
-    each solved inexactly by ``_slice_pcg`` to the forcing term
-    min(SLICE_ETA_MAX, sqrt(residual)) and globalized by an Armijo test on
-    J, run until the ray and antidiagonal residuals are at ``inner_tol``.
+    One ray search (``_maximize_along_ray``, from ``warm_t`` or else 1)
+    places t; then Newton iterations in (t, q), each solved inexactly by
+    ``_slice_pcg`` to the forcing term min(SLICE_ETA_MAX, sqrt(residual))
+    and globalized by an Armijo test on J, run until the ray and
+    antidiagonal residuals are at ``inner_tol``.
     Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
     to round-off and the full step is taken.  Where the ray is not concave
-    the step is a warm ray search instead.  ``inner_iters`` counts the
+    the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
     Raises ValueError when ``max_inner < 1``; NoAscent when the diagonal
@@ -359,7 +331,7 @@ def inner_maximize(
     q = np.zeros(grid.n_points) if warm_phi is None else warm_phi.copy()
     q_norm_sq = inner_values(q, q, Va, grid)
     t0 = warm_t if warm_t is not None else 1.0
-    t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq, warm=warm_t is not None)
+    t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq)
 
     def point(ray_res, minus_res, level):
         """The slice point at the current (t, q), as fields."""
@@ -397,7 +369,7 @@ def inner_maximize(
         eta = min(SLICE_ETA_MAX, np.sqrt(max(ray_res, minus_res)))
         m_tt, neg_hess = _slice_hessian(sl, u, v, Va, grid)
         if not m_tt > 0.0:  # the ray is not concave at t
-            t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq, warm=True)
+            t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq)
             continue
         dt, dq = _slice_pcg(neg_hess, m_tt, jt, r, rho, grid, vbar, eta)
         gain = jt * dt + h * float(r @ dq)  # predicted increase <grad J, step>
@@ -570,7 +542,6 @@ def outer_minimize(
     where it stopped; one that runs out of ``max_outer`` steps raises
     MaxIterations carrying its best point.
     """
-    cfg = cfg.validated()
     grid = init_direction.grid
     Va = potential_array(V, grid)
     autonomous = Va.ndim == 0
@@ -767,10 +738,10 @@ def solve_ground_state(
     candidate; restarts that end in NoAscent or OverflowGuard are dropped
     and logged (INFO on ``halfwave.nehari``).  The merge prefers feasible
     results (residuals at tolerance), then the lowest level up to
-    ``LEVEL_TIE_RTOL``, then the smallest EL residual, then the restart
-    index, which makes the outcome independent of execution order.
+    ``LEVEL_TIE_RTOL``, then the lowest restart index, which makes the
+    outcome independent of execution order and of where round-off leaves
+    each restart's polished residual.
     """
-    cfg = cfg.validated()
     if inits is None:
         inits = initial_directions(grid, cfg, V)
 
@@ -803,7 +774,7 @@ def solve_ground_state(
     pool = [r for r in results if r.el_residual <= max(cfg.el_tol, 1e-3)] or results
     lowest = min(r.level for r in pool)
     tied = [r for r in pool if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
-    return min(tied, key=lambda r: (r.el_residual, r.restart_index))
+    return min(tied, key=lambda r: r.restart_index)
 
 
 # -- scalar diagonal oracle -------------------------------------------------------
@@ -821,7 +792,6 @@ def scalar_diagonal_solve(
     """
     if not fam.symmetric:
         raise NoAscent("scalar diagonal solve requires f = g")
-    cfg = cfg.validated()
     h = grid.spacing
     Va = potential_array(V, grid)
     vbar = float(np.mean(Va))

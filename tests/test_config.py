@@ -77,6 +77,10 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({"solver": {"restarts": 0}})
 
+    def test_solver_config_validates_itself(self):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            SolverConfig(restarts=0)
+
     def test_bad_sweep_lists(self):
         with pytest.raises(ConfigError):
             resolve({"sweep": {"eps_list": [1.0, 0.5]}})
