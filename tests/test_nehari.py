@@ -226,6 +226,12 @@ class _FlatRay:
         return self.j_top - self.drop if t == 1.0 else self.j_top
 
 
+def _bump_ray(grid):
+    """The gaussian_bump diagonal direction, scaled so ||(ahat, ahat)|| = 1."""
+    b = gaussian_bump(grid).values
+    return b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0))
+
+
 class _CountedSlice(_RaySlice):
     """_RaySlice that counts its slope and J evaluations."""
 
@@ -261,8 +267,7 @@ class TestRaySearch:
 
     def test_returns_j_at_maximizer(self, grid):
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
-        b = gaussian_bump(grid).values
-        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0)), asym, grid.spacing)
+        sl = _RaySlice(_bump_ray(grid), asym, grid.spacing)
         q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
         q_norm_sq = weighted_inner(Field(grid, q), Field(grid, q), 1.0)
         t, j = _maximize_along_ray(sl, 1.0, q, q_norm_sq)
@@ -273,8 +278,7 @@ class TestRaySearch:
     def test_every_start_finds_the_slope_root(self, grid, name):
         # from far below, near, and far above the maximizer (the last two
         # beyond the exp-safe amplitude for the exponential families)
-        b = gaussian_bump(grid).values
-        ahat = b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0))
+        ahat = _bump_ray(grid)
         q = np.zeros(grid.n_points)
         ts = []
         for t0 in (1e-6, 1.0, 1e3, 1e6):
@@ -566,8 +570,7 @@ class TestFaultInjection:
         assert time.perf_counter() - start < 1.0
 
     def test_nan_slope_raises_invalid_field(self, nan_fam, grid):
-        b = gaussian_bump(grid).values
-        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), 1.0)), nan_fam, grid.spacing)
+        sl = _RaySlice(_bump_ray(grid), nan_fam, grid.spacing)
         with pytest.raises(InvalidField, match="ray slope is NaN"):
             _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0)
 
