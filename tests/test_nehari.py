@@ -265,12 +265,16 @@ class TestRaySearch:
             with pytest.raises(NoAscent, match="no maximum on the ray"):
                 inner_maximize(PairField(-b, -b), fam, 1.0)
 
-    def test_returns_j_at_maximizer(self, grid):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_returns_j_at_maximizer(self, grid, warm):
+        # cold: from the default t0 = 1; warm: from the maximizer of the
+        # unperturbed slice q = 0, as inner_maximize restarts from warm_t
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         sl = _RaySlice(_bump_ray(grid), asym, grid.spacing)
+        t0 = _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0)[0] if warm else 1.0
         q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
         q_norm_sq = weighted_inner(Field(grid, q), Field(grid, q), 1.0)
-        t, j = _maximize_along_ray(sl, 1.0, q, q_norm_sq)
+        t, j = _maximize_along_ray(sl, t0, q, q_norm_sq)
         assert j == sl.j_value(t, q, q_norm_sq)
         assert abs(sl.ray_slope(t, q)[0]) <= 1e-12 * (1.0 + t)
 
