@@ -1,12 +1,12 @@
 """Two-level constrained minimization for ground-state candidates.
 
-Outer level: Riemannian descent of F(s) = J(m(s)) over the unit sphere of
-the diagonal subspace (retraction = renormalization, Armijo backtracking
-from the last accepted step, grown by 1/shrink).  Inner level: for a fixed
-diagonal direction, maximize J over the span of the ray and the
-antidiagonal subspace, where the maximizer is unique (Szulkin-Weth) and J
-is concave in the antidiagonal coordinate: one safeguarded Newton search
-on the slope in the ray coordinate, then joint Newton steps in (ray,
+Outer level: Riemannian L-BFGS descent of F(s) = J(m(s)) over the unit
+sphere of the diagonal subspace (retraction = renormalization, vector
+transport = projection, Armijo backtracking from a unit step).  Inner
+level: for a fixed diagonal direction, maximize J over the span of the ray
+and the antidiagonal subspace, where the maximizer is unique (Szulkin-Weth)
+and J is concave in the antidiagonal coordinate: one safeguarded Newton
+search on the slope in the ray coordinate, then joint Newton steps in (ray,
 antidiagonal), each a truncated preconditioned CG solve globalized by an
 Armijo test on J.  A matrix-free Newton polish then drives the strong-form
 residual of the coupled system to the requested tolerance once the descent
@@ -67,6 +67,10 @@ SLICE_CG_MAX = 20
 MAX_LINESEARCH = 30
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+# outer L-BFGS: (s, y) pairs kept, and the curvature <s, y> relative to
+# |s| |y| at or below which a pair is dropped
+LBFGS_MEMORY = 5
+LBFGS_CURVATURE_RTOL = 1e-10
 
 log = logging.getLogger(__name__)
 
@@ -402,10 +406,16 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 
     The linear solves are GMRES preconditioned by the inverse multiplier, to
     the Eisenstat-Walker choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
-    floored at half the relative accuracy the target needs.  A varying
-    potential pins the profile only weakly; Newton-GMRES takes full steps
-    along that translation mode too, with a Levenberg-Marquardt shift (on a
-    GMRES failure or an overlong step) and step halving as safeguards.
+    floored at half the relative accuracy the target needs.  A step that can
+    reach the target solves to exactly that accuracy, 0.5 target / residual,
+    so the last step lands well below the target instead of anywhere below
+    the Eisenstat-Walker promise.  Whether it can is predicted from the last
+    step: K is linear, so a step's Taylor remainder comes from f and g alone
+    and is measured pointwise; scaled by the squared residual contraction,
+    it must be within the other half of the target.  A varying potential
+    pins the profile only weakly; Newton-GMRES takes full steps along that
+    translation mode too, with a Levenberg-Marquardt shift (on a GMRES
+    failure or an overlong step) and step halving as safeguards.
     Every accepted step lowers the residual, so the last iterate is the best.
     Returns (iterate, its residual norm, accepted steps).
     """
@@ -415,11 +425,13 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     Va = np.asarray(V, dtype=float)
     vbar = float(np.mean(V))
 
-    # uv stacks (u, v); reshaped to (2, N), one kernel call serves both
+    # uv stacks (u, v); reshaped to (2, N), one kernel call serves both.
+    # Returns the residual and its nonlinear part (g(v), f(u))
     def strong(uv):
         u, v = uv[:n], uv[n:]
         au, av = halflap(uv.reshape(2, n), grid)
-        return np.concatenate([au + Va * u - fam.g(v), av + Va * v - fam.f(u)])
+        nl = np.concatenate([fam.g(v), fam.f(u)])
+        return np.concatenate([au + Va * u, av + Va * v]) - nl, nl
 
     def res_norm(r):
         return np.sqrt(h) * np.linalg.norm(r)
@@ -442,12 +454,13 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     op = LinearOperator((2 * n, 2 * n), matvec=jac, dtype=float)
 
     uv = np.concatenate([w.u.values, w.v.values])
-    r = strong(uv)
+    r, nl = strong(uv)
     r_norm = res_norm(r)
     scale = max(np.sqrt(h) * np.linalg.norm(uv), 1.0)
     lam = 0.0
     steps = 0
     eta, prev_norm = EW_ETA_MAX, None
+    remainder = np.inf  # Taylor remainder of the last step, per unit damping^2
     for _ in range(NEWTON_MAX_STEPS):
         if r_norm <= target:
             break
@@ -457,7 +470,9 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
             eta_ew = EW_GAMMA * (r_norm / prev_norm) ** EW_ALPHA
             guard = EW_GAMMA * eta**EW_ALPHA
             eta = min(EW_ETA_MAX, max(eta_ew, guard) if guard > 0.1 else eta_ew)
-        eta = min(EW_ETA_MAX, max(eta, 0.5 * target / r_norm))
+        floor = 0.5 * target / r_norm
+        reach = prev_norm is not None and remainder * (r_norm / prev_norm) ** 2 <= 0.5 * target
+        eta = min(EW_ETA_MAX, floor if reach else max(eta, floor))
         prev_norm = r_norm
         u, v = uv[:n], uv[n:]
         fp = fam.f_prime(u)
@@ -474,10 +489,12 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
             damp = 1.0
             for _ in range(6):
                 trial = uv - damp * delta
-                rt = strong(trial)
+                rt, nlt = strong(trial)
                 nt = res_norm(rt)
                 if nt < r_norm:
-                    uv, r, r_norm = trial, rt, nt
+                    taylor = nlt - nl + damp * np.concatenate([gp * delta[n:], fp * delta[:n]])
+                    remainder = res_norm(taylor) / damp**2
+                    uv, r, nl, r_norm = trial, rt, nlt, nt
                     improved = True
                     steps += 1
                     break
@@ -524,6 +541,28 @@ def _diag_normalize(a_vals: np.ndarray, grid: Grid, Va) -> np.ndarray:
     return a_vals / (np.sqrt(2.0) * nrm)
 
 
+def _lbfgs_direction(g, memory):
+    """H g for the L-BFGS inverse Hessian H of ``memory`` (two-loop recursion,
+    Nocedal & Wright, Algorithm 7.4), with H0 = gamma I from the newest pair.
+
+    ``memory`` holds (s, K s, y, K y, 1/<s, y>) pairs, oldest first; every
+    inner product is <x, z> ~ (K x) . z, the W inner product up to a constant
+    factor, which cancels in the recursion.  An empty memory returns g.
+    """
+    q, alphas = g, []
+    for _, ks, y, _, rho in reversed(memory):
+        al = rho * float(ks @ q)
+        q = q - al * y
+        alphas.append(al)
+    if not memory:
+        return q
+    _, _, y, ky, rho = memory[-1]
+    r = q / (rho * float(ky @ y))  # gamma = <s, y> / <y, y>
+    for (s, _, _, ky, rho), al in zip(memory, reversed(alphas)):
+        r = r + (al - rho * float(ky @ r)) * s
+    return r
+
+
 def outer_minimize(
     init_direction: PairField,
     fam: NonlinearityFamily,
@@ -532,6 +571,19 @@ def outer_minimize(
     restart_index: int = 0,
 ) -> GroundStateResult:
     """Descend F(s) = J(m(s)) over the unit diagonal sphere from one start.
+
+    Riemannian L-BFGS (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015) in
+    the pair metric 2<., .>_W: the gradient g is t times the tangent part of
+    the Riesz-preconditioned diagonal derivative, the retraction is
+    renormalization and the vector transport is projection onto the tangent
+    space.  The newest LBFGS_MEMORY pairs (s, y) of iterate and gradient
+    differences, projected at the new iterate, are kept with K s and K y
+    (K = (-Delta)^{1/2} + V), so the two-loop recursion needs no FFT; a pair
+    with <s, y> <= LBFGS_CURVATURE_RTOL |s| |y| is dropped.  The direction d
+    is the two-loop's, projected; the Armijo test starts from a unit step
+    and asks for the decrease ARMIJO_C * step * <g, d>.  Where <g, d> <= 0
+    the memory is cleared and d = g.  Each step is logged at DEBUG on
+    ``halfwave.nehari``.
 
     The descent hands over to ``_newton_polish`` once the gradient falls
     below the handoff threshold (relative to 1 + |level|), which depends on
@@ -543,6 +595,7 @@ def outer_minimize(
     MaxIterations carrying its best point.
     """
     grid = init_direction.grid
+    h = grid.spacing
     Va = potential_array(V, grid)
     autonomous = Va.ndim == 0
 
@@ -551,7 +604,8 @@ def outer_minimize(
     )
     warm_t, warm_phi = None, None
     trace: List[IterationRecord] = []
-    alpha = 1.0
+    memory: List[tuple] = []
+    last = None  # (a, K a, g, K g) where the last step was accepted
     message = ""
     handoff = POLISH_HANDOFF_CONSTANT_V if autonomous else POLISH_HANDOFF_VARYING_V
 
@@ -565,13 +619,23 @@ def outer_minimize(
     point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
     for outer in range(cfg.max_outer):
         warm_t, warm_phi = point.t, point.phi.values
-        pu, pv = point.w.u.values, point.w.v.values
-        c = grad_plus(pu, pv)
-        coeff = inner_values(c, a, Va, grid)
-        tang = 0.5 * c - coeff * a
-        tang_norm = norm_values(tang, Va, grid) * np.sqrt(2.0)
-        grad_norm = float(point.t * tang_norm)
+        c = grad_plus(point.w.u.values, point.w.v.values)
+        ac = np.stack([a, c])
+        ka, kc = halflap(ac, grid) + Va * ac
+        coeff = h * float(ka @ c)  # <c, a>_W
+        g = point.t * (0.5 * c - coeff * a)
+        kg = point.t * (0.5 * kc - coeff * ka)
+        grad_norm = float(np.sqrt(max(2.0 * h * float(kg @ g), 0.0)))
         trace.append(IterationRecord(outer, point.level, grad_norm, point.inner_iters))
+
+        if last is not None:
+            # the newest secant pair, projected onto the tangent space at a
+            s, ks, y, ky = a - last[0], ka - last[1], g - last[2], kg - last[3]
+            s_a, y_a = 2.0 * h * float(ka @ s), 2.0 * h * float(ka @ y)
+            s, ks, y, ky = s - s_a * a, ks - s_a * ka, y - y_a * a, ky - y_a * ka
+            sy = float(ks @ y)
+            if sy > LBFGS_CURVATURE_RTOL * np.sqrt(max(float(ks @ s) * float(ky @ y), 0.0)):
+                memory = (memory + [(s, ks, y, ky, 1.0 / sy)])[-LBFGS_MEMORY:]
 
         if grad_norm <= cfg.outer_tol:
             message = "gradient at tolerance"
@@ -588,13 +652,17 @@ def outer_minimize(
         # inner accuracy tracks the outer gradient (inexact descent)
         inner_tol_eff = max(cfg.inner_tol, min(1e-5, 0.02 * grad_norm))
 
-        # Armijo backtracking along the projected direction from the last step
-        descent = point.t * tang
-        dir_norm_sq = 2.0 * norm_values(descent, Va, grid) ** 2
+        # Armijo backtracking from a unit step along the projected direction
+        d = _lbfgs_direction(g, memory)
+        d = d - 2.0 * h * float(ka @ d) * a
+        slope = 2.0 * h * float(kg @ d)  # <g, d>
+        reset = not slope > 0.0
+        if reset:
+            memory, d, slope = [], g, grad_norm * grad_norm
         accepted = False
-        step = alpha
-        for _ in range(MAX_LINESEARCH):
-            a_try = _diag_normalize(a - step * descent, grid, Va)
+        step = 1.0
+        for trials in range(1, MAX_LINESEARCH + 1):
+            a_try = _diag_normalize(a - step * d, grid, Va)
             try:
                 pt_try = eval_F(a_try, warm_t, warm_phi, inner_tol_eff)
             except (NoAscent, MaxIterations) as err:
@@ -602,17 +670,19 @@ def outer_minimize(
                 if pt_try is None:
                     step *= ARMIJO_SHRINK
                     continue
-            if pt_try.level <= point.level - ARMIJO_C * step * dir_norm_sq:
-                a = a_try
-                point = pt_try
+            if pt_try.level <= point.level - ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= ARMIJO_SHRINK
-        if accepted:
-            alpha = min(step / ARMIJO_SHRINK, 1e3)
-        else:
+        log.debug(
+            "outer step: level %.15g, gradient %.3e, step %g, trials %d, memory %d, reset %s",
+            point.level, grad_norm, step if accepted else 0.0, trials, len(memory), reset,
+        )
+        if not accepted:
             message = "line search exhausted"
             break
+        last = (a, ka, g, kg)
+        a, point = a_try, pt_try
     else:
         raise MaxIterations(
             f"outer descent: gradient {grad_norm:.2e} above tol {cfg.outer_tol:.2e} "

@@ -555,6 +555,135 @@ class TestNewtonHandoff:
         assert len(set(work)) == 1, work
 
 
+def _outer_steps(records):
+    """Args of the DEBUG "outer step" log records: (level, gradient, step,
+    trials, memory pairs, reset)."""
+    return [r.args for r in records if r.getMessage().startswith("outer step")]
+
+
+class TestOuterDescent:
+    def test_two_loop_matches_dense_bfgs(self):
+        # with K = I the recursion is the BFGS inverse update of H0 = gamma I
+        rng = np.random.default_rng(3)
+        n = 12
+        pairs = []
+        for _ in range(nehari.LBFGS_MEMORY):
+            s = rng.normal(size=n)
+            y = s + 0.3 * rng.normal(size=n)
+            pairs.append((s, s, y, y, 1.0 / float(s @ y)))
+        s, _, y, _, rho = pairs[-1]
+        H = np.eye(n) / (rho * float(y @ y))
+        for s, _, y, _, rho in pairs:
+            E = np.eye(n) - rho * np.outer(s, y)
+            H = E @ H @ E.T + rho * np.outer(s, s)
+        g = rng.normal(size=n)
+        assert nehari._lbfgs_direction(g, pairs) == pytest.approx(H @ g, rel=1e-12, abs=1e-12)
+        assert np.array_equal(nehari._lbfgs_direction(g, []), g)
+
+    def test_every_direction_descends_under_a_scrambled_gradient(self, fam, grid, monkeypatch):
+        # a gradient rescaled by a different factor at every evaluation
+        # scrambles the secant pairs; the pairs kept still give a direction
+        # that descends along the gradient the step uses
+        real_gradient = nehari.make_diagonal_gradient
+        real_direction = nehari._lbfgs_direction
+        V = 1.0
+
+        def scrambled(grid_, Va, fam_):
+            plus = real_gradient(grid_, Va, fam_)
+            calls = []
+
+            def wrapped(u, v):
+                calls.append(None)
+                return (1.0 + 0.6 * np.sin(1.7 * len(calls))) * plus(u, v)
+
+            return wrapped
+
+        slopes, memory_sizes = [], []
+
+        def spied(g, memory):
+            d = real_direction(g, memory)
+            slopes.append(weighted_inner(Field(grid, g), Field(grid, d), V))
+            memory_sizes.append(len(memory))
+            return d
+
+        monkeypatch.setattr(nehari, "make_diagonal_gradient", scrambled)
+        monkeypatch.setattr(nehari, "_lbfgs_direction", spied)
+        b = gaussian_bump(grid, width=2.0)
+        res = outer_minimize(PairField(b, b), fam, V, SolverConfig(seed=0))
+        assert len(slopes) >= 5
+        assert max(memory_sizes) >= 2
+        assert min(slopes) > 0.0
+        assert res.converged
+
+    def test_non_descent_direction_resets_the_memory(self, fam, caplog, monkeypatch):
+        # a two-loop built from pairs with <s, y> > 0 is positive definite, so
+        # a direction that does not descend is injected at the direction: the
+        # step then goes along the gradient with an empty memory
+        caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
+        real = nehari._lbfgs_direction
+        calls = []
+
+        def flipped_once(g, memory):
+            calls.append(len(memory))
+            d = real(g, memory)
+            return -d if len(calls) == 4 else d
+
+        monkeypatch.setattr(nehari, "_lbfgs_direction", flipped_once)
+        cfg = SolverConfig(restarts=1, seed=0)
+        res = outer_minimize(initial_directions(DEFAULT_GRID, cfg, 1.0)[0], fam, 1.0, cfg)
+        steps = _outer_steps(caplog.records)
+        assert calls[3] >= 2
+        resets = [i for i, (*_, reset) in enumerate(steps) if reset]
+        assert resets == [3]
+        _, _, step, _, memory, _ = steps[3]
+        assert memory == 0 and step > 0.0
+        assert steps[4][4] <= 1
+        assert res.converged
+        assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
+
+    def test_default_solve_accepts_most_first_trials(self, fam, monkeypatch):
+        # step doubling threw away every other trial (ratio 0.5); a unit
+        # L-BFGS step is accepted at the first trial almost always
+        real_inner, real_outer = nehari.inner_maximize, nehari.outer_minimize
+        inner_calls, traces = [], []
+
+        def counted_inner(*args, **kwargs):
+            inner_calls.append(None)
+            return real_inner(*args, **kwargs)
+
+        def recorded_outer(*args, **kwargs):
+            before = len(inner_calls)
+            res = real_outer(*args, **kwargs)
+            traces.append((len(inner_calls) - before, len(res.trace)))
+            return res
+
+        monkeypatch.setattr(nehari, "inner_maximize", counted_inner)
+        monkeypatch.setattr(nehari, "outer_minimize", recorded_outer)
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig(restarts=5, seed=0))
+        assert len(traces) == 5
+        trials = sum(calls - 1 for calls, _ in traces)  # the first call is the start
+        accepted = sum(steps - 1 for _, steps in traces)  # the last record is the exit
+        assert accepted / trials >= 0.85
+        assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
+
+    def test_outer_steps_are_logged(self, fam, caplog):
+        caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
+        cfg = SolverConfig(restarts=1, seed=0)
+        res = outer_minimize(initial_directions(DEFAULT_GRID, cfg, 1.0)[0], fam, 1.0, cfg)
+        records = [r for r in caplog.records if r.getMessage().startswith("outer step")]
+        steps = _outer_steps(records)
+        # one record per line search; the last trace record is the handoff
+        assert len(steps) == len(res.trace) - 1 >= 3
+        for rec, (level, gradient, step, trials, memory, reset), point in zip(records, steps, res.trace):
+            assert rec.levelno == logging.DEBUG
+            assert level == point.level and gradient == point.grad_norm
+            assert 0.0 < step <= 1.0 and trials >= 1
+            assert 0 <= memory <= nehari.LBFGS_MEMORY and reset is False
+        assert steps[0][4] == 0 and max(s[4] for s in steps) >= 2
+        levels = [s[0] for s in steps]
+        assert levels == sorted(levels, reverse=True)
+
+
 def _nan_above(fun, amp):
     def wrapped(t):
         return np.where(np.abs(t) > amp, np.nan, fun(t))
@@ -589,7 +718,7 @@ class TestFaultInjection:
 LOOP_BANNED = {"Field", "PairField", "weighted_inner", "weighted_norm", "pair_inner", "ray_derivative"}
 LOOP_FUNCTIONS = {
     "inner_maximize", "_maximize_along_ray", "_slice_hessian", "_slice_pcg", "outer_minimize",
-    "scalar_diagonal_solve", "_newton_polish",
+    "_lbfgs_direction", "scalar_diagonal_solve", "_newton_polish",
 }
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from halfwave.energy import PairField
 from halfwave.errors import InvalidField
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid
-from halfwave.nehari import SolverConfig, solve_ground_state
+from halfwave.nehari import SolverConfig, outer_minimize, solve_ground_state
 from halfwave.semiclassical import (
     POTENTIALS,
     Potential,
@@ -170,3 +171,37 @@ class TestConcentrationSweep:
             assert rec.converged
             cold = solve_rescaled(rec.epsilon, pot, fam, sweep_grid, cfg)
             assert rec.level == pytest.approx(cold.level, rel=1e-4, abs=0)
+
+
+class TestResolvedDoubleWell:
+    """double_well(1, 2, 2) on Grid(80, 8192), h ~ 0.0098: the translation
+    mode of the linearization is nearly free at the wells, and a steepest
+    descent crept along it for its whole step budget."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return Grid(80.0, 8192)
+
+    @pytest.fixture(scope="class")
+    def pot(self):
+        return double_well(1.0, 2.0, separation=2.0)
+
+    def test_cold_descent_from_the_well_converges(self, fam, cfg, grid, pot):
+        # steepest descent: MaxIterations after 600 steps at level 1.0167383
+        eps = 0.5
+        bump = Field(grid, np.exp(-((grid.x + 2.0 / eps) ** 2) / 2.0))
+        res = outer_minimize(PairField(bump, bump), fam, pot.rescaled_values(grid, eps), cfg)
+        assert res.converged
+        assert len(res.trace) <= 100
+        assert res.level == pytest.approx(1.0167004271, rel=1e-8, abs=0)
+        prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
+        assert abs(eps * grid.x[int(np.argmax(prof))] + 2.0) <= 0.05
+
+    def test_merge_returns_the_well_not_the_hump(self, fam, cfg, grid, pot):
+        # both well restarts used to stop at EL residual 1.0018e-3, just over
+        # the merge's bar, which then returned the hump saddle at 1.33198
+        res = solve_rescaled(1.0, pot, fam, grid, cfg)
+        assert res.converged
+        assert res.level == pytest.approx(1.0301417271, rel=1e-8, abs=0)
+        prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
+        assert abs(grid.x[int(np.argmax(prof))] + 2.03) <= 0.05
