@@ -29,7 +29,7 @@ print("=" * 72)
 print("PART 1: LOG-PROFILE SEQUENCE NORMS  (r1 = 2, L = 40)")
 print("=" * 72)
 g = Grid(40.0, 8192)
-rows = moser_table([4, 16, 64], 2.0, g, refinements=2)
+rows = moser_table([4, 16, 64], 2.0, g)
 print(f"{'n':>5s} {'N':>6s} {'seminorm^2':>12s} {'dev vs pi':>10s} {'L2^2':>10s} {'exact':>10s}")
 for r in rows:
     print(

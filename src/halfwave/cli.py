@@ -59,7 +59,8 @@ def _load_config(args):
     if args.threads is not None:
         overrides["threads"] = args.threads
     if overrides:
-        cfg.solver = replace(cfg.solver, **overrides)
+        with config_mod.section_guard("solver"):
+            cfg.solver = replace(cfg.solver, **overrides)
         cfg.resolved["solver"].update(overrides)
     return cfg
 
@@ -166,7 +167,7 @@ def cmd_diagnose(args) -> int:
 def cmd_moser(args) -> int:
     cfg = _load_config(args)
     out = _prepare_outdir(args, cfg)
-    rows = moser_table(cfg.moser_n_list, cfg.moser_r1, cfg.grid, refinements=2)
+    rows = moser_table(cfg.moser_n_list, cfg.moser_r1, cfg.grid)
     if not rows:
         print("no resolvable sequence members for this grid", file=sys.stderr)
         return 1

@@ -9,17 +9,18 @@ directory alone.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, HalfwaveError
 from .families import NonlinearityFamily, builtin_family
 from .grids import Grid
 from .nehari import SolverConfig
-from .semiclassical import POTENTIALS, Potential
+from .semiclassical import POTENTIALS, Potential, check_eps_ladder, check_theta_ladder
 
 _DEFAULTS: Dict[str, Dict[str, Any]] = {
     "grid": {
@@ -58,6 +59,10 @@ def _merge_section(name: str, given: Dict[str, Any]) -> Dict[str, Any]:
     for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {name}.{key!r}")
+        if isinstance(defaults[key], list) and not isinstance(val, list):
+            raise ConfigError(f"{name}.{key}: must be a list, got {val!r}")
+        if isinstance(val, bool) and not isinstance(defaults[key], bool):
+            raise ConfigError(f"{name}.{key}: must not be true or false")
         out[key] = val
     return out
 
@@ -81,13 +86,30 @@ class RunConfig:
         return self.potential.V0
 
 
+@contextmanager
+def section_guard(name: str):
+    """Re-raise a rejection by the objects a section builds as
+    ConfigError("<name>: ..."), so each rule is written once, where it is
+    enforced."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (HalfwaveError, TypeError, ValueError) as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
 def _require(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
 
 
 def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
-    """Validate a raw mapping and materialize every default."""
+    """Validate a raw mapping and materialize every default.
+
+    Raises ConfigError, naming the section, for an unknown section or key, a
+    value of the wrong type, or a value its object rejects.
+    """
     raw = dict(raw or {})
     for section in raw:
         if section not in _DEFAULTS:
@@ -100,85 +122,60 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
     }
 
     pot_sec = sections["potential"]
-    _require(pot_sec["type"] in POTENTIALS, f"potential.type: unknown type {pot_sec['type']!r}")
-    V0 = float(pot_sec["V0"])
-    _require(V0 > 0, f"potential.V0: must be positive, got {V0}")
-    if pot_sec["type"] == "constant":
-        potential = POTENTIALS["constant"](V0)
-    elif pot_sec["type"] == "single_well":
-        potential = POTENTIALS["single_well"](V0, float(pot_sec["Vinf"]))
-    else:
-        potential = POTENTIALS["double_well"](
-            V0, float(pot_sec["Vinf"]), float(pot_sec["separation"])
-        )
+    with section_guard("potential"):
+        kind = pot_sec["type"]
+        _require(isinstance(kind, str) and kind in POTENTIALS, f"potential.type: unknown type {kind!r}")
+        V0, Vinf, separation = (float(pot_sec[k]) for k in ("V0", "Vinf", "separation"))
+        if kind == "constant":
+            potential = POTENTIALS["constant"](V0)
+        elif kind == "single_well":
+            potential = POTENTIALS["single_well"](V0, Vinf)
+        else:
+            potential = POTENTIALS["double_well"](V0, Vinf, separation)
 
     grid_sec = sections["grid"]
     if grid_sec["length"] is None:
         grid_sec["length"] = 40.0 * max(1.0, 1.0 / np.sqrt(V0))
-    length = float(grid_sec["length"])
-    n_points = grid_sec["n_points"]
-    _require(length > 0, f"grid.length: must be positive, got {length}")
-    _require(
-        isinstance(n_points, int) and n_points >= 16 and n_points % 2 == 0,
-        f"grid.n_points: must be an even integer >= 16, got {n_points}",
-    )
-    grid = Grid(length, n_points)
+    with section_guard("grid"):
+        grid = Grid(float(grid_sec["length"]), grid_sec["n_points"])
 
     fam_sec = sections["family"]
-    _require(float(fam_sec["beta0"]) > 0, f"family.beta0: must be positive, got {fam_sec['beta0']}")
-    try:
+    with section_guard("family"):
         family = builtin_family(
             fam_sec["name"],
             beta0=float(fam_sec["beta0"]),
-            sign_restricted=bool(fam_sec["sign_restricted"]),
+            sign_restricted=fam_sec["sign_restricted"],
             V0=V0,
             r1=float(fam_sec["r1"]),
         )
-    except Exception as err:
-        raise ConfigError(f"family: {err}") from err
 
-    sol_sec = dict(sections["solver"])
-    try:
-        solver = SolverConfig(**sol_sec)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"solver: {err}") from err
+    with section_guard("solver"):
+        solver = SolverConfig(**sections["solver"])
 
     moser_sec = sections["moser"]
-    n_list = list(moser_sec["n_list"])
-    _require(
-        len(n_list) > 0 and all(isinstance(n, int) and n >= 2 for n in n_list),
-        f"moser.n_list: need integers >= 2, got {n_list}",
-    )
-    moser_r1 = float(moser_sec["r1"])
-    _require(
-        0 < moser_r1 < length / 2.0,
-        f"moser.r1: must lie in (0, L/2)=(0, {length / 2}), got {moser_r1}",
-    )
+    n_list = moser_sec["n_list"]
+    with section_guard("moser"):
+        _require(
+            len(n_list) > 0 and all(isinstance(n, int) and n >= 2 for n in n_list),
+            f"moser.n_list: need integers >= 2, got {n_list}",
+        )
+        moser_r1 = float(moser_sec["r1"])
+        _require(
+            0 < moser_r1 < grid.length / 2.0,
+            f"moser.r1: must lie in (0, L/2)=(0, {grid.length / 2}), got {moser_r1}",
+        )
 
-    sweep_sec = sections["sweep"]
-    eps_list = [float(e) for e in sweep_sec["eps_list"]]
-    _require(
-        len(eps_list) >= 4 and all(e > 0 for e in eps_list),
-        f"sweep.eps_list: need >= 4 positive values, got {eps_list}",
-    )
-    _require(
-        sorted(eps_list, reverse=True) == eps_list and eps_list[0] / eps_list[-1] >= 2.0,
-        "sweep.eps_list: must be descending with extremes differing by >= 2x",
-    )
-
-    theta_sec = sections["theta"]
-    theta_list = [float(t) for t in theta_sec["theta_list"]]
-    _require(
-        all(t > 0 for t in theta_list) and sorted(theta_list) == theta_list,
-        f"theta.theta_list: must be positive ascending, got {theta_list}",
-    )
+    with section_guard("sweep"):
+        eps_list = check_eps_ladder(sections["sweep"]["eps_list"])
+    with section_guard("theta"):
+        theta_list = check_theta_ladder(sections["theta"]["theta_list"])
 
     return RunConfig(
         grid=grid,
         family=family,
         potential=potential,
         solver=solver,
-        moser_n_list=n_list,
+        moser_n_list=list(n_list),
         moser_r1=moser_r1,
         sweep_eps_list=eps_list,
         theta_list=theta_list,

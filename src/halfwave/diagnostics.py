@@ -8,7 +8,7 @@ norm estimates, the level window check, and tail/amplitude metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from .energy import PairField, el_residual_norms, nehari_residuals
 from .errors import InvalidField, UnderResolved
 from .families import NonlinearityFamily
 from .grids import Field, Grid, l2_norm, linf_norm, seminorm_sq
+
+TAIL_BAND = 0.1  # outer fraction of the box on which decay_profile takes the tail sup
+MOSER_REFINEMENTS = 2  # coarsenings by 2 that moser_table repeats its rows on
 
 
 @dataclass
@@ -99,20 +102,19 @@ class DecayMetrics:
     linf_u: float
     linf_v: float
     envelope_exponent: float
-    tail_band: float
 
 
-def decay_profile(w: PairField, band_fraction: float = 0.1) -> DecayMetrics:
+def decay_profile(w: PairField) -> DecayMetrics:
     """Tail and amplitude metrics for a recentered pair.
 
-    ``tail_sup`` is the sup of |u|+|v| on the outer ``band_fraction`` of the
-    box; the envelope exponent p of |u|+|v| ~ |x|^-p is a descriptive
+    ``tail_sup`` is the sup of |u|+|v| on the outer TAIL_BAND of the box;
+    the envelope exponent p of |u|+|v| ~ |x|^-p is a descriptive
     log-log fit over the intermediate range (no decay-rate claim is tested
     against it).
     """
     g = w.grid
     profile = np.abs(w.u.values) + np.abs(w.v.values)
-    cut = 0.5 * (1.0 - band_fraction) * g.length
+    cut = 0.5 * (1.0 - TAIL_BAND) * g.length
     outer = np.abs(g.x) >= cut
     tail = float(np.max(profile[outer])) if np.any(outer) else 0.0
 
@@ -130,24 +132,19 @@ def decay_profile(w: PairField, band_fraction: float = 0.1) -> DecayMetrics:
         linf_u=linf_norm(w.u),
         linf_v=linf_norm(w.v),
         envelope_exponent=exponent,
-        tail_band=band_fraction,
     )
 
 
-def build_report(
-    w: PairField, fam: NonlinearityFamily, V, V0_for_pohozaev: Optional[float] = None
-) -> ResidualReport:
-    """Assemble the full certificate set for a candidate pair."""
+def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:
+    """Assemble the full certificate set for a candidate pair.
+
+    The Pohozaev identity holds for a constant potential only, so a scalar V
+    is its V0; for a sampled V the Pohozaev entry is 0.
+    """
     res_u, res_v = el_residual_norms(w, fam, V)
     ray, minus = nehari_residuals(w, fam, V)
     Va = np.asarray(V, dtype=float)
-    if V0_for_pohozaev is None and Va.ndim == 0:
-        V0_for_pohozaev = float(Va)
-    poh = (
-        pohozaev_residual(w, fam, V0_for_pohozaev)
-        if V0_for_pohozaev is not None
-        else 0.0
-    )
+    poh = pohozaev_residual(w, fam, float(Va)) if Va.ndim == 0 else 0.0
     centered, _ = recenter_pair(w)
     decay = decay_profile(centered)
     return ResidualReport(
@@ -216,14 +213,16 @@ class MoserRow:
     l2_sq_exact: float
 
 
-def moser_table(n_list, r1: float, grid: Grid, refinements: int = 2) -> List[MoserRow]:
-    """Seminorm/L2 table across n, repeated on coarsened grids.
+def moser_table(n_list, r1: float, grid: Grid) -> List[MoserRow]:
+    """Seminorm/L2 table across n, on ``grid`` and on MOSER_REFINEMENTS
+    coarsenings of it by 2, coarsest first.
 
-    The repeated rows document grid convergence of the seminorm (the corner
-    of the profile limits spectral accuracy to an algebraic rate).
+    Members a grid does not resolve are left out.  The repeated rows
+    document grid convergence of the seminorm (the corner of the profile
+    limits spectral accuracy to an algebraic rate).
     """
     rows = []
-    for level in range(refinements, -1, -1):
+    for level in range(MOSER_REFINEMENTS, -1, -1):
         n_pts = grid.n_points // (2**level)
         sub = Grid(grid.length, n_pts)
         for n in n_list:

@@ -93,7 +93,10 @@ def _odd_power_exp(m: int, b: float):
     poly = [math.perm(m, m - k) * (-1.0 if (m - k) % 2 else 1.0) for k in range(m, -1, -1)]
     series = [1.0 / (math.factorial(n) * (n + m + 1)) for n in range(40)]
     series = [c for n, c in enumerate(series) if (m + 1) * c * math.pow(switch, n) >= eps / 2][::-1]
-    scale = 0.5 / math.pow(b, m + 1)
+    try:
+        scale = 0.5 / math.pow(b, m + 1)
+    except (OverflowError, ZeroDivisionError) as err:
+        raise OverflowGuard(f"beta0={b} puts b^{m + 1} out of double range") from err
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -139,10 +142,17 @@ def builtin_family(
     ``cubic``              f = g = t^3 (subcritical surrogate for oracles)
 
     V0 and r1 only enter the recorded kappa0 witness
-    max(8 sqrt(e) V0 / beta0, pi / (beta0 r1)) + 1.
+    max(8 sqrt(e) V0 / beta0, pi / (beta0 r1)) + 1.  Raises UnknownFamily
+    for an unknown name, when beta0 is not positive and finite or r1 not
+    positive, or when sign_restricted is not a bool; OverflowGuard when
+    beta0 is too large or too small for double precision.
     """
-    if not beta0 > 0:
-        raise UnknownFamily(f"beta0 must be positive, got {beta0}")
+    if not 0 < beta0 < np.inf:
+        raise UnknownFamily(f"beta0 must be positive and finite, got {beta0}")
+    if not r1 > 0:
+        raise UnknownFamily(f"r1 must be positive, got {r1}")
+    if not isinstance(sign_restricted, (bool, np.bool_)):
+        raise UnknownFamily(f"sign_restricted must be true or false, got {sign_restricted!r}")
     b = float(beta0)
 
     def f_cubic(t):
@@ -152,8 +162,6 @@ def builtin_family(
     def F_cubic(t):
         t = np.asarray(t, dtype=float)
         return 0.25 * (t * t) * (t * t)
-
-    kappa0 = max(8.0 * np.sqrt(np.e) * V0 / b, np.pi / (b * r1)) + 1.0
 
     def fp_cubic(t):
         t = np.asarray(t, dtype=float)
@@ -168,6 +176,7 @@ def builtin_family(
     else:
         raise UnknownFamily(f"no builtin family named {name!r}")
     exponential, symmetric = name != "cubic", g is f
+    kappa0 = max(8.0 * np.sqrt(np.e) * V0 / b, np.pi / (b * r1)) + 1.0
 
     if sign_restricted:
         f, g, F, G = _restrict(f), _restrict(g), _restrict(F), _restrict(G)
@@ -217,6 +226,10 @@ def trudinger_moser_functional(u: Field, beta: float) -> float:
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 MARGIN_FLOOR = 1e-12
+# default audit samples: [-AUDIT_T, AUDIT_T], AUDIT_PER_DECADE log-spaced
+# points per decade from 1e-8 up
+AUDIT_T = 12.0
+AUDIT_PER_DECADE = 60
 
 
 @dataclass
@@ -245,10 +258,10 @@ class HypothesisAudit:
             yield key, c.status, c.margin, c.worst_point, c.n_samples, c.note
 
 
-def default_audit_grid(T: float = 12.0, per_decade: int = 60) -> np.ndarray:
-    """Samples of [-T, T] with log-spaced refinement near 0."""
-    decades = int(np.ceil((np.log10(T) + 8.0) * per_decade))
-    pos = np.logspace(-8.0, np.log10(T), decades)
+def default_audit_grid() -> np.ndarray:
+    """Samples of [-AUDIT_T, AUDIT_T] with log-spaced refinement near 0."""
+    decades = int(np.ceil((np.log10(AUDIT_T) + 8.0) * AUDIT_PER_DECADE))
+    pos = np.logspace(-8.0, np.log10(AUDIT_T), decades)
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 

@@ -40,7 +40,9 @@ MIN_POINTS = 16
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L/2, L/2)."""
+    """Uniform periodic grid on [-L/2, L/2), equal and hashed by (length,
+    n_points).  InvalidField unless the length is positive and finite and
+    n_points is an even integer >= MIN_POINTS."""
 
     length: float
     n_points: int
@@ -48,7 +50,8 @@ class Grid:
     def __post_init__(self):
         if not (self.length > 0 and np.isfinite(self.length)):
             raise InvalidField(f"grid length must be positive, got {self.length}")
-        if self.n_points < MIN_POINTS or self.n_points % 2 != 0:
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < MIN_POINTS or n % 2:
             raise InvalidField(
                 f"n_points must be an even integer >= {MIN_POINTS}, got {self.n_points}"
             )
@@ -74,16 +77,6 @@ class Grid:
         """Nearest grid index to the physical point x0 (periodic wrap)."""
         j = int(round((x0 + 0.5 * self.length) / self.spacing))
         return j % self.n_points
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.n_points == other.n_points
-            and self.length == other.length
-        )
-
-    def __hash__(self):
-        return hash((self.length, self.n_points))
 
 
 class Field:

@@ -44,6 +44,9 @@ from .errors import InvalidField, MaxIterations, NoAscent, OverflowGuard
 from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
+# target of the inner residuals, and the iteration budget of inner_maximize
+INNER_TOL = 1e-9
+INNER_MAX_ITERS = 300
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
 # ulps of |J| within which J is flat to round-off: a slice Newton step that
 # predicts less increase is taken whole
@@ -77,22 +80,28 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    inner_tol: float = 1e-9
+    """Settings of one solve, each checked here (ValueError): tolerances are
+    positive numbers, the rest integers, with max_outer, restarts >= 1 and
+    seed >= 0."""
+
     outer_tol: float = 1e-7
     el_tol: float = 1e-6
-    max_inner: int = 300
     max_outer: int = 600
     restarts: int = 5
     seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("inner_tol", "outer_tol", "el_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_inner", "max_outer", "restarts"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for name in ("outer_tol", "el_tol"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0):
+                raise ValueError(f"{name} must be a positive number, got {val!r}")
+        for name, least in (("max_outer", 1), ("restarts", 1), ("seed", 0), ("threads", None)):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if least is not None and val < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -296,8 +305,8 @@ def inner_maximize(
     direction: PairField,
     fam: NonlinearityFamily,
     V,
-    inner_tol: float = 1e-9,
-    max_inner: int = 300,
+    inner_tol: float = INNER_TOL,
+    max_inner: int = INNER_MAX_ITERS,
     warm_t: Optional[float] = None,
     warm_phi: Optional[np.ndarray] = None,
 ) -> NehariPoint:
@@ -307,7 +316,9 @@ def inner_maximize(
     places t; then Newton iterations in (t, q), each solved inexactly by
     ``_slice_pcg`` to the forcing term min(SLICE_ETA_MAX, sqrt(residual))
     and globalized by an Armijo test on J, run until the ray and
-    antidiagonal residuals are at ``inner_tol``.
+    antidiagonal residuals are at ``inner_tol`` (default INNER_TOL; the
+    outer descent loosens it while its gradient is large).  ``max_inner``
+    (default INNER_MAX_ITERS) bounds the iterations.
     Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
     to round-off and the full step is taken.  Where the ray is not concave
     the step is a ray search from t instead.  ``inner_iters`` counts the
@@ -597,7 +608,6 @@ def outer_minimize(
     grid = init_direction.grid
     h = grid.spacing
     Va = potential_array(V, grid)
-    autonomous = Va.ndim == 0
 
     a = _diag_normalize(
         0.5 * (init_direction.u.values + init_direction.v.values), grid, Va
@@ -607,15 +617,15 @@ def outer_minimize(
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
     message = ""
-    handoff = POLISH_HANDOFF_CONSTANT_V if autonomous else POLISH_HANDOFF_VARYING_V
+    handoff = POLISH_HANDOFF_CONSTANT_V if Va.ndim == 0 else POLISH_HANDOFF_VARYING_V
 
     def eval_F(a_vals, wt, wq, tol):
         a_field = Field(grid, a_vals)
         return inner_maximize(PairField(a_field, a_field), fam, V, inner_tol=tol,
-                              max_inner=cfg.max_inner, warm_t=wt, warm_phi=wq)
+                              warm_t=wt, warm_phi=wq)
 
     grad_plus = make_diagonal_gradient(grid, Va, fam)
-    inner_tol_eff = max(cfg.inner_tol, 1e-6)
+    inner_tol_eff = max(INNER_TOL, 1e-6)
     point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
     for outer in range(cfg.max_outer):
         warm_t, warm_phi = point.t, point.phi.values
@@ -644,13 +654,12 @@ def outer_minimize(
             message = "handed to newton polish"
             if handoff == POLISH_HANDOFF_VARYING_V:
                 break
-            polished = _polish(point, fam, V, trace, cfg, restart_index, autonomous,
-                               message, early=True)
+            polished = _polish(point, fam, V, trace, cfg, restart_index, message, early=True)
             if polished is not None:
                 return polished
             handoff = POLISH_HANDOFF_VARYING_V
         # inner accuracy tracks the outer gradient (inexact descent)
-        inner_tol_eff = max(cfg.inner_tol, min(1e-5, 0.02 * grad_norm))
+        inner_tol_eff = max(INNER_TOL, min(1e-5, 0.02 * grad_norm))
 
         # Armijo backtracking from a unit step along the projected direction
         d = _lbfgs_direction(g, memory)
@@ -687,16 +696,14 @@ def outer_minimize(
         raise MaxIterations(
             f"outer descent: gradient {grad_norm:.2e} above tol {cfg.outer_tol:.2e} "
             f"after {cfg.max_outer} steps",
-            best=_package(
-                point, fam, V, trace, cfg, "max_outer reached", restart_index, autonomous
-            ),
+            best=_finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached"),
         )
 
     message = message or "descent converged"
-    return _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early=False)
+    return _polish(point, fam, V, trace, cfg, restart_index, message, early=False)
 
 
-def _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early):
+def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     """Newton polish from the descent state ``point``.
 
     The polished state replaces the descent state when its strong residual
@@ -706,14 +713,13 @@ def _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early
     LEVEL_TIE_RTOL) and meets the Nehari constraints to ``el_tol``; if not,
     it returns None so the descent can resume.
     """
-    result = _package(point, fam, V, trace, cfg, message, restart_index, autonomous)
+    result = _finalize(point.w, fam, V, trace, restart_index, cfg, message)
     start = _centre_on_grid_point(point.w) if early else point.w
     polished, res, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
     out = None
     if res < result.el_residual:
-        w_out = recenter_pair(polished)[0] if autonomous else polished
         out = _finalize(
-            w_out, fam, V, trace, restart_index, autonomous, cfg,
+            polished, fam, V, trace, restart_index, cfg,
             message=message + f" + newton polish ({steps} steps)",
             newton_steps=steps,
         )
@@ -733,21 +739,18 @@ def _polish(point, fam, V, trace, cfg, restart_index, autonomous, message, early
     return None if early else result
 
 
-def _package(point, fam, V, trace, cfg, message, restart_index, autonomous):
-    w = point.w
-    if autonomous:
+def _finalize(w, fam, V, trace, restart_index, cfg, message, newton_steps=0):
+    """Assemble the result; ``converged`` means certificate-quality residuals.
+
+    For a scalar V the pair is first recentred (``recenter_pair``), since
+    only a varying V fixes where the profile sits.
+    """
+    Va = np.asarray(V, dtype=float)
+    if Va.ndim == 0:
         w, _ = recenter_pair(w)
-    return _finalize(w, fam, V, trace, restart_index, autonomous, cfg, message)
-
-
-def _finalize(
-    w, fam, V, trace, restart_index, autonomous, cfg, message, newton_steps=0
-):
-    """Assemble the result; ``converged`` means certificate-quality residuals."""
     res_u, res_v = el_residual_norms(w, fam, V)
     ray, minus = nehari_residuals(w, fam, V)
     level = energy(w, fam, V)
-    Va = np.asarray(V, dtype=float)
     poh = pohozaev_residual(w, fam, float(Va)) if Va.ndim == 0 else 0.0
     centered, _ = recenter_pair(w)
     decay = decay_profile(centered)

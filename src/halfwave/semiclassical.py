@@ -30,6 +30,9 @@ from .nehari import (
     solve_ground_state,
 )
 
+# largest relative distance of V(eps L/2) from Vinf that check_box accepts
+BOX_SLACK = 0.05
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -42,9 +45,9 @@ class Potential:
     minima: Tuple[float, ...]
 
     def __post_init__(self):
-        if not (0.0 < self.V0 <= self.Vinf):
+        if not (0.0 < self.V0 <= self.Vinf < np.inf):
             raise InvalidField(
-                f"need 0 < V0 <= Vinf, got V0={self.V0}, Vinf={self.Vinf}"
+                f"need 0 < V0 <= Vinf < inf, got V0={self.V0}, Vinf={self.Vinf}"
             )
 
     @property
@@ -61,15 +64,16 @@ class Potential:
             )
         return vals
 
-    def check_box(self, grid: Grid, epsilon: float, slack: float = 0.05) -> None:
-        """The box must reach the far-field plateau: V(eps L/2) near Vinf."""
+    def check_box(self, grid: Grid, epsilon: float) -> None:
+        """The box must reach the far-field plateau: V(eps L/2) within
+        BOX_SLACK of Vinf, relative; raises InvalidField if not."""
         if self.is_constant:
             return
         edge = float(self.evaluate(np.array([epsilon * grid.length / 2.0]))[0])
-        if abs(edge - self.Vinf) > slack * self.Vinf:
+        if abs(edge - self.Vinf) > BOX_SLACK * self.Vinf:
             raise InvalidField(
                 f"box too small for epsilon={epsilon}: V(eps*L/2)={edge:.4g} is "
-                f"more than {100 * slack:.0f}% away from Vinf={self.Vinf}"
+                f"more than {100 * BOX_SLACK:.0f}% away from Vinf={self.Vinf}"
             )
 
 
@@ -88,7 +92,12 @@ def single_well(V0: float = 1.0, Vinf: float = 2.0) -> Potential:
 
 
 def double_well(V0: float = 1.0, Vinf: float = 2.0, separation: float = 2.0) -> Potential:
-    """Two symmetric minima at +-separation, hump at 0, limit Vinf."""
+    """Two symmetric minima at +-separation, hump at 0, limit Vinf.
+
+    Raises InvalidField unless separation > 0 (at 0 the formula is 0/0).
+    """
+    if not separation > 0:
+        raise InvalidField(f"separation must be positive, got {separation}")
     a = separation
 
     def ev(x):
@@ -158,10 +167,9 @@ def autonomous_level_vs_theta(
 
     Uses the same code path as the autonomous solve with V0 replaced by
     theta; increases of less than 2 * outer_tol are flagged as violations.
+    The list is checked by ``check_theta_ladder``.
     """
-    thetas = [float(t) for t in theta_list]
-    if any(t <= 0 for t in thetas) or sorted(thetas) != thetas:
-        raise InvalidField("theta list must be positive and ascending")
+    thetas = check_theta_ladder(theta_list)
     records = []
     for theta in thetas:
         res = solve_ground_state(fam, theta, grid, cfg)
@@ -206,6 +214,29 @@ def _argmax_location(grid: Grid, vals: np.ndarray) -> float:
     return float(grid.x[int(np.argmax(np.abs(vals)))])
 
 
+def check_theta_ladder(theta_list) -> List[float]:
+    """The theta values as floats; InvalidField unless all are positive,
+    finite and ascending."""
+    thetas = [float(t) for t in theta_list]
+    if not (all(0.0 < t < np.inf for t in thetas) and sorted(thetas) == thetas):
+        raise InvalidField(f"theta list must be positive and ascending, got {thetas}")
+    return thetas
+
+
+def check_eps_ladder(eps_list) -> List[float]:
+    """The epsilon values as floats; InvalidField unless there are at least
+    4, all positive and finite, descending, with extremes a factor >= 2
+    apart."""
+    eps = [float(e) for e in eps_list]
+    if not (len(eps) >= 4 and all(0.0 < e < np.inf for e in eps)
+            and sorted(eps, reverse=True) == eps and eps[0] >= 2.0 * eps[-1]):
+        raise InvalidField(
+            f"epsilon list must hold >= 4 positive values, descending, with extremes "
+            f">= 2x apart; got {eps}"
+        )
+    return eps
+
+
 def concentration_sweep(
     eps_list,
     potential: Potential,
@@ -213,24 +244,17 @@ def concentration_sweep(
     grid: Grid,
     cfg: SolverConfig,
     keep_solutions: bool = False,
-    init: Optional[PairField] = None,
 ) -> SweepResult:
     """Solve across a descending epsilon ladder and track concentration.
 
-    The first rung multi-starts (``solve_rescaled``) unless ``init`` is
-    given; every later rung warm-starts from the previous solution
-    (continuation), moved so that a peak at y on rung eps sits at
-    y * eps / eps' on rung eps' (the same physical point, so the profile
-    stays in its well).  Per-epsilon failures are recorded, the next rung
-    starts cold again, and the sweep continues.
+    The ladder is checked by ``check_eps_ladder``.  The first rung
+    multi-starts (``solve_rescaled``); every later rung warm-starts from the
+    previous solution (continuation), moved so that a peak at y on rung eps
+    sits at y * eps / eps' on rung eps' (the same physical point, so the
+    profile stays in its well).  Per-epsilon failures are recorded, the next
+    rung starts cold again, and the sweep continues.
     """
-    eps = [float(e) for e in eps_list]
-    if len(eps) < 4:
-        raise InvalidField("sweep needs at least 4 epsilon values")
-    if sorted(eps, reverse=True) != eps:
-        raise InvalidField("epsilon list must be descending")
-    if eps[0] / eps[-1] < 2.0:
-        raise InvalidField("epsilon extremes must differ by a factor >= 2")
+    eps = check_eps_ladder(eps_list)
 
     auto = solve_ground_state(fam, potential.V0, grid, cfg)
 
@@ -267,7 +291,7 @@ def concentration_sweep(
     records: List[SweepRecord] = []
     errors: dict = {}
 
-    warm: Optional[PairField] = init
+    warm: Optional[PairField] = None
     prev = None  # (eps, solution) of the last rung solved
     for e in eps:
         if prev is not None:

@@ -77,13 +77,26 @@ class TestSolveCommand:
         assert "n_points" in capsys.readouterr().err
 
     def test_unknown_key_exits_two(self, tmp_path, capsys):
-        # a typo, and a setting that has been removed
-        for key in ("max_outter", "newton_polish"):
+        # a typo, and settings that have been removed
+        for key in ("max_outter", "newton_polish", "inner_tol", "max_inner"):
             cfg = tmp_path / f"{key}.yaml"
             write_yaml(cfg, {"solver": {key: 3}})
             code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")])
             assert code == 2
             assert f"solver.{key!r}" in capsys.readouterr().err
+
+    def test_wrongly_typed_value_exits_two(self, tmp_path, capsys):
+        # rejected before anything is written, not after config_resolved.yaml
+        for section, key, value in (("potential", "V0", "abc"), ("solver", "restarts", 2.5)):
+            cfg = tmp_path / f"{key}.yaml"
+            write_yaml(cfg, {section: {key: value}})
+            out = tmp_path / f"o_{key}"
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+            assert f"config error: {section}:" in capsys.readouterr().err
+            assert not out.exists()
+        # a command-line override is checked like the file
+        assert main(["solve", "--seed", "-1", "--out", str(tmp_path / "o_neg")]) == 2
+        assert "config error: solver: seed must be >= 0" in capsys.readouterr().err
 
     def test_forced_failure_keeps_artifacts(self, tmp_path):
         cfg = tmp_path / "force.yaml"

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfwave.config import dump_resolved, load, resolve
+from halfwave.config import _DEFAULTS, dump_resolved, load, resolve
 from halfwave.errors import ConfigError
 from halfwave.nehari import SolverConfig
 
@@ -41,6 +43,8 @@ class TestResolve:
             ("solver", "armijo_c"),
             ("solver", "armijo_shrink"),
             ("solver", "newton_polish"),
+            ("solver", "inner_tol"),
+            ("solver", "max_inner"),
             ("sweep", "parallel"),
         ],
     )
@@ -51,8 +55,7 @@ class TestResolve:
     def test_solver_section_keys(self):
         resolved = resolve({}).resolved
         assert list(resolved["solver"]) == [
-            "inner_tol", "outer_tol", "el_tol", "max_inner", "max_outer",
-            "restarts", "seed", "threads",
+            "outer_tol", "el_tol", "max_outer", "restarts", "seed", "threads",
         ]
         assert list(resolved["sweep"]) == ["eps_list"]
 
@@ -80,6 +83,48 @@ class TestResolve:
     def test_solver_config_validates_itself(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             SolverConfig(restarts=0)
+        for name in ("max_outer", "restarts", "seed", "threads"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{name: 2.5})
+        with pytest.raises(ValueError, match="el_tol must be a positive number"):
+            SolverConfig(el_tol="1e-6")
+
+    # a value of the wrong type is a ConfigError that names its section,
+    # never a raw exception from the conversion or a later crash
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("potential", "V0", "abc"),
+            ("potential", "Vinf", "z"),
+            ("potential", "type", ["constant"]),
+            ("grid", "length", "x"),
+            ("grid", "length", True),
+            ("grid", "n_points", 2048.0),
+            ("family", "beta0", None),
+            ("family", "r1", 0.0),
+            ("family", "beta0", "1e200"),
+            ("family", "beta0", "1e-320"),
+            ("family", "sign_restricted", "false"),
+            ("sweep", "eps_list", 3),
+            ("sweep", "eps_list", [1.0, 0.5, 0.25, 0.0]),
+            ("moser", "n_list", 5),
+            ("moser", "r1", None),
+            ("theta", "theta_list", ["a"]),
+            ("solver", "restarts", 2.5),
+            ("solver", "seed", "7"),
+            ("solver", "el_tol", None),
+        ],
+    )
+    def test_wrongly_typed_value_names_section(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"^{section}"):
+            resolve({section: {key: value}})
+
+    def test_wrongly_typed_value_in_a_well_potential(self):
+        with pytest.raises(ConfigError, match="^potential"):
+            resolve({"potential": {"type": "single_well", "Vinf": "z"}})
+        # at separation 0 the double well is 0/0 at the origin
+        with pytest.raises(ConfigError, match="^potential: separation"):
+            resolve({"potential": {"type": "double_well", "separation": 0.0}})
 
     def test_bad_sweep_lists(self):
         with pytest.raises(ConfigError):
@@ -105,6 +150,26 @@ class TestResolve:
         cfg = resolve({"potential": {"V0": 2.0}})
         expected = max(8.0 * np.sqrt(np.e) * 2.0, np.pi / 2.0) + 1.0
         assert cfg.family.kappa0 == pytest.approx(expected)
+
+
+_KEYS = [(section, key) for section, keys in _DEFAULTS.items() for key in keys]
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.text(max_size=8),
+    st.sampled_from(["0", "-1", "nan", "inf", "1e200", "1e-320", "2.5"]),
+    st.lists(st.one_of(st.none(), st.text(max_size=3), st.floats(), st.integers()), max_size=6),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_KEYS), _ODD_VALUES)
+def test_resolve_rejects_or_accepts_any_odd_value(key, value):
+    section, name = key
+    try:
+        resolve({section: {name: value}})
+    except ConfigError:
+        pass
 
 
 class TestFileRoundtrip:

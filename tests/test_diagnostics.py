@@ -131,7 +131,7 @@ class TestMoserField:
 
     def test_table_has_refinement_rows(self):
         g = Grid(40.0, 8192)
-        rows = moser_table([4, 16], 2.0, g, refinements=2)
+        rows = moser_table([4, 16], 2.0, g)
         n_points = sorted({r.n_points for r in rows})
         assert n_points == [2048, 4096, 8192]
         for row in rows:

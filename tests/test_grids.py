@@ -60,6 +60,16 @@ class TestGridBasics:
             Grid(40.0, 255)
         with pytest.raises(InvalidField):
             Grid(40.0, 8)
+        for n in (2048.0, "2048", None, True):
+            with pytest.raises(InvalidField, match="even integer"):
+                Grid(40.0, n)
+        assert Grid(40.0, np.int64(64)) == Grid(40.0, 64)
+
+    def test_equality_and_hash_are_on_length_and_n(self):
+        assert Grid(40.0, 64) == Grid(40, 64)
+        assert Grid(40.0, 64) != Grid(40.0, 128)
+        assert Grid(40.0, 64) != Grid(20.0, 64)
+        assert len({Grid(40.0, 64), Grid(40, 64), Grid(20.0, 64)}) == 2
 
     def test_field_rejects_nan(self):
         g = Grid(40.0, 64)

@@ -119,6 +119,11 @@ class TestConcentrationSweep:
         with pytest.raises(InvalidField):
             concentration_sweep([1.0, 0.9, 0.8, 0.7], pot, fam, sweep_grid, cfg)
 
+    def test_zero_epsilon_is_invalid_field(self, fam, cfg, sweep_grid):
+        # the extremes' ratio divides by the last rung
+        with pytest.raises(InvalidField, match="positive"):
+            concentration_sweep([1, 0.5, 0.25, 0], single_well(1.0, 2.0), fam, sweep_grid, cfg)
+
     def test_sequential_sweep_concentrates(self, fam, cfg, sweep_grid):
         pot = single_well(1.0, 2.0)
         sweep = concentration_sweep([1.0, 0.5, 0.25, 0.125], pot, fam, sweep_grid, cfg)
