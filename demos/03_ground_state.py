@@ -47,9 +47,10 @@ print(f"\nlevel                      {res.level:.10f}")
 print(f"window (0, pi/beta0)       passed={bound.passed} (upper {bound.upper:.6f})")
 print(f"euler-lagrange residual    {res.el_residual:.3e}")
 print(f"manifold residual          {res.nehari_residual:.3e}")
-print(f"dilation identity residual {res.pohozaev_residual:.3e}")
-print(f"amplitudes                 |u|_inf={res.linf_u:.6f}  |v|_inf={res.linf_v:.6f}")
-print(f"tail (outer 10% of box)    {res.decay_tail:.3e}")
+rep = res.report
+print(f"dilation identity residual {rep.pohozaev:.3e}")
+print(f"amplitudes                 |u|_inf={rep.linf_u:.6f}  |v|_inf={rep.linf_v:.6f}")
+print(f"tail (outer 10% of box)    {rep.decay_tail:.3e}")
 print(f"converged                  {res.converged}  [{res.message}]")
 
 print("\ncross-check: independent scalar solve on the diagonal (f = g)")

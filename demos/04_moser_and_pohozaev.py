@@ -68,7 +68,7 @@ fam = builtin_family("cubic_exp", beta0=1.0)
 cfg = SolverConfig(restarts=1, seed=0)
 
 res = solve_ground_state(fam, 1.0, Grid(40.0, 2048), cfg)
-print(f"converged ground state (L=40, N=2048): residual = {res.pohozaev_residual:.3e}")
+print(f"converged ground state (L=40, N=2048): residual = {res.report.pohozaev:.3e}")
 
 b = Field(Grid(40.0, 2048), 3.0 * np.exp(-Grid(40.0, 2048).x ** 2))
 off = pohozaev_residual(PairField(b, b), fam, 1.0)
@@ -77,4 +77,4 @@ print(f"scaled non-solution bump:              residual = {off:.3e}  (identity f
 print("\nbox dependence at resolved spacing (truncation dominates):")
 for L, N in ((40.0, 4096), (80.0, 8192), (160.0, 16384)):
     r = solve_ground_state(fam, 1.0, Grid(L, N), cfg)
-    print(f"  L={L:5.0f} N={N:6d} (h={L / N:.4f}): residual = {r.pohozaev_residual:.3e}")
+    print(f"  L={L:5.0f} N={N:6d} (h={L / N:.4f}): residual = {r.report.pohozaev:.3e}")

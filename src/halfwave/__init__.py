@@ -18,7 +18,6 @@ from .diagnostics import (
     LevelBoundCheck,
     MoserField,
     ResidualReport,
-    build_report,
     decay_profile,
     level_bound_check,
     moser_field,
@@ -77,6 +76,7 @@ from .nehari import (
     GroundStateResult,
     NehariPoint,
     SolverConfig,
+    build_report,
     inner_maximize,
     outer_minimize,
     scalar_diagonal_solve,

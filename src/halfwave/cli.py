@@ -17,12 +17,12 @@ from pathlib import Path
 import yaml
 
 from . import config as config_mod
-from .diagnostics import build_report, level_bound_check, moser_table
+from .diagnostics import level_bound_check, moser_table
 from .energy import PairField
 from .errors import ConfigError, HalfwaveError
 from .families import audit_hypotheses
 from .grids import read_field_binary, write_field_binary, write_field_csv
-from .nehari import solve_ground_state
+from .nehari import build_report, solve_ground_state
 from .semiclassical import autonomous_level_vs_theta, concentration_sweep
 
 POHOZAEV_TOL = 1e-3
@@ -72,7 +72,7 @@ def _solve_potential_values(cfg):
     return cfg.potential.rescaled_values(cfg.grid, 1.0)
 
 
-def _result_payload(res, cfg, autonomous: bool):
+def _result_payload(res, cfg):
     bound = level_bound_check(res.level, cfg.family.beta0)
     return {
         "level": float(res.level),
@@ -81,15 +81,7 @@ def _result_payload(res, cfg, autonomous: bool):
             "upper": float(bound.upper),
             "margin": float(bound.margin),
         },
-        "residuals": {
-            "euler_lagrange_u": float(res.el_residual_u),
-            "euler_lagrange_v": float(res.el_residual_v),
-            "nehari": float(res.nehari_residual),
-            "pohozaev": float(res.pohozaev_residual) if autonomous else None,
-        },
-        "decay_tail": float(res.decay_tail),
-        "linf_u": float(res.linf_u),
-        "linf_v": float(res.linf_v),
+        "residuals": res.report.as_dict(),
         "converged": bool(res.converged),
         "message": res.message,
         "restart_index": int(res.restart_index),
@@ -101,7 +93,6 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _prepare_outdir(args, cfg)
     V = _solve_potential_values(cfg)
-    autonomous = cfg.potential.is_constant
     try:
         res = solve_ground_state(cfg.family, V, cfg.grid, cfg.solver)
     except HalfwaveError as err:
@@ -118,19 +109,19 @@ def cmd_solve(args) -> int:
         ["iter", "level", "grad_norm", "inner_iters"],
         [(r.outer_step, r.level, r.grad_norm, r.inner_iters) for r in res.trace],
     )
-    payload = _result_payload(res, cfg, autonomous)
+    payload = _result_payload(res, cfg)
     _dump_report(out, payload)
 
-    ok = (
-        res.converged
-        and payload["level_bound"]["passed"]
-        and (not autonomous or res.pohozaev_residual <= POHOZAEV_TOL)
-    )
-    print(
-        f"level={res.level:.8f} el={res.el_residual:.3e} nehari={res.nehari_residual:.3e} "
-        f"pohozaev={res.pohozaev_residual:.3e} converged={res.converged}"
-    )
+    poh = res.report.pohozaev
+    ok = res.converged and payload["level_bound"]["passed"] and (poh is None or poh <= POHOZAEV_TOL)
+    print(f"level={res.level:.8f} {_summary(res.report)} converged={res.converged}")
     return 0 if ok else 1
+
+
+def _summary(report) -> str:
+    """One stdout line of a report; a missing Pohozaev entry prints as none."""
+    poh = "none" if report.pohozaev is None else f"{report.pohozaev:.3e}"
+    return f"el={report.euler_lagrange:.3e} nehari={report.nehari:.3e} pohozaev={poh}"
 
 
 def _dump_report(out: Path, payload: dict) -> None:
@@ -157,10 +148,7 @@ def cmd_diagnose(args) -> int:
     w = PairField(u, v)
     report = build_report(w, cfg.family, cfg.potential.V0)
     _dump_report(out, report.as_dict())
-    print(
-        f"pohozaev={report.pohozaev:.3e} el={report.euler_lagrange:.3e} "
-        f"nehari={report.nehari:.3e}"
-    )
+    print(_summary(report))
     return 0
 
 

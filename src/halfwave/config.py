@@ -9,6 +9,7 @@ directory alone.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Optional
@@ -53,16 +54,35 @@ _DEFAULTS: Dict[str, Dict[str, Any]] = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats: ``1e-6``, ``4e1`` and
+    ``1.0e6``, which YAML 1.1 reads as strings, are floats."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"),
+)
+
+
 def _merge_section(name: str, given: Dict[str, Any]) -> Dict[str, Any]:
+    """The section's defaults updated by ``given``.  A key whose default is
+    not a string or a bool is numeric: a string there, or in its list, is
+    refused, so a number is read one way wherever it is written."""
     defaults = _DEFAULTS[name]
     out = dict(defaults)
     for key, val in given.items():
         if key not in defaults:
             raise ConfigError(f"unknown key {name}.{key!r}")
-        if isinstance(defaults[key], list) and not isinstance(val, list):
+        default = defaults[key]
+        if isinstance(default, list) and not isinstance(val, list):
             raise ConfigError(f"{name}.{key}: must be a list, got {val!r}")
-        if isinstance(val, bool) and not isinstance(defaults[key], bool):
+        if isinstance(val, bool) and not isinstance(default, bool):
             raise ConfigError(f"{name}.{key}: must not be true or false")
+        entries = val if isinstance(val, list) else [val]
+        if not isinstance(default, (str, bool)) and any(isinstance(x, str) for x in entries):
+            raise ConfigError(f"{name}: {key} must be a number, got {val!r}")
         out[key] = val
     return out
 
@@ -135,7 +155,7 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
 
     grid_sec = sections["grid"]
     if grid_sec["length"] is None:
-        grid_sec["length"] = 40.0 * max(1.0, 1.0 / np.sqrt(V0))
+        grid_sec["length"] = 40.0 * max(1.0, 1.0 / float(np.sqrt(V0)))
     with section_guard("grid"):
         grid = Grid(float(grid_sec["length"]), grid_sec["n_points"])
 
@@ -184,10 +204,10 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
 
 
 def load(path) -> RunConfig:
-    """Read a YAML config file and resolve it."""
+    """Read a YAML config file, with YAML 1.2 floats, and resolve it."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_Loader)
     except FileNotFoundError as err:
         raise ConfigError(f"config file not found: {path}") from err
     except yaml.YAMLError as err:

@@ -8,11 +8,11 @@ norm estimates, the level window check, and tail/amplitude metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
-from .energy import PairField, el_residual_norms, nehari_residuals
+from .energy import PairField
 from .errors import InvalidField, UnderResolved
 from .families import NonlinearityFamily
 from .grids import Field, Grid, l2_norm, linf_norm, seminorm_sq
@@ -23,9 +23,11 @@ MOSER_REFINEMENTS = 2  # coarsenings by 2 that moser_table repeats its rows on
 
 @dataclass
 class ResidualReport:
-    """All scalar certificates for one candidate pair."""
+    """All scalar certificates for one candidate pair; ``pohozaev`` is None
+    for a sampled V, where the identity does not hold.  Built by
+    ``nehari.build_report``."""
 
-    pohozaev: float
+    pohozaev: Optional[float]
     euler_lagrange_u: float
     euler_lagrange_v: float
     nehari_ray: float
@@ -36,7 +38,7 @@ class ResidualReport:
 
     def __post_init__(self):
         for name, val in self.as_dict().items():
-            if not (np.isfinite(val) and val >= 0.0):
+            if val is not None and not (np.isfinite(val) and val >= 0.0):
                 raise InvalidField(f"report entry {name} must be finite >= 0, got {val}")
 
     @property
@@ -132,30 +134,6 @@ def decay_profile(w: PairField) -> DecayMetrics:
         linf_u=linf_norm(w.u),
         linf_v=linf_norm(w.v),
         envelope_exponent=exponent,
-    )
-
-
-def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:
-    """Assemble the full certificate set for a candidate pair.
-
-    The Pohozaev identity holds for a constant potential only, so a scalar V
-    is its V0; for a sampled V the Pohozaev entry is 0.
-    """
-    res_u, res_v = el_residual_norms(w, fam, V)
-    ray, minus = nehari_residuals(w, fam, V)
-    Va = np.asarray(V, dtype=float)
-    poh = pohozaev_residual(w, fam, float(Va)) if Va.ndim == 0 else 0.0
-    centered, _ = recenter_pair(w)
-    decay = decay_profile(centered)
-    return ResidualReport(
-        pohozaev=poh,
-        euler_lagrange_u=res_u,
-        euler_lagrange_v=res_v,
-        nehari_ray=ray,
-        nehari_minus=minus,
-        decay_tail=decay.tail_sup,
-        linf_u=decay.linf_u,
-        linf_v=decay.linf_v,
     )
 
 

@@ -5,11 +5,10 @@ The energy of a pair w = (u, v) is
     J(w) = <u, v>_{1/2,V} - integral(F(u) + G(v)),
 
 whose quadratic part is positive on the diagonal subspace {(a, a)} and
-negative on the antidiagonal {(b, -b)}.  The derivative is exposed in two
-forms: as strong-form L2 residuals of the coupled Euler-Lagrange system
-(for physics checks) and as the Riesz representative in the pair inner
-product (for preconditioned optimization) -- the two differ by one solve
-with the multiplier (|k| + V)^{-1}.
+negative on the antidiagonal {(b, -b)}.  The derivative is exposed as the
+strong-form L2 residuals of the coupled Euler-Lagrange system; the
+manifold residuals take Riesz representatives in the pair inner product,
+one solve with the multiplier (|k| + V)^{-1} away.
 
 The potential V may be a positive scalar (autonomous problem) or a sample
 vector on the grid (rescaled semiclassical problem).  Riesz solves are a
@@ -185,28 +184,13 @@ def _strong_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues)
     return r_u, r_v
 
 
-def energy_gradient(
-    w: PairField, fam: NonlinearityFamily, V: PotentialValues, form: str = "riesz"
-) -> PairField:
-    """First derivative of J at w.
-
-    ``form="strong"`` returns the L2 representative: the pair pairing with a
-    test (phi, psi) as integral(first*phi + second*psi), i.e. the
-    Euler-Lagrange residuals (v-equation, u-equation).
-
-    ``form="riesz"`` returns the gradient in the pair inner product, the
-    strong form preconditioned by (|k| + V)^{-1} componentwise; subtracting
-    it from w is the natural descent direction in W.
-    """
+def energy_gradient(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> PairField:
+    """First derivative of J at w as its L2 representative: the pair pairing
+    with a test (phi, psi) as integral(first*phi + second*psi), i.e. the
+    Euler-Lagrange residuals (v-equation, u-equation)."""
     r_u, r_v = _strong_residuals(w, fam, V)
     g = w.grid
-    if form == "strong":
-        return PairField(Field(g, r_v), Field(g, r_u))
-    if form == "riesz":
-        return PairField(
-            Field(g, riesz_solve(r_v, g, V)), Field(g, riesz_solve(r_u, g, V))
-        )
-    raise ValueError(f"unknown gradient form {form!r}")
+    return PairField(Field(g, r_v), Field(g, r_u))
 
 
 def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues):

@@ -1,10 +1,10 @@
 """Admissible nonlinearity families and the numerical hypothesis audit.
 
 A family bundles the pair (f, g) driving the coupled system together with
-their antiderivatives (F, G) and the structural constants (beta0, mu, M,
-kappa0, r1) that the admissibility conditions refer to.  The audit samples
-each condition on a log-refined grid and reports margins; it never attempts
-symbolic reasoning.
+their antiderivatives (F, G), their derivatives (fp, gp) for the Newton
+steps, and the structural constants (beta0, mu, M, kappa0, r1) that the
+admissibility conditions refer to.  The audit samples each condition on a
+log-refined grid and reports margins; it never attempts symbolic reasoning.
 """
 
 from __future__ import annotations
@@ -34,23 +34,11 @@ class NonlinearityFamily:
     M: float
     kappa0: float
     r1: float
+    fp: Callable[[np.ndarray], np.ndarray]
+    gp: Callable[[np.ndarray], np.ndarray]
     sign_restricted: bool = False
     exponential: bool = True
     symmetric: bool = True
-    fp: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gp: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def f_prime(self, t: np.ndarray) -> np.ndarray:
-        if self.fp is not None:
-            return self.fp(t)
-        step = 1e-6 * np.maximum(np.abs(t), 1.0)
-        return (self.f(t + step) - self.f(t - step)) / (2.0 * step)
-
-    def g_prime(self, t: np.ndarray) -> np.ndarray:
-        if self.gp is not None:
-            return self.gp(t)
-        step = 1e-6 * np.maximum(np.abs(t), 1.0)
-        return (self.g(t + step) - self.g(t - step)) / (2.0 * step)
 
     def max_safe_amplitude(self) -> float:
         """Largest |t| for which exp(beta0 t^2) stays finite."""

@@ -28,7 +28,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .diagnostics import decay_profile, pohozaev_residual, recenter_pair
+from .diagnostics import ResidualReport, decay_profile, pohozaev_residual, recenter_pair
 from .energy import (
     PairField,
     el_residual_norms,
@@ -129,19 +129,20 @@ class IterationRecord:
 class GroundStateResult:
     w: PairField
     level: float
-    el_residual: float
-    el_residual_u: float
-    el_residual_v: float
-    nehari_residual: float
-    pohozaev_residual: float
-    decay_tail: float
-    linf_u: float
-    linf_v: float
+    report: ResidualReport
     trace: List[IterationRecord] = field(default_factory=list)
     converged: bool = False
     message: str = ""
     restart_index: int = 0
     newton_steps: int = 0
+
+    @property
+    def el_residual(self) -> float:
+        return self.report.euler_lagrange
+
+    @property
+    def nehari_residual(self) -> float:
+        return self.report.nehari
 
 
 # -- inner level --------------------------------------------------------------
@@ -202,7 +203,7 @@ class _RaySlice:
             return -np.inf, -np.inf
         u, v = uv
         s = t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
-        curv = self.fam.f_prime(u) + self.fam.g_prime(v)
+        curv = self.fam.fp(u) + self.fam.gp(v)
         return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
 
     def ray_pairing(self, t, q_norm_sq, u, v, fu, gv):
@@ -257,7 +258,7 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
     representative, like r = -2 K q - f(u) + g(v) for J_q.
     """
     h, ahat = sl.h, sl.ahat
-    fpu, gpv = sl.fam.f_prime(u), sl.fam.g_prime(v)
+    fpu, gpv = sl.fam.fp(u), sl.fam.gp(v)
     s = fpu + gpv
     c = (fpu - gpv) * ahat
     m_tt = h * float(s @ (ahat * ahat)) - 1.0
@@ -486,8 +487,8 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
         eta = min(EW_ETA_MAX, floor if reach else max(eta, floor))
         prev_norm = r_norm
         u, v = uv[:n], uv[n:]
-        fp = fam.f_prime(u)
-        gp = fam.g_prime(v)
+        fp = fam.fp(u)
+        gp = fam.gp(v)
         matvecs = 0
         improved = False
         damp = 0.0
@@ -706,18 +707,18 @@ def outer_minimize(
 def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     """Newton polish from the descent state ``point``.
 
-    The polished state replaces the descent state when its strong residual
-    is below the descent state's EL residual.  An early handoff starts from
-    the state centred on a grid point (``_centre_on_grid_point``) and is
-    kept only if, besides, the polish does not raise the level (up to
-    LEVEL_TIE_RTOL) and meets the Nehari constraints to ``el_tol``; if not,
-    it returns None so the descent can resume.
+    A polish that takes a step has lowered the strong residual of its start
+    (every accepted step does), and its state replaces the descent state.
+    An early handoff starts from the state centred on a grid point
+    (``_centre_on_grid_point``) and is kept only if, besides, the polish
+    does not raise the level (up to LEVEL_TIE_RTOL) and meets the Nehari
+    constraints to ``el_tol``; if not, it returns None so the descent can
+    resume.  Only the state returned is certified.
     """
-    result = _finalize(point.w, fam, V, trace, restart_index, cfg, message)
     start = _centre_on_grid_point(point.w) if early else point.w
-    polished, res, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
+    polished, _, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
     out = None
-    if res < result.el_residual:
+    if steps:
         out = _finalize(
             polished, fam, V, trace, restart_index, cfg,
             message=message + f" + newton polish ({steps} steps)",
@@ -725,18 +726,42 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
         )
     accepted = out is not None and (
         not early
-        or (out.level <= result.level + LEVEL_TIE_RTOL * abs(result.level)
+        or (out.level <= point.level + LEVEL_TIE_RTOL * abs(point.level)
             and out.nehari_residual <= cfg.el_tol)
     )
     log.info(
         "newton handoff (%s, threshold %.0e): level %.15g -> %.15g, %s",
         message, POLISH_HANDOFF_CONSTANT_V if early else POLISH_HANDOFF_VARYING_V,
-        result.level, out.level if out is not None else float("nan"),
+        point.level, out.level if out is not None else float("nan"),
         "accepted" if accepted else "rejected",
     )
     if accepted:
         return out
-    return None if early else result
+    return None if early else _finalize(point.w, fam, V, trace, restart_index, cfg, message)
+
+
+def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:
+    """The certificate set of a candidate pair, the one place each is taken.
+
+    The Pohozaev identity holds for a constant potential only: a scalar V
+    is its V0, and for a sampled V the entry is None.  Decay and amplitude
+    are measured on the pair recentred at x = 0.
+    """
+    res_u, res_v = el_residual_norms(w, fam, V)
+    ray, minus = nehari_residuals(w, fam, V)
+    poh = pohozaev_residual(w, fam, float(V)) if np.ndim(V) == 0 else None
+    centered, _ = recenter_pair(w)
+    decay = decay_profile(centered)
+    return ResidualReport(
+        pohozaev=poh,
+        euler_lagrange_u=res_u,
+        euler_lagrange_v=res_v,
+        nehari_ray=ray,
+        nehari_minus=minus,
+        decay_tail=decay.tail_sup,
+        linf_u=decay.linf_u,
+        linf_v=decay.linf_v,
+    )
 
 
 def _finalize(w, fam, V, trace, restart_index, cfg, message, newton_steps=0):
@@ -745,30 +770,15 @@ def _finalize(w, fam, V, trace, restart_index, cfg, message, newton_steps=0):
     For a scalar V the pair is first recentred (``recenter_pair``), since
     only a varying V fixes where the profile sits.
     """
-    Va = np.asarray(V, dtype=float)
-    if Va.ndim == 0:
+    if np.ndim(V) == 0:
         w, _ = recenter_pair(w)
-    res_u, res_v = el_residual_norms(w, fam, V)
-    ray, minus = nehari_residuals(w, fam, V)
-    level = energy(w, fam, V)
-    poh = pohozaev_residual(w, fam, float(Va)) if Va.ndim == 0 else 0.0
-    centered, _ = recenter_pair(w)
-    decay = decay_profile(centered)
-    el = max(res_u, res_v)
-    nehari = max(ray, minus)
+    report = build_report(w, fam, V)
     return GroundStateResult(
         w=w,
-        level=float(level),
-        el_residual=el,
-        el_residual_u=res_u,
-        el_residual_v=res_v,
-        nehari_residual=nehari,
-        pohozaev_residual=poh,
-        decay_tail=decay.tail_sup,
-        linf_u=decay.linf_u,
-        linf_v=decay.linf_v,
+        level=float(energy(w, fam, V)),
+        report=report,
         trace=list(trace),
-        converged=bool(el <= cfg.el_tol and nehari <= cfg.el_tol),
+        converged=bool(report.euler_lagrange <= cfg.el_tol and report.nehari <= cfg.el_tol),
         message=message,
         restart_index=restart_index,
         newton_steps=newton_steps,
@@ -944,7 +954,7 @@ def scalar_diagonal_solve(
     for _ in range(15):
         if best_norm <= 0.05 * cfg.el_tol:
             break
-        fp = fam.f_prime(u)
+        fp = fam.fp(u)
 
         def jac(x):
             return halflap(x, grid) + Va * x - fp * x

@@ -17,7 +17,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import recenter_pair
+from .diagnostics import level_bound_check, recenter_pair
 from .energy import PairField, pair_norm
 from .errors import HalfwaveError, InvalidField
 from .families import NonlinearityFamily
@@ -206,8 +206,7 @@ class SweepResult:
     errors: dict = field(default_factory=dict)
 
     def levels_in_window(self, beta0: float) -> bool:
-        upper = np.pi / beta0
-        return all(0.0 < r.level < upper for r in self.records if r.converged)
+        return all(level_bound_check(r.level, beta0).passed for r in self.records if r.converged)
 
 
 def _argmax_location(grid: Grid, vals: np.ndarray) -> float:

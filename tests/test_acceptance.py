@@ -114,7 +114,7 @@ def test_criterion_2_gradient_consistency():
         fd = (energy(w + eps * z, DEFAULT_FAM, 1.0) - energy(w - eps * z, DEFAULT_FAM, 1.0)) / (
             2.0 * eps
         )
-        strong = energy_gradient(w, DEFAULT_FAM, 1.0, form="strong")
+        strong = energy_gradient(w, DEFAULT_FAM, 1.0)
         pairing = l2_inner(strong.u, z.u) + l2_inner(strong.v, z.v)
         worst = max(worst, abs(fd - pairing) / max(abs(fd), abs(pairing)))
     elapsed = time.time() - t0
@@ -220,7 +220,7 @@ def test_criterion_6_diagonal_oracle(default_solve):
     pair = PairField(u, u)
     level = energy(pair, DEFAULT_FAM, 1.0)
     rel = abs(level - default_solve.level) / default_solve.level
-    strong = energy_gradient(pair, DEFAULT_FAM, 1.0, form="strong")
+    strong = energy_gradient(pair, DEFAULT_FAM, 1.0)
     h = np.sqrt(g.spacing)
     full_res = max(h * np.linalg.norm(strong.u.values), h * np.linalg.norm(strong.v.values))
     elapsed = time.time() - t0

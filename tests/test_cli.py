@@ -49,7 +49,8 @@ class TestSolveCommand:
         assert report["converged"] is True
         assert report["level_bound"]["passed"] is True
         assert report["residuals"]["pohozaev"] <= 1e-3
-        assert report["residuals"]["nehari"] <= 1e-6
+        assert report["residuals"]["nehari_ray"] <= 1e-6
+        assert report["residuals"]["nehari_minus"] <= 1e-6
 
     def test_resolved_config_reproduces(self, solved_run, tmp_path):
         _, out = solved_run
@@ -94,6 +95,12 @@ class TestSolveCommand:
             assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
             assert f"config error: {section}:" in capsys.readouterr().err
             assert not out.exists()
+        # a number is read one way: a quoted one is a string, and refused
+        for section, key, text in (("potential", "V0", '"0.5"'), ("solver", "el_tol", '"1.0e-6"')):
+            cfg = tmp_path / f"quoted_{key}.yaml"
+            cfg.write_text(f"{section}: {{{key}: {text}}}\n")
+            assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o_q")]) == 2
+            assert f"config error: {section}: {key} must be a number" in capsys.readouterr().err
         # a command-line override is checked like the file
         assert main(["solve", "--seed", "-1", "--out", str(tmp_path / "o_neg")]) == 2
         assert "config error: solver: seed must be >= 0" in capsys.readouterr().err
@@ -159,6 +166,9 @@ class TestDiagnoseCommand:
         report = yaml.safe_load((tmp_path / "rep2" / "report.yaml").read_text())
         assert report["pohozaev"] <= 1e-3
         assert report["euler_lagrange_u"] <= 1e-6
+        # solve and diagnose certify with one function and write one schema
+        solved = yaml.safe_load((out / "report.yaml").read_text())
+        assert solved["residuals"] == report
 
 
 class TestMoserCommand:

@@ -113,6 +113,14 @@ class TestResolve:
             ("solver", "restarts", 2.5),
             ("solver", "seed", "7"),
             ("solver", "el_tol", None),
+            # a number is read one way: a string is refused for every
+            # numeric key, as a scalar or a list entry, whatever it spells
+            ("potential", "V0", "0.5"),
+            ("solver", "el_tol", "1.0e-6"),
+            ("grid", "length", "40"),
+            ("moser", "r1", "2e0"),
+            ("sweep", "eps_list", [1.0, "0.5", 0.25, 0.125]),
+            ("moser", "n_list", [4, "16"]),
         ],
     )
     def test_wrongly_typed_value_names_section(self, section, key, value):
@@ -189,6 +197,27 @@ class TestFileRoundtrip:
         cfg2 = resolve(back)
         assert cfg2.grid == cfg.grid
         assert cfg2.solver == cfg.solver
+
+    # YAML 1.2 floats: an exponent needs no dot, so these are numbers, and
+    # they are written back as numbers
+    @pytest.mark.parametrize(
+        "text, section, key, value",
+        [
+            ("solver: {el_tol: 1e-6}", "solver", "el_tol", 1e-6),
+            ("potential: {V0: 1e-3}", "potential", "V0", 1e-3),
+            ("grid: {length: 4e1}", "grid", "length", 40.0),
+            ("moser: {r1: 2e0}", "moser", "r1", 2.0),
+        ],
+    )
+    def test_exponent_without_dot_is_a_float(self, tmp_path, text, section, key, value):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text + "\n")
+        cfg = load(path)
+        assert cfg.resolved[section][key] == value
+        out = tmp_path / "resolved.yaml"
+        dump_resolved(cfg, out)
+        back = yaml.safe_load(out.read_text())[section][key]
+        assert isinstance(back, float) and back == value
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):

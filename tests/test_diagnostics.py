@@ -3,7 +3,6 @@ import pytest
 
 from halfwave.diagnostics import (
     ResidualReport,
-    build_report,
     decay_profile,
     level_bound_check,
     moser_field,
@@ -16,7 +15,7 @@ from halfwave.energy import PairField
 from halfwave.errors import InvalidField, UnderResolved
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid, l2_norm, seminorm_sq
-from halfwave.nehari import SolverConfig, solve_ground_state
+from halfwave.nehari import SolverConfig, build_report, solve_ground_state
 
 from _oracles import moser_seminorm_sq_line
 from _testutil import gaussian_bump

@@ -281,9 +281,10 @@ class TestAudit:
     def test_linear_family_fails_h2(self):
         ident = lambda t: np.asarray(t, dtype=float)
         sq = lambda t: 0.5 * np.asarray(t, dtype=float) ** 2
+        one = lambda t: np.ones_like(np.asarray(t, dtype=float))
         lin = NonlinearityFamily(
             "linear", ident, ident, sq, sq,
-            beta0=1.0, mu=2.1, M=1.0, kappa0=1.0, r1=2.0, exponential=False,
+            beta0=1.0, mu=2.1, M=1.0, kappa0=1.0, r1=2.0, fp=one, gp=one, exponential=False,
         )
         audit = audit_hypotheses(lin)
         assert audit.checks["H2_f"].status == "fail"

@@ -515,6 +515,20 @@ class TestNewtonHandoff:
             assert matvecs >= 1 and 0.0 <= damping <= 1.0
         assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
 
+    def test_each_restart_certifies_one_state(self, fam, monkeypatch):
+        # the certificates are taken for the state a restart returns, not
+        # for the descent states the polish replaces
+        real = nehari.build_report
+        calls = []
+
+        def counted(w, fam_, V):
+            calls.append(w)
+            return real(w, fam_, V)
+
+        monkeypatch.setattr(nehari, "build_report", counted)
+        solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig())
+        assert len(calls) == SolverConfig().restarts == 5
+
     def test_varying_v_polish_work_is_stable_under_ulp_flips(self, fam, monkeypatch):
         # a weakly pinned single-well state: the polish must do the same work
         # from starts one ulp apart, not an amount decided by round-off
@@ -748,6 +762,25 @@ def banned_loop_calls(source):
 def test_solver_loops_work_on_arrays():
     src = Path(__file__).resolve().parents[1] / "src" / "halfwave" / "nehari.py"
     assert banned_loop_calls(src.read_text()) == []
+
+
+CERTIFICATES = ("el_residual_norms", "nehari_residuals", "pohozaev_residual", "decay_profile")
+
+
+def test_certificates_are_taken_in_one_function():
+    # a certificate added or called anywhere but build_report would give the
+    # solve and diagnose reports, or the traced layers, two sources
+    callers = {name: set() for name in CERTIFICATES}
+    for path in (Path(__file__).resolve().parents[1] / "src" / "halfwave").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{fn.name}")
+    assert callers == {name: {"nehari.build_report"} for name in CERTIFICATES}
 
 
 def test_loop_guard_sees_calls():

@@ -81,6 +81,8 @@ class TestSolveRescaled:
         res = solve_rescaled(1.0, single_well(1.0, 2.0), fam, sweep_grid, cfg)
         assert res.level > auto.level + 1e-3
         assert res.converged
+        # the Pohozaev identity holds for a constant V only: no entry, not 0
+        assert res.report.pohozaev is None
 
     def test_level_inside_window_at_small_eps(self, fam, cfg, sweep_grid):
         res = solve_rescaled(0.125, single_well(1.0, 2.0), fam, sweep_grid, cfg)
