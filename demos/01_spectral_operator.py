@@ -17,7 +17,7 @@ from halfwave import (
     Grid,
     SpectralExponent,
     apply_fractional_laplacian,
-    h_half_inner,
+    weighted_inner,
 )
 
 HALF = SpectralExponent(0.5)
@@ -86,5 +86,5 @@ m = 4
 V0 = 1.3
 mode = Field(g, np.cos(2.0 * np.pi * m * g.x / g.length))
 expected = (2.0 * np.pi * m / g.length + V0) * g.length / 2.0
-print(f"   <cos, cos>_(1/2) = {h_half_inner(mode, mode, V0):.10f}")
+print(f"   <cos, cos>_(1/2) = {weighted_inner(mode, mode, V0):.10f}")
 print(f"   (|k| + V0) L / 2 = {expected:.10f}")

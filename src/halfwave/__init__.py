@@ -43,7 +43,6 @@ from .errors import (
     GridMismatch,
     HalfwaveError,
     InvalidField,
-    MaxIterations,
     NoAscent,
     OverflowGuard,
     UnderResolved,
@@ -61,8 +60,6 @@ from .grids import (
     Grid,
     SpectralExponent,
     apply_fractional_laplacian,
-    h_half_inner,
-    h_half_norm,
     integrate,
     l2_inner,
     l2_norm,

@@ -1,10 +1,10 @@
 """Command-line runner: solve | diagnose | moser | sweep | audit.
 
 Exit-code contract: 0 when the requested computation succeeded and its
-certificates pass, 1 on a compute failure (partial artifacts are written),
-2 on configuration errors.  Every run writes the fully resolved config to
-the output directory; identical config and seed reproduce bit-identical
-CSV artifacts in sequential mode.
+certificates pass, 1 on a compute failure or an unconverged or uncertified
+result (partial artifacts are written), 2 on configuration errors.  Every
+run writes the fully resolved config to the output directory; identical
+config and seed reproduce bit-identical CSV artifacts in sequential mode.
 """
 
 from __future__ import annotations
@@ -65,11 +65,12 @@ def _load_config(args):
     return cfg
 
 
-def _solve_potential_values(cfg):
-    """Constant potentials solve with the scalar V0 multiplier path."""
+def _potential_values(cfg, grid):
+    """The configured potential on ``grid``: a constant one is the scalar V0
+    (the multiplier path), a varying one its samples."""
     if cfg.potential.is_constant:
         return cfg.potential.V0
-    return cfg.potential.rescaled_values(cfg.grid, 1.0)
+    return cfg.potential.rescaled_values(grid, 1.0)
 
 
 def _result_payload(res, cfg):
@@ -92,7 +93,7 @@ def _result_payload(res, cfg):
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _prepare_outdir(args, cfg)
-    V = _solve_potential_values(cfg)
+    V = _potential_values(cfg, cfg.grid)
     try:
         res = solve_ground_state(cfg.family, V, cfg.grid, cfg.solver)
     except HalfwaveError as err:
@@ -112,10 +113,17 @@ def cmd_solve(args) -> int:
     payload = _result_payload(res, cfg)
     _dump_report(out, payload)
 
-    poh = res.report.pohozaev
-    ok = res.converged and payload["level_bound"]["passed"] and (poh is None or poh <= POHOZAEV_TOL)
+    ok = _certified(res.report, cfg) and payload["level_bound"]["passed"]
     print(f"level={res.level:.8f} {_summary(res.report)} converged={res.converged}")
     return 0 if ok else 1
+
+
+def _certified(report, cfg) -> bool:
+    """The exit rule of solve and diagnose: the Euler-Lagrange and Nehari
+    residuals are at most solver.el_tol, and Pohozaev, where taken, at most
+    POHOZAEV_TOL."""
+    tol, poh = cfg.solver.el_tol, report.pohozaev
+    return max(report.euler_lagrange, report.nehari) <= tol and (poh is None or poh <= POHOZAEV_TOL)
 
 
 def _summary(report) -> str:
@@ -146,10 +154,10 @@ def cmd_diagnose(args) -> int:
     u = read_field_binary(args.u)
     v = read_field_binary(args.v)
     w = PairField(u, v)
-    report = build_report(w, cfg.family, cfg.potential.V0)
+    report = build_report(w, cfg.family, _potential_values(cfg, w.grid))
     _dump_report(out, report.as_dict())
     print(_summary(report))
-    return 0
+    return 0 if _certified(report, cfg) else 1
 
 
 def cmd_moser(args) -> int:
@@ -222,7 +230,11 @@ def cmd_sweep(args) -> int:
             f"eps={rec.epsilon:g} level={rec.level:.6f} x_eps={rec.x_eps:+.4f} "
             f"dist={rec.dist_to_minima:.3e} drift={rec.profile_drift:.4f}"
         )
-    ok = not sweep.errors and sweep.levels_in_window(cfg.family.beta0)
+    unconverged = [(f"eps={r.epsilon:g}", r) for r in sweep.records if not r.converged]
+    unconverged += [(f"theta={r.theta:g}", r) for r in theta_scan.records if not r.converged]
+    for name, rec in unconverged:
+        print(f"unconverged: {name} (el_residual {rec.el_residual:.3e})", file=sys.stderr)
+    ok = not sweep.errors and not unconverged and sweep.levels_in_window(cfg.family.beta0)
     return 0 if ok else 1
 
 
@@ -253,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override solver.seed")
         p.add_argument("--threads", type=int, default=None, help="override solver.threads")
-        p.add_argument(
-            "--dump-fields", action="store_true", help="dump per-epsilon fields (sweep)"
-        )
 
     for name, fn in (
         ("solve", cmd_solve),
@@ -270,6 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "diagnose":
             p.add_argument("--u", required=True, help="binary dump of the first component")
             p.add_argument("--v", required=True, help="binary dump of the second component")
+        if name == "sweep":
+            p.add_argument("--dump-fields", action="store_true", help="dump per-epsilon fields")
 
     return parser
 

@@ -101,10 +101,6 @@ class RunConfig:
     theta_list: list
     resolved: Dict[str, Any]
 
-    @property
-    def V0(self) -> float:
-        return self.potential.V0
-
 
 @contextmanager
 def section_guard(name: str):

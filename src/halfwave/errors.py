@@ -32,14 +32,6 @@ class NoAscent(HalfwaveError):
     """Ray maximization degenerates (direction has no diagonal part)."""
 
 
-class MaxIterations(HalfwaveError):
-    """Iteration budget exhausted; ``best`` holds the best-so-far state."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
 class UnderResolved(HalfwaveError):
     """Grid spacing too coarse for the requested feature scale."""
 

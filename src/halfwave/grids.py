@@ -19,7 +19,8 @@ Conventions fixed once for the whole package:
 * the seminorm pairing ``integral((-Delta)^{1/4}u * (-Delta)^{1/4}v)`` is
   ``(h/N) * (2 * sum_j |k_j| Re(uhat_j conj(vhat_j)) - Nyquist term)`` on the
   ``rfft`` half-spectrum (:func:`half_pairing`, on sample arrays); the
-  H^{1/2} inner product adds ``V0*integral(u*v)``.
+  H^{1/2}_V inner product, ``energy.weighted_inner``, adds
+  ``integral(V*u*v)``.
 
 This module is the only place in the package that calls an FFT or builds a
 wavenumber array; every other module goes through the functions above.
@@ -214,17 +215,6 @@ def linf_norm(u: Field) -> float:
 
 def integrate(u: Field) -> float:
     return u.grid.spacing * float(np.sum(u.values))
-
-
-def h_half_inner(u: Field, v: Field, V0: float) -> float:
-    """H^{1/2} inner product: Gagliardo seminorm pairing + V0 * L2 pairing."""
-    if not V0 > 0:
-        raise InvalidField(f"V0 must be positive, got {V0}")
-    return V0 * l2_inner(u, v) + half_pairing(u.values, v.values, u.grid)
-
-
-def h_half_norm(u: Field, V0: float) -> float:
-    return float(np.sqrt(max(h_half_inner(u, u, V0), 0.0)))
 
 
 def seminorm_sq(u: Field) -> float:

@@ -40,7 +40,7 @@ from .energy import (
     weighted_inner,  # noqa: F401  (perfbench/spans.py patches these names here)
     weighted_norm,  # noqa: F401
 )
-from .errors import InvalidField, MaxIterations, NoAscent, OverflowGuard
+from .errors import InvalidField, NoAscent, OverflowGuard
 from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 
@@ -325,11 +325,14 @@ def inner_maximize(
     the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
+    When the residual targets are not met within ``max_inner`` iterations,
+    or the line search stalls, the last iterate is returned: its residuals
+    show the miss, and a DEBUG record on ``halfwave.nehari`` gives the
+    iterations used and the reason.
+
     Raises ValueError when ``max_inner < 1``; NoAscent when the diagonal
     part of the direction vanishes or the maximum collapses to the origin;
-    OverflowGuard when an iterate leaves the exp-safe amplitude range;
-    MaxIterations (carrying the best point) when the residual targets are
-    not met within ``max_inner`` iterations or the line search stalls.
+    OverflowGuard when an iterate leaves the exp-safe amplitude range.
     """
     if max_inner < 1:
         raise ValueError("max_inner must be >= 1")
@@ -403,11 +406,11 @@ def inner_maximize(
             break
         t, q, q_norm_sq, j_cur = t_try, q_try, q_try_norm_sq, j_try
 
-    raise MaxIterations(
-        f"inner maximization: residuals ({ray_res:.2e}, {minus_res:.2e}) "
-        f"above tol {inner_tol:.2e}, {iters} of {max_inner} iterations used ({reason})",
-        best=point(ray_res, minus_res, j_cur),
+    log.debug(
+        "inner maximization: residuals (%.2e, %.2e) above tol %.2e, %d of %d iterations used (%s)",
+        ray_res, minus_res, inner_tol, iters, max_inner, reason,
     )
+    return point(ray_res, minus_res, j_cur)
 
 
 # -- Newton polish ------------------------------------------------------------
@@ -603,8 +606,10 @@ def outer_minimize(
     otherwise.  When the early constant-V polish is rejected, the descent
     resumes to the varying-V threshold and polishes there.  A descent whose
     Armijo search (MAX_LINESEARCH trials) finds no decrease is polished
-    where it stopped; one that runs out of ``max_outer`` steps raises
-    MaxIterations carrying its best point.
+    where it stopped; one that runs out of ``max_outer`` steps returns its
+    last state unpolished, with the message "max_outer reached", and logs
+    the gradient at INFO.  An inner solve that misses its targets enters
+    the descent with the point it reached.
     """
     grid = init_direction.grid
     h = grid.spacing
@@ -675,11 +680,9 @@ def outer_minimize(
             a_try = _diag_normalize(a - step * d, grid, Va)
             try:
                 pt_try = eval_F(a_try, warm_t, warm_phi, inner_tol_eff)
-            except (NoAscent, MaxIterations) as err:
-                pt_try = getattr(err, "best", None)
-                if pt_try is None:
-                    step *= ARMIJO_SHRINK
-                    continue
+            except NoAscent:
+                step *= ARMIJO_SHRINK
+                continue
             if pt_try.level <= point.level - ARMIJO_C * step * slope:
                 accepted = True
                 break
@@ -694,11 +697,11 @@ def outer_minimize(
         last = (a, ka, g, kg)
         a, point = a_try, pt_try
     else:
-        raise MaxIterations(
-            f"outer descent: gradient {grad_norm:.2e} above tol {cfg.outer_tol:.2e} "
-            f"after {cfg.max_outer} steps",
-            best=_finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached"),
+        log.info(
+            "outer descent: gradient %.2e above tol %.2e after %d steps",
+            grad_norm, cfg.outer_tol, cfg.max_outer,
         )
+        return _finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached")
 
     message = message or "descent converged"
     return _polish(point, fam, V, trace, cfg, restart_index, message, early=False)
@@ -817,8 +820,8 @@ def solve_ground_state(
 ) -> GroundStateResult:
     """Run the descent from several starts and keep the best feasible level.
 
-    Restarts that exhaust their budget contribute their best-so-far
-    candidate; restarts that end in NoAscent or OverflowGuard are dropped
+    Every restart that ends yields a result, unconverged when it ran out
+    of budget; restarts that end in NoAscent or OverflowGuard are dropped
     and logged (INFO on ``halfwave.nehari``).  The merge prefers feasible
     results (residuals at tolerance), then the lowest level up to
     ``LEVEL_TIE_RTOL``, then the lowest restart index, which makes the
@@ -832,10 +835,6 @@ def solve_ground_state(
         idx, init = args
         try:
             return outer_minimize(init, fam, V, cfg, restart_index=idx)
-        except MaxIterations as err:
-            if err.best is not None:
-                return err.best
-            raise
         except (NoAscent, OverflowGuard) as err:
             log.info("restart %d dropped: %s: %s", idx, type(err).__name__, err)
             return None

@@ -250,8 +250,9 @@ def concentration_sweep(
     multi-starts (``solve_rescaled``); every later rung warm-starts from the
     previous solution (continuation), moved so that a peak at y on rung eps
     sits at y * eps / eps' on rung eps' (the same physical point, so the
-    profile stays in its well).  Per-epsilon failures are recorded, the next
-    rung starts cold again, and the sweep continues.
+    profile stays in its well).  A rung that runs out of budget is recorded
+    with ``converged`` false; a rung that raises is recorded in ``errors``,
+    the next rung starts cold again, and the sweep continues.
     """
     eps = check_eps_ladder(eps_list)
 

@@ -125,6 +125,11 @@ class TestSolveCommand:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["converged"] is False
 
+    def test_dump_fields_is_a_sweep_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--dump-fields", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
 
 class TestDiagnoseCommand:
     def test_zero_fields_report_zero(self, tmp_path, capsys):
@@ -169,6 +174,21 @@ class TestDiagnoseCommand:
         # solve and diagnose certify with one function and write one schema
         solved = yaml.safe_load((out / "report.yaml").read_text())
         assert solved["residuals"] == report
+
+    def test_roundtrip_on_a_varying_potential(self, tmp_path):
+        cfg = tmp_path / "well.yaml"
+        write_yaml(cfg, {"potential": {"type": "single_well"}, "solver": {"restarts": 1}})
+        solved = tmp_path / "solved"
+        assert main(["solve", "--config", str(cfg), "--out", str(solved)]) == 0
+        fields = ["--u", str(solved / "u.bin"), "--v", str(solved / "v.bin")]
+        rep = tmp_path / "rep"
+        assert main(["diagnose", "--config", str(cfg), *fields, "--out", str(rep)]) == 0
+        report = yaml.safe_load((rep / "report.yaml").read_text())
+        assert yaml.safe_load((solved / "report.yaml").read_text())["residuals"] == report
+        # the same fields do not solve the system with another potential
+        other = tmp_path / "other.yaml"
+        write_yaml(other, {"potential": {"type": "single_well", "V0": 1.2}})
+        assert main(["diagnose", "--config", str(other), *fields, "--out", str(rep)]) == 1
 
 
 class TestMoserCommand:
@@ -226,6 +246,27 @@ class TestSweepCommand:
         assert summary["theta_strictly_increasing"] is True
         assert (out / "theta.csv").exists()
         assert (out / "u_eps_0.125.bin").exists()
+
+    def test_unconverged_rungs_exit_one(self, tmp_path, capsys):
+        # every rung and theta level runs out of its one outer step, and
+        # each is still written
+        cfg = tmp_path / "s1.yaml"
+        write_yaml(
+            cfg,
+            {
+                "grid": {"length": 80.0, "n_points": 4096},
+                "potential": {"type": "single_well", "V0": 1.0, "Vinf": 2.0},
+                "solver": {"restarts": 1, "seed": 0, "max_outer": 1},
+                "theta": {"theta_list": [1.0, 2.0]},
+            },
+        )
+        out = tmp_path / "sw1"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+        assert len((out / "sweep.csv").read_text().strip().split("\n")) == 5
+        assert yaml.safe_load((out / "sweep_summary.yaml").read_text())["errors"] == {}
+        err = capsys.readouterr().err
+        for name in ("eps=1 ", "eps=0.5 ", "eps=0.25 ", "eps=0.125 ", "theta=1 ", "theta=2 "):
+            assert f"unconverged: {name}" in err
 
     def test_box_too_small_fails(self, tmp_path, capsys):
         cfg = tmp_path / "s2.yaml"

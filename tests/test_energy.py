@@ -19,7 +19,7 @@ from halfwave.energy import (
 )
 from halfwave.errors import GridMismatch
 from halfwave.families import builtin_family
-from halfwave.grids import Field, Grid, h_half_inner, l2_inner
+from halfwave.grids import Field, Grid, l2_inner
 
 from _testutil import gaussian_bump, smooth_random, smooth_random_pair
 
@@ -81,8 +81,6 @@ class TestDecomposition:
             v = Field(other, np.ones(other.n_points))
             with pytest.raises(GridMismatch):
                 weighted_inner(u, v, 1.0)
-            with pytest.raises(GridMismatch):
-                h_half_inner(u, v, 1.0)
 
 
 class TestPhi:
@@ -132,7 +130,7 @@ class TestEnergy:
             u = smooth_random(grid, np.random.default_rng(seed), amplitude=0.6)
             w = PairField(u, -u)
             val = energy(w, fam, 1.0)
-            expected = -h_half_inner(u, u, 1.0) - phi(w, fam)
+            expected = -weighted_inner(u, u, 1.0) - phi(w, fam)
             assert val <= 0.0
             assert val == pytest.approx(expected, rel=1e-12)
 
@@ -162,7 +160,7 @@ class TestEnergy:
         v = smooth_random(grid, rng)
         arr = np.full(grid.n_points, 1.7)
         assert weighted_inner(u, v, arr) == pytest.approx(
-            h_half_inner(u, v, 1.7), rel=1e-13
+            weighted_inner(u, v, 1.7), rel=1e-13
         )
 
 

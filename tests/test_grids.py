@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from halfwave.energy import weighted_inner, weighted_norm
 from halfwave.errors import GridMismatch, InvalidField
 from halfwave.grids import (
     HALF,
@@ -14,8 +15,6 @@ from halfwave.grids import (
     Grid,
     SpectralExponent,
     apply_fractional_laplacian,
-    h_half_inner,
-    h_half_norm,
     half_pairing,
     halflap,
     integrate,
@@ -137,26 +136,26 @@ class TestInnerProducts:
         for m in (1, 4, 9):
             u = Field(g, np.cos(2.0 * np.pi * m * g.x / g.length))
             expected = (2.0 * np.pi * m / g.length + V0) * g.length / 2.0
-            assert h_half_inner(u, u, V0) == pytest.approx(expected, rel=1e-10)
+            assert weighted_inner(u, u, V0) == pytest.approx(expected, rel=1e-10)
 
     def test_distinct_modes_orthogonal(self):
         g = Grid(40.0, 512)
         u = Field(g, np.cos(2.0 * np.pi * 3 * g.x / g.length))
         v = Field(g, np.cos(2.0 * np.pi * 5 * g.x / g.length))
-        bound = 1e-12 * h_half_norm(u, 1.0) * h_half_norm(v, 1.0)
-        assert abs(h_half_inner(u, v, 1.0)) <= bound
+        bound = 1e-12 * weighted_norm(u, 1.0) * weighted_norm(v, 1.0)
+        assert abs(weighted_inner(u, v, 1.0)) <= bound
 
     def test_double_sum_quadrature_oracle(self):
         g = Grid(40.0, 2048)
         rng = np.random.default_rng(7)
         u = smooth_random(g, rng)
         v = smooth_random(g, rng)
-        spec = h_half_inner(u, v, 1.0)
+        spec = weighted_inner(u, v, 1.0)
         oracle = gagliardo_double_sum(u.values, v.values, g.x, g.length, 1.0)
-        scale = h_half_norm(u, 1.0) * h_half_norm(v, 1.0)
+        scale = weighted_norm(u, 1.0) * weighted_norm(v, 1.0)
         assert abs(oracle - spec) <= 0.01 * scale
         # same-field case has no cancellation: plain relative agreement
-        spec_uu = h_half_inner(u, u, 1.0)
+        spec_uu = weighted_inner(u, u, 1.0)
         oracle_uu = gagliardo_double_sum(u.values, u.values, g.x, g.length, 1.0)
         assert oracle_uu == pytest.approx(spec_uu, rel=0.01)
 
@@ -165,20 +164,20 @@ class TestInnerProducts:
         rng = np.random.default_rng(3)
         u = smooth_random(g, rng)
         v = smooth_random(g, rng)
-        assert h_half_inner(u, v, 2.0) == pytest.approx(h_half_inner(v, u, 2.0), rel=1e-13)
-        assert h_half_inner(u, u, 2.0) > 0
+        assert weighted_inner(u, v, 2.0) == pytest.approx(weighted_inner(v, u, 2.0), rel=1e-13)
+        assert weighted_inner(u, u, 2.0) > 0
 
     def test_lower_bound_by_l2(self):
         g = Grid(40.0, 256)
         u = smooth_random(g, np.random.default_rng(5))
-        assert h_half_inner(u, u, 1.7) >= 1.7 * l2_norm(u) ** 2 - 1e-12
+        assert weighted_inner(u, u, 1.7) >= 1.7 * l2_norm(u) ** 2 - 1e-12
 
     def test_translation_invariance(self):
         g = Grid(40.0, 256)
         u = smooth_random(g, np.random.default_rng(9))
-        base = h_half_inner(u, u, 1.0)
+        base = weighted_inner(u, u, 1.0)
         shifted = u.shift(37)
-        assert h_half_inner(shifted, shifted, 1.0) == pytest.approx(base, rel=1e-12)
+        assert weighted_inner(shifted, shifted, 1.0) == pytest.approx(base, rel=1e-12)
 
     def test_plancherel(self):
         g = Grid(40.0, 256)
@@ -221,11 +220,11 @@ class TestQuadrature:
         rng = np.random.default_rng(23)
         u = smooth_random(g, rng)
         v = smooth_random(g, rng)
-        assert h_half_inner(u, v, 2.2) == pytest.approx(
-            h_half_inner(u, v, 1.0) + 1.2 * l2_inner(u, v), rel=1e-11
+        assert weighted_inner(u, v, 2.2) == pytest.approx(
+            weighted_inner(u, v, 1.0) + 1.2 * l2_inner(u, v), rel=1e-11
         )
         assert seminorm_sq(u) == pytest.approx(
-            h_half_inner(u, u, 1.0) - l2_norm(u) ** 2, rel=1e-11
+            weighted_inner(u, u, 1.0) - l2_norm(u) ** 2, rel=1e-11
         )
 
 

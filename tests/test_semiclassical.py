@@ -194,7 +194,7 @@ class TestResolvedDoubleWell:
         return double_well(1.0, 2.0, separation=2.0)
 
     def test_cold_descent_from_the_well_converges(self, fam, cfg, grid, pot):
-        # steepest descent: MaxIterations after 600 steps at level 1.0167383
+        # steepest descent: out of its 600 steps at level 1.0167383
         eps = 0.5
         bump = Field(grid, np.exp(-((grid.x + 2.0 / eps) ** 2) / 2.0))
         res = outer_minimize(PairField(bump, bump), fam, pot.rescaled_values(grid, eps), cfg)
