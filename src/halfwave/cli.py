@@ -22,8 +22,8 @@ from .energy import PairField
 from .errors import ConfigError, HalfwaveError
 from .families import audit_hypotheses
 from .grids import read_field_binary, write_field_binary, write_field_csv
-from .nehari import build_report, solve_ground_state
-from .semiclassical import autonomous_level_vs_theta, concentration_sweep
+from .nehari import build_report
+from .semiclassical import autonomous_level_vs_theta, concentration_sweep, solve_rescaled
 
 POHOZAEV_TOL = 1e-3
 
@@ -65,14 +65,6 @@ def _load_config(args):
     return cfg
 
 
-def _potential_values(cfg, grid):
-    """The configured potential on ``grid``: a constant one is the scalar V0
-    (the multiplier path), a varying one its samples."""
-    if cfg.potential.is_constant:
-        return cfg.potential.V0
-    return cfg.potential.rescaled_values(grid, 1.0)
-
-
 def _result_payload(res, cfg):
     bound = level_bound_check(res.level, cfg.family.beta0)
     return {
@@ -93,9 +85,8 @@ def _result_payload(res, cfg):
 def cmd_solve(args) -> int:
     cfg = _load_config(args)
     out = _prepare_outdir(args, cfg)
-    V = _potential_values(cfg, cfg.grid)
     try:
-        res = solve_ground_state(cfg.family, V, cfg.grid, cfg.solver)
+        res = solve_rescaled(1.0, cfg.potential, cfg.family, cfg.grid, cfg.solver)
     except HalfwaveError as err:
         _write_yaml(out / "report.yaml", {"error": str(err)})
         print(f"solve failed: {err}", file=sys.stderr)
@@ -154,7 +145,7 @@ def cmd_diagnose(args) -> int:
     u = read_field_binary(args.u)
     v = read_field_binary(args.v)
     w = PairField(u, v)
-    report = build_report(w, cfg.family, _potential_values(cfg, w.grid))
+    report = build_report(w, cfg.family, cfg.potential.values(w.grid, 1.0))
     _dump_report(out, report.as_dict())
     print(_summary(report))
     return 0 if _certified(report, cfg) else 1
@@ -230,8 +221,10 @@ def cmd_sweep(args) -> int:
             f"eps={rec.epsilon:g} level={rec.level:.6f} x_eps={rec.x_eps:+.4f} "
             f"dist={rec.dist_to_minima:.3e} drift={rec.profile_drift:.4f}"
         )
-    unconverged = [(f"eps={r.epsilon:g}", r) for r in sweep.records if not r.converged]
-    unconverged += [(f"theta={r.theta:g}", r) for r in theta_scan.records if not r.converged]
+    solves = [("autonomous", sweep.autonomous)]
+    solves += [(f"eps={r.epsilon:g}", r) for r in sweep.records]
+    solves += [(f"theta={r.theta:g}", r) for r in theta_scan.records]
+    unconverged = [(name, rec) for name, rec in solves if not rec.converged]
     for name, rec in unconverged:
         print(f"unconverged: {name} (el_residual {rec.el_residual:.3e})", file=sys.stderr)
     ok = not sweep.errors and not unconverged and sweep.levels_in_window(cfg.family.beta0)

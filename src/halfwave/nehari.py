@@ -822,7 +822,8 @@ def solve_ground_state(
 
     Every restart that ends yields a result, unconverged when it ran out
     of budget; restarts that end in NoAscent or OverflowGuard are dropped
-    and logged (INFO on ``halfwave.nehari``).  The merge prefers feasible
+    and logged (INFO on ``halfwave.nehari``), and if all are, the NoAscent
+    raised lists each one's index, error type and message.  The merge prefers feasible
     results (residuals at tolerance), then the lowest level up to
     ``LEVEL_TIE_RTOL``, then the lowest restart index, which makes the
     outcome independent of execution order and of where round-off leaves
@@ -836,8 +837,9 @@ def solve_ground_state(
         try:
             return outer_minimize(init, fam, V, cfg, restart_index=idx)
         except (NoAscent, OverflowGuard) as err:
-            log.info("restart %d dropped: %s: %s", idx, type(err).__name__, err)
-            return None
+            cause = f"restart {idx} dropped: {type(err).__name__}: {err}"
+            log.info(cause)
+            return cause
 
     tasks = list(enumerate(inits))
     if cfg.threads > 1:
@@ -845,15 +847,15 @@ def solve_ground_state(
             results = list(pool.map(run_one, tasks))
     else:
         results = [run_one(t) for t in tasks]
-    results = [r for r in results if r is not None]
-    if not results:
-        raise NoAscent("all restarts failed before producing a candidate")
+    found = [r for r in results if not isinstance(r, str)]
+    if not found:
+        raise NoAscent("all restarts failed before producing a candidate: " + "; ".join(results))
 
     # candidates within a loose residual bar compete on level; the
     # converged flag still records certificate quality, so a lower
     # near-converged state is preferred over a higher fully-converged
     # one (weakly pinned off-center states may stall at ~1e-4)
-    pool = [r for r in results if r.el_residual <= max(cfg.el_tol, 1e-3)] or results
+    pool = [r for r in found if r.el_residual <= max(cfg.el_tol, 1e-3)] or found
     lowest = min(r.level for r in pool)
     tied = [r for r in pool if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
     return min(tied, key=lambda r: r.restart_index)

@@ -3,7 +3,10 @@ import pytest
 import yaml
 
 from halfwave.cli import main
+from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid, write_field_binary
+from halfwave.nehari import SolverConfig
+from halfwave.semiclassical import double_well, solve_rescaled
 
 
 def write_yaml(path, payload):
@@ -125,6 +128,32 @@ class TestSolveCommand:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["converged"] is False
 
+    def test_varying_potential_solves_like_the_library(self, tmp_path):
+        # the well starts reach a well at 1.029147; the generic starts alone
+        # certified the state at 1.236374 with its peak at x = 0.84
+        cfg = tmp_path / "dw.yaml"
+        write_yaml(cfg, {"potential": {"type": "double_well"}})
+        out = tmp_path / "dw"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        lib = solve_rescaled(
+            1.0, double_well(1.0, 2.0, 2.0), builtin_family("cubic_exp", beta0=1.0),
+            Grid(40.0, 2048), SolverConfig(),
+        )
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["level"] == lib.level
+        assert report["restart_index"] == lib.restart_index
+
+    def test_box_too_small_exits_one(self, tmp_path, capsys):
+        # V(L/2) = V(5) is 1.688, not within 5% of Vinf = 2
+        cfg = tmp_path / "box.yaml"
+        write_yaml(
+            cfg, {"grid": {"length": 10.0, "n_points": 512}, "potential": {"type": "double_well"}}
+        )
+        out = tmp_path / "box"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "box too small" in yaml.safe_load((out / "report.yaml").read_text())["error"]
+        assert "box too small" in capsys.readouterr().err
+
     def test_dump_fields_is_a_sweep_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--dump-fields", "--out", str(tmp_path / "o")])
@@ -190,6 +219,19 @@ class TestDiagnoseCommand:
         write_yaml(other, {"potential": {"type": "single_well", "V0": 1.2}})
         assert main(["diagnose", "--config", str(other), *fields, "--out", str(rep)]) == 1
 
+    def test_box_too_small_exits_one(self, tmp_path, capsys):
+        # zero fields pass every certificate, but diagnose applies the box
+        # rule of solve: V(L/2) = V(5) is too far from Vinf
+        z = Field(Grid(10.0, 256), np.zeros(256))
+        write_field_binary(z, tmp_path / "u.bin")
+        write_field_binary(z, tmp_path / "v.bin")
+        cfg = tmp_path / "box.yaml"
+        write_yaml(cfg, {"potential": {"type": "double_well"}})
+        fields = ["--u", str(tmp_path / "u.bin"), "--v", str(tmp_path / "v.bin")]
+        code = main(["diagnose", "--config", str(cfg), *fields, "--out", str(tmp_path / "rep")])
+        assert code == 1
+        assert "box too small" in capsys.readouterr().err
+
 
 class TestMoserCommand:
     def test_csv_shape(self, tmp_path):
@@ -248,8 +290,8 @@ class TestSweepCommand:
         assert (out / "u_eps_0.125.bin").exists()
 
     def test_unconverged_rungs_exit_one(self, tmp_path, capsys):
-        # every rung and theta level runs out of its one outer step, and
-        # each is still written
+        # the autonomous solve, every rung and theta level run out of their
+        # one outer step, and each is still written
         cfg = tmp_path / "s1.yaml"
         write_yaml(
             cfg,
@@ -265,7 +307,8 @@ class TestSweepCommand:
         assert len((out / "sweep.csv").read_text().strip().split("\n")) == 5
         assert yaml.safe_load((out / "sweep_summary.yaml").read_text())["errors"] == {}
         err = capsys.readouterr().err
-        for name in ("eps=1 ", "eps=0.5 ", "eps=0.25 ", "eps=0.125 ", "theta=1 ", "theta=2 "):
+        names = ("autonomous ", "eps=1 ", "eps=0.5 ", "eps=0.25 ", "eps=0.125 ", "theta=1 ", "theta=2 ")
+        for name in names:
             assert f"unconverged: {name}" in err
 
     def test_box_too_small_fails(self, tmp_path, capsys):

@@ -478,6 +478,12 @@ class TestRestartMerge:
         assert dropped[0].getMessage().startswith("restart 0 dropped: NoAscent: ")
         assert won.restart_index == 1
         assert won.converged
+        # when every restart is dropped, the error keeps each one's cause
+        with pytest.raises(NoAscent) as exc:
+            solve_ground_state(fam, 1.0, grid, cfg, inits=[PairField(b, -b), PairField(b, -b)])
+        msg = str(exc.value)
+        for idx in (0, 1):
+            assert f"restart {idx} dropped: NoAscent: diagonal direction vanished" in msg
 
 
 def _translated(w, s):
@@ -811,6 +817,52 @@ def test_certificates_are_taken_in_one_function():
                         callers[name].add(f"{path.stem}.{fn.name}")
     assert callers == {name: {"nehari.build_report"} for name in CERTIFICATES}
 
+
+def top_level_callers(source, names):
+    """{name: {"function" or "Class.method"}} of the calls to ``names`` (by
+    function or attribute name) in ``source``, each under its enclosing
+    top-level definition, so calls in nested functions count for it."""
+    callers = {name: set() for name in names}
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
+        else:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+        for scope, tree in scopes:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in callers:
+                        callers[name].add(scope)
+    return callers
+
+
+def test_one_path_from_a_potential_to_a_solve():
+    # a second runner of starts, or a second place that samples a potential,
+    # lets two entry points hand the solver different inputs or starts
+    callers = {"outer_minimize": set(), "evaluate": set()}
+    for path in (Path(__file__).resolve().parents[1] / "src" / "halfwave").glob("*.py"):
+        for name, scopes in top_level_callers(path.read_text(), callers).items():
+            callers[name] |= {f"{path.stem}.{scope}" for scope in scopes}
+    assert callers == {
+        "outer_minimize": {"nehari.solve_ground_state"},
+        "evaluate": {"semiclassical.Potential.values"},
+    }
+
+
+def test_caller_guard_sees_nested_and_method_calls():
+    callers = top_level_callers(
+        "def solve(x):\n"
+        "    def run(y):\n"
+        "        return outer_minimize(y)\n"
+        "    return run(x)\n"
+        "class P:\n"
+        "    def values(self, g):\n"
+        "        return self.evaluate(g)\n"
+        "outer_minimize(0)\n",
+        ("outer_minimize", "evaluate"),
+    )
+    assert callers == {"outer_minimize": {"solve", "<module>"}, "evaluate": {"P.values"}}
 
 def test_loop_guard_sees_calls():
     flagged = banned_loop_calls(

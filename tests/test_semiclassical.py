@@ -54,16 +54,24 @@ class TestPotentials:
 
     def test_rescaled_values_guarded(self, sweep_grid):
         pot = single_well(1.0, 2.0)
-        vals = pot.rescaled_values(sweep_grid, 0.5)
+        vals = pot.values(sweep_grid, 0.5)
         assert np.min(vals) >= 1.0 - 1e-12
         with pytest.raises(InvalidField):
-            pot.rescaled_values(sweep_grid, -1.0)
+            pot.values(sweep_grid, -1.0)
 
     def test_box_check(self, sweep_grid):
         pot = single_well(1.0, 2.0)
-        pot.check_box(sweep_grid, 0.25)
+        pot.values(sweep_grid, 0.25)
         with pytest.raises(InvalidField):
-            pot.check_box(sweep_grid, 0.005)
+            pot.values(sweep_grid, 0.005)
+
+    def test_constant_values_are_the_scalar(self):
+        # the multiplier path, on any box; eps is still checked
+        pot = constant_potential(1.5)
+        small = Grid(1.0, 64)
+        assert pot.values(small, 0.01) == 1.5 and np.ndim(pot.values(small, 0.01)) == 0
+        with pytest.raises(InvalidField, match="positive"):
+            pot.values(small, 0.0)
 
     def test_registry(self):
         assert set(POTENTIALS) == {"constant", "single_well", "double_well"}
@@ -74,7 +82,12 @@ class TestSolveRescaled:
         grid = Grid(40.0, 1024)
         auto = solve_ground_state(fam, 1.0, grid, cfg)
         res = solve_rescaled(1.0, constant_potential(1.0), fam, grid, cfg)
-        assert res.level == pytest.approx(auto.level, rel=1e-6)
+        # the same solve exactly: the scalar V0, the generic starts only
+        assert res.level == auto.level
+        assert res.report == auto.report
+        assert res.restart_index == auto.restart_index
+        assert res.w.u.values.tobytes() == auto.w.u.values.tobytes()
+        assert res.w.v.values.tobytes() == auto.w.v.values.tobytes()
 
     def test_level_strictly_above_autonomous(self, fam, cfg, sweep_grid):
         auto = solve_ground_state(fam, 1.0, sweep_grid, cfg)
@@ -197,7 +210,7 @@ class TestResolvedDoubleWell:
         # steepest descent: out of its 600 steps at level 1.0167383
         eps = 0.5
         bump = Field(grid, np.exp(-((grid.x + 2.0 / eps) ** 2) / 2.0))
-        res = outer_minimize(PairField(bump, bump), fam, pot.rescaled_values(grid, eps), cfg)
+        res = outer_minimize(PairField(bump, bump), fam, pot.values(grid, eps), cfg)
         assert res.converged
         assert len(res.trace) <= 100
         assert res.level == pytest.approx(1.0167004271, rel=1e-8, abs=0)
