@@ -76,7 +76,6 @@ from .nehari import (
     build_report,
     inner_maximize,
     outer_minimize,
-    scalar_diagonal_solve,
     solve_ground_state,
 )
 from .semiclassical import (

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .errors import GridMismatch, InvalidField
 from .families import NonlinearityFamily
 from .grids import Field, Grid, half_pairing, halflap, inv_multiplier
+from .krylov import Operator, cg
 
 PotentialValues = Union[float, np.ndarray]
 
@@ -145,10 +145,8 @@ def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
     def apply_prec(x):
         return inv_multiplier(x, grid, vbar)
 
-    op = LinearOperator((n, n), matvec=apply_op)
-    prec = LinearOperator((n, n), matvec=apply_prec)
-    x0 = apply_prec(rhs)
-    sol, info = cg(op, rhs, x0=x0, rtol=RIESZ_RTOL, atol=0.0, M=prec, maxiter=400)
+    op = Operator((n, n), float, apply_op)
+    sol, info = cg(op, rhs, x0=apply_prec(rhs), M=apply_prec, rtol=RIESZ_RTOL)
     if info != 0:
         raise InvalidField(f"Riesz CG solve did not converge (info={info})")
     return sol

@@ -1,0 +1,109 @@
+"""Matrix-free Krylov solvers for the Newton polish and the Riesz solves.
+
+``gmres`` is restarted GMRES with right preconditioning (Saad & Schultz,
+SIAM J. Sci. Stat. Comput. 7, 1986).  It minimizes the true residual over
+x0 + M K_k(A M, r0), so it stops on ||b - A x|| <= rtol ||b||, the
+quantity an inexact-Newton forcing term is written for.  ``cg`` is
+preconditioned conjugate gradients for a symmetric positive definite A
+and a symmetric positive definite M.
+
+A is anything with ``shape``, ``dtype`` and ``matvec`` (an `Operator`, or a
+scipy ``LinearOperator``); M is a plain callable.  Both return (x, info):
+info == 0 when the tolerance is met, otherwise the budget spent (GMRES
+cycles, CG iterations), with x the last iterate.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+EPS = np.finfo(float).eps
+
+
+class Operator(NamedTuple):
+    """A linear map given only by its action on a vector."""
+
+    shape: tuple
+    dtype: type
+    matvec: Callable[[np.ndarray], np.ndarray]
+
+
+def gmres(A, b, *, M: Callable, rtol=1e-5, restart=60, maxiter=200):
+    """Solve A x = b from x0 = 0 by GMRES(restart) on A M, at most maxiter cycles.
+
+    Each cycle runs Arnoldi with modified Gram-Schmidt and Givens rotations
+    until the rotated residual, equal to the true one in exact arithmetic,
+    meets the tolerance (or is NaN, or the basis breaks down); the true
+    residual of the updated x, one product, then decides.
+    """
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    beta = np.linalg.norm(b)
+    if beta == 0.0:
+        return x, 0
+    tol = rtol * beta
+    m = min(restart, b.size)
+    basis = np.empty((m + 1, b.size))
+    hess = np.zeros((m, m))  # the rotated Hessenberg matrix: upper triangular
+    cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+    r = b
+    for cycle in range(1, maxiter + 1):
+        basis[0] = r / beta
+        g[:] = 0.0
+        g[0] = beta
+        for j in range(m):
+            w = np.array(A.matvec(M(basis[j])), dtype=float)
+            w_norm = np.linalg.norm(w)
+            for i in range(j + 1):
+                hess[i, j] = w @ basis[i]
+                w -= hess[i, j] * basis[i]
+            h_next = np.linalg.norm(w)
+            for i in range(j):
+                hi, hn = hess[i, j], hess[i + 1, j]
+                hess[i, j], hess[i + 1, j] = cs[i] * hi + sn[i] * hn, cs[i] * hn - sn[i] * hi
+            d = np.hypot(hess[j, j], h_next)
+            cs[j], sn[j] = (hess[j, j] / d, h_next / d) if d > 0.0 else (1.0, 0.0)
+            hess[j, j] = d
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            breakdown = h_next <= EPS * w_norm
+            if breakdown or not abs(g[j + 1]) > tol:
+                break
+            basis[j + 1] = w / h_next
+        k = j + 1
+        y = g[:k].copy()
+        for i in range(k - 1, -1, -1):  # back substitution; a zero pivot drops its direction
+            y[i] = (y[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i] if hess[i, i] else 0.0
+        x = x + M(y @ basis[:k])
+        r = b - A.matvec(x)
+        beta = np.linalg.norm(r)
+        if beta <= tol:
+            return x, 0
+        if breakdown or not np.isfinite(beta):
+            break
+    return x, cycle
+
+
+def cg(A, b, *, M: Callable, x0=None, rtol=1e-5, maxiter=400):
+    """Solve A x = b by preconditioned CG from x0 (zero by default), at most
+    maxiter iterations, stopping on the recursive residual."""
+    b = np.asarray(b, dtype=float)
+    if not b.any():
+        return np.zeros_like(b), 0
+    tol = rtol * np.linalg.norm(b)
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A.matvec(x) if x.any() else b.copy()
+    p = rho_prev = None
+    for _ in range(maxiter):
+        if np.linalg.norm(r) <= tol:
+            return x, 0
+        z = M(r)
+        rho = r @ z
+        p = z.copy() if p is None else z + (rho / rho_prev) * p  # M may return r itself
+        q = A.matvec(p)
+        alpha = rho / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, (0 if np.linalg.norm(r) <= tol else maxiter)

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .diagnostics import ResidualReport, decay_profile, pohozaev_residual, recenter_pair
 from .energy import (
@@ -43,6 +42,7 @@ from .energy import (
 from .errors import InvalidField, NoAscent, OverflowGuard
 from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
+from .krylov import Operator, gmres
 
 # target of the inner residuals, and the iteration budget of inner_maximize
 INNER_TOL = 1e-9
@@ -65,8 +65,8 @@ EW_ETA_MAX = 0.5
 # inner slice Newton: largest CG forcing term, and the CG iteration cap
 SLICE_ETA_MAX = 0.03
 SLICE_CG_MAX = 20
-# Armijo backtracking of the outer descent and of the scalar oracle: trial
-# budget, sufficient-decrease constant and step shrink factor
+# Armijo backtracking of the outer descent: trial budget, sufficient-decrease
+# constant and step shrink factor
 MAX_LINESEARCH = 30
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -419,8 +419,9 @@ def inner_maximize(
 def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     """Matrix-free Newton refinement of the coupled strong system.
 
-    The linear solves are GMRES preconditioned by the inverse multiplier, to
-    the Eisenstat-Walker choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
+    The linear solves are GMRES preconditioned on the right by the inverse
+    multiplier, so the true linear residual meets the Eisenstat-Walker
+    choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
     floored at half the relative accuracy the target needs.  A step that can
     reach the target solves to exactly that accuracy, 0.5 target / residual,
     so the last step lands well below the target instead of anywhere below
@@ -454,8 +455,6 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     def prec(x):
         return inv_multiplier(x.reshape(2, n), grid, vbar).ravel()
 
-    pc = LinearOperator((2 * n, 2 * n), matvec=prec)
-
     # Jacobian at the current iterate (fp, gp) with the Levenberg-Marquardt
     # shift lam; matvecs counts its applications for the step log
     def jac(x):
@@ -466,7 +465,7 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
         return np.concatenate([au + (Va + lam) * xu - gp * xv,
                                av + (Va + lam) * xv - fp * xu])
 
-    op = LinearOperator((2 * n, 2 * n), matvec=jac, dtype=float)
+    op = Operator((2 * n, 2 * n), float, jac)
 
     uv = np.concatenate([w.u.values, w.v.values])
     r, nl = strong(uv)
@@ -496,7 +495,7 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
         improved = False
         damp = 0.0
         for _ in range(6):
-            delta, info = gmres(op, r, M=pc, rtol=eta, atol=0.0, restart=60, maxiter=200)
+            delta, info = gmres(op, r, M=prec, rtol=eta)
             step_size = np.sqrt(h) * np.linalg.norm(delta)
             if info != 0 or step_size > 0.5 * scale:
                 lam = max(4.0 * lam, 1e-3)
@@ -859,132 +858,3 @@ def solve_ground_state(
     lowest = min(r.level for r in pool)
     tied = [r for r in pool if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
     return min(tied, key=lambda r: r.restart_index)
-
-
-# -- scalar diagonal oracle -------------------------------------------------------
-
-
-def scalar_diagonal_solve(
-    fam: NonlinearityFamily, V, grid: Grid, cfg: SolverConfig, init: Optional[Field] = None
-) -> Field:
-    """Independent single-equation solve of (-Delta)^{1/2}u + V u = f(u).
-
-    Classic scalar constrained-ray descent: on the unit sphere the ray
-    coordinate is maximized by a bracketed search, and the sphere direction
-    descends along the projected gradient; a scalar Newton polish finishes.
-    Requires a symmetric family (f = g); then (u, u) solves the full system.
-    """
-    if not fam.symmetric:
-        raise NoAscent("scalar diagonal solve requires f = g")
-    h = grid.spacing
-    Va = potential_array(V, grid)
-    vbar = float(np.mean(Va))
-
-    def normalize(vals):
-        nrm = norm_values(vals, Va, grid)
-        if nrm <= 1e-14:
-            raise NoAscent("scalar direction vanished")
-        return vals / nrm
-
-    def scalar_I(t, d):
-        vals = t * d
-        if np.max(np.abs(vals)) > fam.max_safe_amplitude():
-            return -np.inf
-        return 0.5 * t * t - h * float(np.sum(fam.F(vals)))
-
-    def best_t(d, t0):
-        t_hi = max(2.0 * t0, 1.0)
-        while scalar_I(t_hi, d) > scalar_I(0.5 * t_hi, d):
-            t_hi *= 1.7
-            if t_hi > 1e8:
-                break
-        ts = np.linspace(0.0, t_hi, 48)
-        js = [scalar_I(t, d) for t in ts]
-        j = int(np.argmax(js))
-        a, b = ts[max(j - 1, 0)], ts[min(j + 1, len(ts) - 1)]
-        for _ in range(200):
-            if b - a <= 1e-13 * (1.0 + b):
-                break
-            m1 = a + (b - a) / 3.0
-            m2 = b - (b - a) / 3.0
-            if scalar_I(m1, d) < scalar_I(m2, d):
-                a = m1
-            else:
-                b = m2
-        return 0.5 * (a + b)
-
-    if init is None:
-        init = Field(grid, np.exp(-(grid.x**2) * vbar / 2.0))
-    d = normalize(init.values)
-    t = 1.0
-    alpha = 1.0
-    for _ in range(cfg.max_outer):
-        t = best_t(d, t)
-        z = t * d
-        strong_z = halflap(z, grid) + Va * z - fam.f(z)
-        grad = inv_multiplier(strong_z, grid, vbar)  # exact strong residual only
-        coeff = inner_values(grad, d, Va, grid)
-        tang = grad - coeff * d
-        gnorm = norm_values(tang, Va, grid) * t
-        if not np.isfinite(gnorm):
-            raise InvalidField("scalar descent gradient has NaN/Inf samples")
-        if gnorm <= cfg.outer_tol:
-            break
-        level = scalar_I(t, d)
-        step = alpha
-        accepted = False
-        for _ in range(MAX_LINESEARCH):
-            d_try = normalize(d - step * t * tang)
-            t_try = best_t(d_try, t)
-            if scalar_I(t_try, d_try) <= level - ARMIJO_C * step * gnorm**2:
-                d, t = d_try, t_try
-                accepted = True
-                break
-            step *= ARMIJO_SHRINK
-        if not accepted:
-            break
-        alpha = min(step / ARMIJO_SHRINK, 1e3)
-
-    u = t * d
-    # scalar Newton polish on K u = f(u)
-    def strong(x):
-        return halflap(x, grid) + Va * x - fam.f(x)
-
-    r = strong(u)
-    best_u, best_norm = u.copy(), np.sqrt(h) * np.linalg.norm(r)
-    for _ in range(15):
-        if best_norm <= 0.05 * cfg.el_tol:
-            break
-        fp = fam.fp(u)
-
-        def jac(x):
-            return halflap(x, grid) + Va * x - fp * x
-
-        def prec(x):
-            return inv_multiplier(x, grid, vbar)
-
-        op = LinearOperator((grid.n_points, grid.n_points), matvec=jac)
-        pc = LinearOperator((grid.n_points, grid.n_points), matvec=prec)
-        delta, info = gmres(op, r, M=pc, rtol=1e-6, atol=0.0, restart=60, maxiter=200)
-        if info != 0:
-            break
-        improved = False
-        damp = 1.0
-        for _ in range(8):
-            trial = u - damp * delta
-            rt = strong(trial)
-            nt = np.sqrt(h) * np.linalg.norm(rt)
-            if nt < best_norm:
-                u, r = trial, rt
-                best_u, best_norm = trial.copy(), nt
-                improved = True
-                break
-            damp *= 0.5
-        if not improved:
-            break
-
-    out = Field(grid, best_u)
-    if Va.ndim == 0:
-        pair, _ = recenter_pair(PairField(out, out))
-        out = pair.u
-    return out

@@ -1,14 +1,26 @@
 """Independent slow oracles used by the test suite.
 
-Everything here deliberately avoids the FFT code paths it is used to check:
-the singular-integral oracle goes through adaptive quadrature of the
+The operator oracles deliberately avoid the FFT code paths they are used to
+check: the singular-integral oracle goes through adaptive quadrature of the
 periodized kernel, the Gagliardo oracle through a dense double sum, the
-Moser seminorm through its closed form on the line.
+Moser seminorm through its closed form on the line.  The scalar diagonal
+solve checks the coupled two-level solver with a different scheme, and its
+Newton polish runs on scipy's GMRES rather than ``halfwave.krylov``.
 """
+
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.sparse.linalg import LinearOperator, gmres
 from scipy.special import zeta
+
+from halfwave.diagnostics import recenter_pair
+from halfwave.energy import PairField, inner_values, norm_values, potential_array
+from halfwave.errors import InvalidField, NoAscent
+from halfwave.families import NonlinearityFamily
+from halfwave.grids import Field, Grid, halflap, inv_multiplier
+from halfwave.nehari import ARMIJO_C, ARMIJO_SHRINK, MAX_LINESEARCH, SolverConfig
 
 
 def periodized(fun, L, images=2):
@@ -103,3 +115,129 @@ def moser_seminorm_sq_line(n):
         chi3 += x**m / m**3
         m += 2
     return np.pi - (7.0 * zeta(3.0) - 8.0 * chi3) / (np.pi * np.log(n))
+
+
+def scalar_diagonal_solve(
+    fam: NonlinearityFamily, V, grid: Grid, cfg: SolverConfig, init: Optional[Field] = None
+) -> Field:
+    """Independent single-equation solve of (-Delta)^{1/2}u + V u = f(u).
+
+    Classic scalar constrained-ray descent: on the unit sphere the ray
+    coordinate is maximized by a bracketed search, and the sphere direction
+    descends along the projected gradient; a scalar Newton polish finishes.
+    Requires a symmetric family (f = g); then (u, u) solves the full system.
+    """
+    if not fam.symmetric:
+        raise NoAscent("scalar diagonal solve requires f = g")
+    h = grid.spacing
+    Va = potential_array(V, grid)
+    vbar = float(np.mean(Va))
+
+    def normalize(vals):
+        nrm = norm_values(vals, Va, grid)
+        if nrm <= 1e-14:
+            raise NoAscent("scalar direction vanished")
+        return vals / nrm
+
+    def scalar_I(t, d):
+        vals = t * d
+        if np.max(np.abs(vals)) > fam.max_safe_amplitude():
+            return -np.inf
+        return 0.5 * t * t - h * float(np.sum(fam.F(vals)))
+
+    def best_t(d, t0):
+        t_hi = max(2.0 * t0, 1.0)
+        while scalar_I(t_hi, d) > scalar_I(0.5 * t_hi, d):
+            t_hi *= 1.7
+            if t_hi > 1e8:
+                break
+        ts = np.linspace(0.0, t_hi, 48)
+        js = [scalar_I(t, d) for t in ts]
+        j = int(np.argmax(js))
+        a, b = ts[max(j - 1, 0)], ts[min(j + 1, len(ts) - 1)]
+        for _ in range(200):
+            if b - a <= 1e-13 * (1.0 + b):
+                break
+            m1 = a + (b - a) / 3.0
+            m2 = b - (b - a) / 3.0
+            if scalar_I(m1, d) < scalar_I(m2, d):
+                a = m1
+            else:
+                b = m2
+        return 0.5 * (a + b)
+
+    if init is None:
+        init = Field(grid, np.exp(-(grid.x**2) * vbar / 2.0))
+    d = normalize(init.values)
+    t = 1.0
+    alpha = 1.0
+    for _ in range(cfg.max_outer):
+        t = best_t(d, t)
+        z = t * d
+        strong_z = halflap(z, grid) + Va * z - fam.f(z)
+        grad = inv_multiplier(strong_z, grid, vbar)  # exact strong residual only
+        coeff = inner_values(grad, d, Va, grid)
+        tang = grad - coeff * d
+        gnorm = norm_values(tang, Va, grid) * t
+        if not np.isfinite(gnorm):
+            raise InvalidField("scalar descent gradient has NaN/Inf samples")
+        if gnorm <= cfg.outer_tol:
+            break
+        level = scalar_I(t, d)
+        step = alpha
+        accepted = False
+        for _ in range(MAX_LINESEARCH):
+            d_try = normalize(d - step * t * tang)
+            t_try = best_t(d_try, t)
+            if scalar_I(t_try, d_try) <= level - ARMIJO_C * step * gnorm**2:
+                d, t = d_try, t_try
+                accepted = True
+                break
+            step *= ARMIJO_SHRINK
+        if not accepted:
+            break
+        alpha = min(step / ARMIJO_SHRINK, 1e3)
+
+    u = t * d
+    # scalar Newton polish on K u = f(u)
+    def strong(x):
+        return halflap(x, grid) + Va * x - fam.f(x)
+
+    r = strong(u)
+    best_u, best_norm = u.copy(), np.sqrt(h) * np.linalg.norm(r)
+    for _ in range(15):
+        if best_norm <= 0.05 * cfg.el_tol:
+            break
+        fp = fam.fp(u)
+
+        def jac(x):
+            return halflap(x, grid) + Va * x - fp * x
+
+        def prec(x):
+            return inv_multiplier(x, grid, vbar)
+
+        op = LinearOperator((grid.n_points, grid.n_points), matvec=jac)
+        pc = LinearOperator((grid.n_points, grid.n_points), matvec=prec)
+        delta, info = gmres(op, r, M=pc, rtol=1e-6, atol=0.0, restart=60, maxiter=200)
+        if info != 0:
+            break
+        improved = False
+        damp = 1.0
+        for _ in range(8):
+            trial = u - damp * delta
+            rt = strong(trial)
+            nt = np.sqrt(h) * np.linalg.norm(rt)
+            if nt < best_norm:
+                u, r = trial, rt
+                best_u, best_norm = trial.copy(), nt
+                improved = True
+                break
+            damp *= 0.5
+        if not improved:
+            break
+
+    out = Field(grid, best_u)
+    if Va.ndim == 0:
+        pair, _ = recenter_pair(PairField(out, out))
+        out = pair.u
+    return out

@@ -47,10 +47,15 @@ from halfwave.grids import (
     l2_norm,
     seminorm_sq,
 )
-from halfwave.nehari import SolverConfig, scalar_diagonal_solve, solve_ground_state
+from halfwave.nehari import SolverConfig, solve_ground_state
 from halfwave.semiclassical import concentration_sweep, single_well
 
-from _oracles import moser_seminorm_sq_line, periodized, pv_half_laplacian
+from _oracles import (
+    moser_seminorm_sq_line,
+    periodized,
+    pv_half_laplacian,
+    scalar_diagonal_solve,
+)
 from _testutil import smooth_random, smooth_random_pair, spectral_tail
 
 DEFAULT_FAM = builtin_family("cubic_exp", beta0=1.0)

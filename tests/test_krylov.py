@@ -1,0 +1,144 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.sparse.linalg import LinearOperator
+
+from halfwave.krylov import Operator, cg, gmres
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def counted(a):
+    """Operator for the matrix a whose ``calls`` list grows by one per product."""
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return a @ x
+
+    op = Operator(a.shape, float, matvec)
+    return op, calls
+
+
+def nonsymmetric(n=40, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.diag(np.linspace(4.0, 12.0, n)) + 0.3 * rng.standard_normal((n, n))
+
+
+def spd(n=40, seed=1):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (q * np.logspace(0.0, 3.0, n)) @ q.T
+
+
+def test_gmres_stops_on_the_true_residual():
+    a = nonsymmetric()
+    b = np.random.default_rng(2).standard_normal(a.shape[0])
+    # a preconditioner whose scale varies by 1e6 across components: a
+    # preconditioned residual would say little about b - A x
+    scale = np.logspace(-3.0, 3.0, a.shape[0])
+    op, _ = counted(a)
+    rtol = 1e-6
+    x, info = gmres(op, b, M=lambda v: v / (scale * np.diag(a)), rtol=rtol)
+    assert info == 0
+    assert np.linalg.norm(b - a @ x) <= rtol * np.linalg.norm(b)
+    x_tight, info = gmres(op, b, M=lambda v: v / np.diag(a), rtol=1e-13)
+    assert info == 0
+    np.testing.assert_allclose(x_tight, np.linalg.solve(a, b), rtol=0, atol=1e-11)
+
+
+def test_gmres_starved_budget_reports_failure():
+    n = 60
+    a = np.diag(np.logspace(0.0, 6.0, n)) + np.triu(np.ones((n, n)), 1)
+    b = np.ones(n)
+    op, calls = counted(a)
+    x, info = gmres(op, b, M=lambda v: v, rtol=1e-10, restart=2, maxiter=1)
+    assert info != 0
+    assert np.all(np.isfinite(x))
+    assert len(calls) == 3  # two Arnoldi products and the true residual
+
+
+def test_gmres_stops_on_a_nan_operator():
+    op, calls = counted(np.full((8, 8), np.nan))
+    x, info = gmres(op, np.ones(8), M=lambda v: v, rtol=1e-8)
+    assert info != 0
+    assert len(calls) == 2  # one Arnoldi product, one residual, no second cycle
+
+
+def test_cg_from_a_nonzero_start():
+    a = spd()
+    b = np.random.default_rng(3).standard_normal(a.shape[0])
+    x0 = np.random.default_rng(4).standard_normal(a.shape[0])
+    op, _ = counted(a)
+    x, info = cg(op, b, x0=x0, M=lambda v: v / np.diag(a), rtol=1e-13)
+    assert info == 0
+    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-10)
+    assert not np.shares_memory(x, x0)
+
+
+@pytest.mark.parametrize("solve, start", [(gmres, {}), (cg, {}), (cg, {"x0": np.ones(8)})])
+def test_zero_right_hand_side_needs_no_product(solve, start):
+    op, calls = counted(spd(8))
+    x, info = solve(op, np.zeros(8), M=lambda v: 2.0 * v, rtol=1e-10, **start)
+    assert info == 0
+    assert calls == []
+    np.testing.assert_array_equal(x, np.zeros(8))
+
+
+@pytest.mark.parametrize("solve, a", [(gmres, nonsymmetric()), (cg, spd())])
+def test_scipy_linear_operator_is_accepted(solve, a):
+    b = np.random.default_rng(5).standard_normal(a.shape[0])
+    jacobi = 1.0 / np.diag(a)
+    plain, info_plain = solve(counted(a)[0], b, M=lambda v: jacobi * v, rtol=1e-10)
+    wrapped, info = solve(LinearOperator(a.shape, matvec=lambda v: a @ v, dtype=float), b,
+                          M=lambda v: jacobi * v, rtol=1e-10)
+    assert info == info_plain == 0
+    np.testing.assert_array_equal(wrapped, plain)
+
+
+IMPORT_GUARD = """
+import sys
+
+import halfwave
+import halfwave.cli
+
+calls = {}
+
+
+def counting(module, name):
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    setattr(module, name, wrapped)
+
+
+counting(sys.modules["halfwave.nehari"], "gmres")
+counting(sys.modules["halfwave.energy"], "cg")
+fam = halfwave.builtin_family("cubic_quintic_exp", beta0=1.0)
+cfg = halfwave.SolverConfig(restarts=1, seed=0)
+halfwave.solve_ground_state(fam, 1.0, halfwave.Grid(40.0, 512), cfg)
+halfwave.solve_rescaled(1.0, halfwave.single_well(1.0, 2.0), fam, halfwave.Grid(80.0, 1024), cfg)
+print(calls.get("gmres", 0), calls.get("cg", 0))
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy"))))
+"""
+
+
+def test_runtime_imports_no_scipy():
+    # a constant-V and a single-well solve reach the Newton polish and the
+    # Riesz CG; neither they nor the CLI module may load scipy
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts, scipy_modules = (proc.stdout.splitlines() + [""])[:2]
+    n_gmres, n_cg = map(int, counts.split())
+    assert n_gmres > 0 and n_cg > 0
+    assert scipy_modules == ""

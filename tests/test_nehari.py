@@ -32,11 +32,11 @@ from halfwave.nehari import (
     initial_directions,
     inner_maximize,
     outer_minimize,
-    scalar_diagonal_solve,
     solve_ground_state,
 )
 from halfwave.semiclassical import single_well, solve_rescaled
 
+from _oracles import scalar_diagonal_solve
 from _testutil import gaussian_bump, smooth_random
 
 
@@ -767,7 +767,7 @@ class TestFaultInjection:
 LOOP_BANNED = {"Field", "PairField", "weighted_inner", "weighted_norm", "pair_inner", "ray_derivative"}
 LOOP_FUNCTIONS = {
     "inner_maximize", "_maximize_along_ray", "_slice_hessian", "_slice_pcg", "outer_minimize",
-    "_lbfgs_direction", "scalar_diagonal_solve", "_newton_polish",
+    "_lbfgs_direction", "_newton_polish",
 }
 
 
