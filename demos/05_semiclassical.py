@@ -75,8 +75,8 @@ print()
 print("=" * 72)
 print("TIE-BREAKING: TWO SYMMETRIC MINIMA AT +-2")
 print("=" * 72)
-print("(weakly pinned off-center states are stiff; the solver reports its")
-print(" best candidate with honest residuals)")
+print("(off-center states are only weakly pinned: the descent follows the")
+print(" translation mode to a 1e-5 gradient, then Newton converges)")
 pot2 = double_well(1.0, 2.0, separation=2.0)
 g2 = Grid(80.0, 8192)
 res = solve_rescaled(0.25, pot2, fam, g2, SolverConfig(restarts=1, seed=0))

@@ -4,7 +4,7 @@ Exit-code contract: 0 when the requested computation succeeded and its
 certificates pass, 1 on a compute failure or an unconverged or uncertified
 result (partial artifacts are written), 2 on configuration errors.  Every
 run writes the fully resolved config to the output directory; identical
-config and seed reproduce bit-identical CSV artifacts in sequential mode.
+config and seed reproduce bit-identical CSV artifacts.
 """
 
 from __future__ import annotations
@@ -53,15 +53,10 @@ def _prepare_outdir(args, cfg) -> Path:
 
 def _load_config(args):
     cfg = config_mod.load(args.config) if args.config else config_mod.resolve({})
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
         with config_mod.section_guard("solver"):
-            cfg.solver = replace(cfg.solver, **overrides)
-        cfg.resolved["solver"].update(overrides)
+            cfg.solver = replace(cfg.solver, seed=args.seed)
+        cfg.resolved["solver"]["seed"] = args.seed
     return cfg
 
 
@@ -257,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="YAML config file (defaults used if omitted)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override solver.seed")
-        p.add_argument("--threads", type=int, default=None, help="override solver.threads")
 
     for name, fn in (
         ("solve", cmd_solve),

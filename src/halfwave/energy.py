@@ -146,7 +146,7 @@ def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
         return inv_multiplier(x, grid, vbar)
 
     op = Operator((n, n), float, apply_op)
-    sol, info = cg(op, rhs, x0=apply_prec(rhs), M=apply_prec, rtol=RIESZ_RTOL)
+    sol, info = cg(op, rhs, M=apply_prec, rtol=RIESZ_RTOL)
     if info != 0:
         raise InvalidField(f"Riesz CG solve did not converge (info={info})")
     return sol

@@ -85,15 +85,15 @@ def gmres(A, b, *, M: Callable, rtol=1e-5, restart=60, maxiter=200):
     return x, cycle
 
 
-def cg(A, b, *, M: Callable, x0=None, rtol=1e-5, maxiter=400):
-    """Solve A x = b by preconditioned CG from x0 (zero by default), at most
-    maxiter iterations, stopping on the recursive residual."""
+def cg(A, b, *, M: Callable, rtol=1e-5, maxiter=400):
+    """Solve A x = b by preconditioned CG from x0 = 0, at most maxiter
+    iterations, stopping on the recursive residual."""
     b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
     if not b.any():
-        return np.zeros_like(b), 0
+        return x, 0
     tol = rtol * np.linalg.norm(b)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - A.matvec(x) if x.any() else b.copy()
+    r = b.copy()
     p = rho_prev = None
     for _ in range(maxiter):
         if np.linalg.norm(r) <= tol:

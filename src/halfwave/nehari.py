@@ -12,17 +12,14 @@ Armijo test on J.  A matrix-free Newton polish then drives the strong-form
 residual of the coupled system to the requested tolerance once the descent
 has localized the candidate.
 
-All randomness is seeded; restarts are independent and merged
-deterministically, so runs are reproducible bit-for-bit in sequential mode
-(``threads=1``) and thread-count independent when a pool of ``threads``
-workers runs the restarts.
+All randomness is seeded; restarts run one after another and are merged
+deterministically, so runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -55,9 +52,10 @@ LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
 # outer gradient, relative to 1 + |level|, at which the descent hands over to
 # Newton: a constant V leaves one minimizer up to translation, so Newton can
 # take over early; a varying V pins the profile only weakly, so the descent
-# must localize it first
+# must localize it first (from 1e-4, Newton spends its whole budget on the
+# double well's translation mode at eps <= 0.35)
 POLISH_HANDOFF_CONSTANT_V = 1e-2
-POLISH_HANDOFF_VARYING_V = 1e-4
+POLISH_HANDOFF_VARYING_V = 1e-5
 # Eisenstat-Walker choice-2 forcing terms for the Newton-GMRES solves
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
@@ -89,18 +87,23 @@ class SolverConfig:
     max_outer: int = 600
     restarts: int = 5
     seed: int = 0
-    threads: int = 1
+    # restarts run in sequence; perfbench/workloads.py still passes
+    # threads=1, the only value accepted.  Not a field: asdict, repr and
+    # equality leave it out
+    threads: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, threads):
+        if threads != 1:
+            raise ValueError(f"threads must be 1 (restarts run in sequence), got {threads!r}")
         for name in ("outer_tol", "el_tol"):
             val = getattr(self, name)
             if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0):
                 raise ValueError(f"{name} must be a positive number, got {val!r}")
-        for name, least in (("max_outer", 1), ("restarts", 1), ("seed", 0), ("threads", None)):
+        for name, least in (("max_outer", 1), ("restarts", 1), ("seed", 0)):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {val!r}")
-            if least is not None and val < least:
+            if val < least:
                 raise ValueError(f"{name} must be >= {least}")
 
 
@@ -817,44 +820,39 @@ def solve_ground_state(
     cfg: SolverConfig,
     inits: Optional[List[PairField]] = None,
 ) -> GroundStateResult:
-    """Run the descent from several starts and keep the best feasible level.
+    """Run the descent from each start in turn and return the merged result.
 
     Every restart that ends yields a result, unconverged when it ran out
     of budget; restarts that end in NoAscent or OverflowGuard are dropped
     and logged (INFO on ``halfwave.nehari``), and if all are, the NoAscent
-    raised lists each one's index, error type and message.  The merge prefers feasible
-    results (residuals at tolerance), then the lowest level up to
-    ``LEVEL_TIE_RTOL``, then the lowest restart index, which makes the
-    outcome independent of execution order and of where round-off leaves
-    each restart's polished residual.
+    raised lists each one's index, error type and message.  The merge
+    takes the converged results, or all of them when none converged; among
+    those, the levels within ``LEVEL_TIE_RTOL`` (relative) of the lowest;
+    among those, the first in restart order.  Round-off in a level or in a
+    polished residual therefore never picks the winner.  An unconverged
+    restart that reached a lower level than the one returned is logged at
+    WARNING.
     """
     if inits is None:
         inits = initial_directions(grid, cfg, V)
-
-    def run_one(args):
-        idx, init = args
+    found, dropped = [], []
+    for idx, init in enumerate(inits):
         try:
-            return outer_minimize(init, fam, V, cfg, restart_index=idx)
+            found.append(outer_minimize(init, fam, V, cfg, restart_index=idx))
         except (NoAscent, OverflowGuard) as err:
-            cause = f"restart {idx} dropped: {type(err).__name__}: {err}"
-            log.info(cause)
-            return cause
-
-    tasks = list(enumerate(inits))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
-    found = [r for r in results if not isinstance(r, str)]
+            dropped.append(f"restart {idx} dropped: {type(err).__name__}: {err}")
+            log.info(dropped[-1])
     if not found:
-        raise NoAscent("all restarts failed before producing a candidate: " + "; ".join(results))
+        raise NoAscent("all restarts failed before producing a candidate: " + "; ".join(dropped))
 
-    # candidates within a loose residual bar compete on level; the
-    # converged flag still records certificate quality, so a lower
-    # near-converged state is preferred over a higher fully-converged
-    # one (weakly pinned off-center states may stall at ~1e-4)
-    pool = [r for r in found if r.el_residual <= max(cfg.el_tol, 1e-3)] or found
-    lowest = min(r.level for r in pool)
-    tied = [r for r in pool if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
-    return min(tied, key=lambda r: r.restart_index)
+    candidates = [r for r in found if r.converged] or found
+    lowest = min(r.level for r in candidates)
+    best = next(r for r in candidates if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest))
+    for r in found:
+        if r.level < best.level - LEVEL_TIE_RTOL * abs(best.level):
+            log.warning(
+                "unconverged restart %d (EL residual %.2e) reached level %.15g, "
+                "below the returned %.15g (restart %d)",
+                r.restart_index, r.el_residual, r.level, best.level, best.restart_index,
+            )
+    return best

@@ -154,6 +154,15 @@ class TestSolveCommand:
         assert "box too small" in yaml.safe_load((out / "report.yaml").read_text())["error"]
         assert "box too small" in capsys.readouterr().err
 
+    def test_removed_threads_setting_exits_two(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--threads", "2", "--out", str(tmp_path / "o_flag")])
+        assert exc.value.code == 2
+        cfg = tmp_path / "threads.yaml"
+        write_yaml(cfg, {"solver": {"threads": 2}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o_key")]) == 2
+        assert "solver.'threads'" in capsys.readouterr().err
+
     def test_dump_fields_is_a_sweep_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--dump-fields", "--out", str(tmp_path / "o")])

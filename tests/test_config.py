@@ -55,7 +55,7 @@ class TestResolve:
     def test_solver_section_keys(self):
         resolved = resolve({}).resolved
         assert list(resolved["solver"]) == [
-            "outer_tol", "el_tol", "max_outer", "restarts", "seed", "threads",
+            "outer_tol", "el_tol", "max_outer", "restarts", "seed",
         ]
         assert list(resolved["sweep"]) == ["eps_list"]
 
@@ -83,9 +83,13 @@ class TestResolve:
     def test_solver_config_validates_itself(self):
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             SolverConfig(restarts=0)
-        for name in ("max_outer", "restarts", "seed", "threads"):
+        for name in ("max_outer", "restarts", "seed"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 SolverConfig(**{name: 2.5})
+        # the restarts run in sequence: threads=1 is accepted and kept nowhere
+        assert SolverConfig(threads=1) == SolverConfig()
+        with pytest.raises(ValueError, match="threads must be 1"):
+            SolverConfig(threads=3)
         with pytest.raises(ValueError, match="el_tol must be a positive number"):
             SolverConfig(el_tol="1e-6")
 

@@ -69,18 +69,7 @@ def test_gmres_stops_on_a_nan_operator():
     assert len(calls) == 2  # one Arnoldi product, one residual, no second cycle
 
 
-def test_cg_from_a_nonzero_start():
-    a = spd()
-    b = np.random.default_rng(3).standard_normal(a.shape[0])
-    x0 = np.random.default_rng(4).standard_normal(a.shape[0])
-    op, _ = counted(a)
-    x, info = cg(op, b, x0=x0, M=lambda v: v / np.diag(a), rtol=1e-13)
-    assert info == 0
-    np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=0, atol=1e-10)
-    assert not np.shares_memory(x, x0)
-
-
-@pytest.mark.parametrize("solve, start", [(gmres, {}), (cg, {}), (cg, {"x0": np.ones(8)})])
+@pytest.mark.parametrize("solve, start", [(gmres, {}), (cg, {})])
 def test_zero_right_hand_side_needs_no_product(solve, start):
     op, calls = counted(spd(8))
     x, info = solve(op, np.zeros(8), M=lambda v: 2.0 * v, rtol=1e-10, **start)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from halfwave.diagnostics import recenter_pair
+from halfwave.diagnostics import ResidualReport, recenter_pair
 from halfwave.energy import (
     PairField,
     el_residual_norms,
@@ -340,13 +340,6 @@ class TestGroundStateSolve:
         assert r1.level == r2.level
         assert np.array_equal(r1.w.u.values, r2.w.u.values)
 
-    def test_threaded_matches_sequential(self, fam, grid):
-        seq = solve_ground_state(fam, 1.0, grid, SolverConfig(restarts=3, seed=7))
-        par = solve_ground_state(
-            fam, 1.0, grid, SolverConfig(restarts=3, seed=7, threads=3)
-        )
-        assert par.level == pytest.approx(seq.level, rel=1e-12)
-
     def test_outer_budget_exhaustion(self, fam, grid, caplog):
         caplog.set_level(logging.INFO, logger="halfwave.nehari")
         cfg = SolverConfig(seed=0, max_outer=1, outer_tol=1e-14)
@@ -484,6 +477,37 @@ class TestRestartMerge:
         msg = str(exc.value)
         for idx in (0, 1):
             assert f"restart {idx} dropped: NoAscent: diagonal direction vanished" in msg
+
+    def test_merge_rule_on_canned_results(self, fam, grid, monkeypatch, caplog):
+        # converged results first, then the lowest level up to LEVEL_TIE_RTOL,
+        # then the first in restart order
+        b = gaussian_bump(grid)
+        w = PairField(b, b)
+        at_tol = ResidualReport(None, 1e-8, 1e-8, 1e-8, 1e-8, 0.0, 1.0, 1.0)
+        stalled = ResidualReport(None, 2e-4, 2e-4, 1e-8, 1e-8, 0.0, 1.0, 1.0)
+
+        def canned(*results):
+            def fake(init, fam, V, cfg, restart_index=0):
+                level, report = results[restart_index]
+                return GroundStateResult(w, level, report, converged=report is at_tol,
+                                         restart_index=restart_index)
+            monkeypatch.setattr(nehari, "outer_minimize", fake)
+            return solve_ground_state(fam, 1.0, grid, SolverConfig(restarts=1),
+                                      inits=[w] * len(results))
+
+        caplog.set_level(logging.WARNING, logger="halfwave.nehari")
+        won = canned((1.01, stalled), (1.02, at_tol), (1.03, at_tol))
+        assert (won.restart_index, won.converged) == (1, True)
+        warned = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warned) == 1
+        assert warned[0].getMessage().startswith("unconverged restart 0 (EL residual 2.00e-04)")
+        caplog.clear()
+        # none converged: the lowest level wins, and nothing lower is left
+        assert canned((1.02, stalled), (1.01, stalled)).restart_index == 1
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+        # equal levels, up to round-off: the lowest index wins
+        assert canned((1.03, at_tol), (1.02 * (1 + 1e-15), at_tol), (1.02, at_tol)).restart_index == 1
+        assert not [r for r in caplog.records if r.levelno == logging.WARNING]
 
 
 def _translated(w, s):

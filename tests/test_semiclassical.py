@@ -174,7 +174,7 @@ class TestConcentrationSweep:
         prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
         x_eps = 0.25 * sweep_grid.x[int(np.argmax(prof))]
         assert min(abs(x_eps - 2.0), abs(x_eps + 2.0)) <= 0.5
-        # a varying V hands over to Newton only at gradient 1e-4: a 1e-2
+        # a varying V hands over to Newton only at gradient 1e-5: a 1e-2
         # handoff here stops at 1.0107162330456525
         assert res.level == pytest.approx(1.0102371015541878, rel=1e-9, abs=0)
 
@@ -225,3 +225,14 @@ class TestResolvedDoubleWell:
         assert res.level == pytest.approx(1.0301417271, rel=1e-8, abs=0)
         prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
         assert abs(grid.x[int(np.argmax(prof))] + 2.03) <= 0.05
+
+    @pytest.mark.parametrize("eps, level", [(0.35, 1.0128401652), (0.25, 1.0105073101)])
+    def test_cold_solve_at_small_eps_converges(self, fam, cfg, grid, pot, eps, level):
+        # with a 1e-4 handoff Newton spent its 25 steps on the soft
+        # translation mode and stopped at EL residual 2.8e-4 and 1.2e-4
+        res = solve_rescaled(eps, pot, fam, grid, cfg)
+        assert res.converged
+        assert res.newton_steps <= 5
+        assert res.level == pytest.approx(level, rel=1e-9, abs=0)
+        prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
+        assert abs(abs(eps * grid.x[int(np.argmax(prof))]) - 2.0) <= 0.05
