@@ -172,28 +172,36 @@ def energy(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
     return weighted_inner(w.u, w.v, V) - phi(w, fam)
 
 
-def _strong_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
-    g = w.grid
-    Va = potential_array(V, g)
+def strong_residual(uv: np.ndarray, fam: NonlinearityFamily, Va, grid: Grid):
+    """The coupled system in strong form at uv = (u, v), stacked rows:
+    r = (-Delta)^{1/2} uv + V uv - nl with nl = (g(v), f(u)), so r[0] is
+    the u-equation residual and r[1] the v-equation one; ``Va`` is from
+    :func:`potential_array`.  Returns (r, nl) and guards nothing.  The Newton
+    polish and every certificate of J' take their residual here."""
+    nl = np.stack([fam.g(uv[1]), fam.f(uv[0])])
+    return halflap(uv, grid) + Va * uv - nl, nl
+
+
+def _pair_residual(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> np.ndarray:
+    """:func:`strong_residual` of a pair, behind the exp-argument guard."""
     fam.guard_amplitude(w.u.values, "u")
     fam.guard_amplitude(w.v.values, "v")
-    r_u = halflap(w.u.values, g) + Va * w.u.values - fam.g(w.v.values)  # u-equation residual
-    r_v = halflap(w.v.values, g) + Va * w.v.values - fam.f(w.u.values)  # v-equation residual
-    return r_u, r_v
+    uv = np.stack([w.u.values, w.v.values])
+    return strong_residual(uv, fam, potential_array(V, w.grid), w.grid)[0]
 
 
 def energy_gradient(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> PairField:
     """First derivative of J at w as its L2 representative: the pair pairing
     with a test (phi, psi) as integral(first*phi + second*psi), i.e. the
     Euler-Lagrange residuals (v-equation, u-equation)."""
-    r_u, r_v = _strong_residuals(w, fam, V)
+    r_u, r_v = _pair_residual(w, fam, V)
     g = w.grid
     return PairField(Field(g, r_v), Field(g, r_u))
 
 
 def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
     """L2 norms of the two Euler-Lagrange equation residuals (u-eq, v-eq)."""
-    r_u, r_v = _strong_residuals(w, fam, V)
+    r_u, r_v = _pair_residual(w, fam, V)
     h = w.grid.spacing
     return (
         float(np.sqrt(h) * np.linalg.norm(r_u)),
@@ -202,17 +210,17 @@ def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues)
 
 
 def ray_derivative(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
-    """<J'(w), w> = 2<u,v> - integral(f(u)u + g(v)v)."""
-    return 2.0 * weighted_inner(w.u, w.v, V) - phi_prime_pairing(w, fam)
+    """<J'(w), w> = 2<u,v> - integral(f(u)u + g(v)v), paired in strong form:
+    integral(r_v u + r_u v)."""
+    r_u, r_v = _pair_residual(w, fam, V)
+    return w.grid.spacing * float(np.sum(r_v * w.u.values + r_u * w.v.values))
 
 
 def wminus_riesz(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> Field:
-    """Riesz representative of phi -> <J'(w), (phi, -phi)> in H^{1/2}_V."""
-    g = w.grid
-    fam.guard_amplitude(w.u.values, "u")
-    fam.guard_amplitude(w.v.values, "v")
-    drive = fam.f(w.u.values) - fam.g(w.v.values)
-    return Field(g, w.v.values - w.u.values - riesz_solve(drive, g, V))
+    """Riesz representative of phi -> <J'(w), (phi, -phi)> in H^{1/2}_V:
+    ((-Delta)^{1/2} + V)^{-1} (r_v - r_u)."""
+    r_u, r_v = _pair_residual(w, fam, V)
+    return Field(w.grid, riesz_solve(r_v - r_u, w.grid, V))
 
 
 def nehari_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):

@@ -33,6 +33,7 @@ from .energy import (
     nehari_residuals,
     norm_values,
     potential_array,
+    strong_residual,
     weighted_inner,  # noqa: F401  (perfbench/spans.py patches these names here)
     weighted_norm,  # noqa: F401
 )
@@ -78,11 +79,10 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of one solve, each checked here (ValueError): tolerances are
-    positive numbers, the rest integers, with max_outer, restarts >= 1 and
-    seed >= 0."""
+    """Settings of one solve, each checked here (ValueError): el_tol is a
+    positive number, the rest integers, with max_outer, restarts >= 1 and
+    seed >= 0.  The descent has no tolerance: it ends at the Newton handoff."""
 
-    outer_tol: float = 1e-7
     el_tol: float = 1e-6
     max_outer: int = 600
     restarts: int = 5
@@ -95,10 +95,9 @@ class SolverConfig:
     def __post_init__(self, threads):
         if threads != 1:
             raise ValueError(f"threads must be 1 (restarts run in sequence), got {threads!r}")
-        for name in ("outer_tol", "el_tol"):
-            val = getattr(self, name)
-            if isinstance(val, bool) or not (isinstance(val, (int, float)) and val > 0):
-                raise ValueError(f"{name} must be a positive number, got {val!r}")
+        tol = self.el_tol
+        if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and tol > 0):
+            raise ValueError(f"el_tol must be a positive number, got {tol!r}")
         for name, least in (("max_outer", 1), ("restarts", 1), ("seed", 0)):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
@@ -444,13 +443,11 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     Va = np.asarray(V, dtype=float)
     vbar = float(np.mean(V))
 
-    # uv stacks (u, v); reshaped to (2, N), one kernel call serves both.
-    # Returns the residual and its nonlinear part (g(v), f(u))
+    # the Newton unknown uv stacks (u, v) in one vector; returns the
+    # residual and its nonlinear part (g(v), f(u)), flattened alike
     def strong(uv):
-        u, v = uv[:n], uv[n:]
-        au, av = halflap(uv.reshape(2, n), grid)
-        nl = np.concatenate([fam.g(v), fam.f(u)])
-        return np.concatenate([au + Va * u, av + Va * v]) - nl, nl
+        r, nl = strong_residual(uv.reshape(2, n), fam, Va, grid)
+        return r.ravel(), nl.ravel()
 
     def res_norm(r):
         return np.sqrt(h) * np.linalg.norm(r)
@@ -602,16 +599,17 @@ def outer_minimize(
     the memory is cleared and d = g.  Each step is logged at DEBUG on
     ``halfwave.nehari``.
 
-    The descent hands over to ``_newton_polish`` once the gradient falls
-    below the handoff threshold (relative to 1 + |level|), which depends on
-    V: POLISH_HANDOFF_CONSTANT_V for a constant V, POLISH_HANDOFF_VARYING_V
-    otherwise.  When the early constant-V polish is rejected, the descent
-    resumes to the varying-V threshold and polishes there.  A descent whose
-    Armijo search (MAX_LINESEARCH trials) finds no decrease is polished
-    where it stopped; one that runs out of ``max_outer`` steps returns its
-    last state unpolished, with the message "max_outer reached", and logs
-    the gradient at INFO.  An inner solve that misses its targets enters
-    the descent with the point it reached.
+    The descent only localizes the minimizer; it has no tolerance of its
+    own and ends in one of three returns.  At the handoff threshold on the
+    gradient (relative to 1 + |level|: POLISH_HANDOFF_CONSTANT_V for a
+    constant V, POLISH_HANDOFF_VARYING_V otherwise) ``_polish`` finishes
+    the state; a rejected early constant-V polish lets the descent resume
+    to the varying-V threshold.  An Armijo search (MAX_LINESEARCH trials)
+    that finds no decrease is polished where it stopped.  After
+    ``max_outer`` steps the last state is returned unpolished, with the
+    message "max_outer reached", and the gradient is logged at INFO.  An
+    inner solve that misses its targets enters the descent with the point
+    it reached.
     """
     grid = init_direction.grid
     h = grid.spacing
@@ -624,7 +622,6 @@ def outer_minimize(
     trace: List[IterationRecord] = []
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
-    message = ""
     handoff = POLISH_HANDOFF_CONSTANT_V if Va.ndim == 0 else POLISH_HANDOFF_VARYING_V
 
     def eval_F(a_vals, wt, wq, tol):
@@ -655,14 +652,9 @@ def outer_minimize(
             if sy > LBFGS_CURVATURE_RTOL * np.sqrt(max(float(ks @ s) * float(ky @ y), 0.0)):
                 memory = (memory + [(s, ks, y, ky, 1.0 / sy)])[-LBFGS_MEMORY:]
 
-        if grad_norm <= cfg.outer_tol:
-            message = "gradient at tolerance"
-            break
         if grad_norm <= handoff * (1.0 + abs(point.level)):
-            message = "handed to newton polish"
-            if handoff == POLISH_HANDOFF_VARYING_V:
-                break
-            polished = _polish(point, fam, V, trace, cfg, restart_index, message, early=True)
+            polished = _polish(point, fam, V, trace, cfg, restart_index, "handed to newton polish",
+                               early=handoff == POLISH_HANDOFF_CONSTANT_V)
             if polished is not None:
                 return polished
             handoff = POLISH_HANDOFF_VARYING_V
@@ -694,55 +686,43 @@ def outer_minimize(
             point.level, grad_norm, step if accepted else 0.0, trials, len(memory), reset,
         )
         if not accepted:
-            message = "line search exhausted"
-            break
+            return _polish(point, fam, V, trace, cfg, restart_index, "line search exhausted",
+                           early=False)
         last = (a, ka, g, kg)
         a, point = a_try, pt_try
-    else:
-        log.info(
-            "outer descent: gradient %.2e above tol %.2e after %d steps",
-            grad_norm, cfg.outer_tol, cfg.max_outer,
-        )
-        return _finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached")
-
-    message = message or "descent converged"
-    return _polish(point, fam, V, trace, cfg, restart_index, message, early=False)
+    log.info("outer descent: gradient %.2e after %d steps", grad_norm, cfg.max_outer)
+    return _finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached")
 
 
 def _polish(point, fam, V, trace, cfg, restart_index, message, early):
-    """Newton polish from the descent state ``point``.
+    """Newton polish from the descent state ``point``, certified.
 
-    A polish that takes a step has lowered the strong residual of its start
-    (every accepted step does), and its state replaces the descent state.
-    An early handoff starts from the state centred on a grid point
-    (``_centre_on_grid_point``) and is kept only if, besides, the polish
-    does not raise the level (up to LEVEL_TIE_RTOL) and meets the Nehari
-    constraints to ``el_tol``; if not, it returns None so the descent can
-    resume.  Only the state returned is certified.
+    The polished state (the start itself after 0 steps; every accepted step
+    lowers the strong residual) is certified and returned, with "+ newton
+    polish (n steps)" added to ``message``.  An early handoff starts from
+    the state centred on a grid point (``_centre_on_grid_point``) and
+    returns None, so the descent can resume, unless the polish keeps the
+    level (up to LEVEL_TIE_RTOL) and meets the Nehari constraints to
+    ``el_tol``; the state it rejects is certified too, since those
+    certificates decide.
     """
     start = _centre_on_grid_point(point.w) if early else point.w
     polished, _, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
-    out = None
-    if steps:
-        out = _finalize(
-            polished, fam, V, trace, restart_index, cfg,
-            message=message + f" + newton polish ({steps} steps)",
-            newton_steps=steps,
-        )
-    accepted = out is not None and (
-        not early
-        or (out.level <= point.level + LEVEL_TIE_RTOL * abs(point.level)
-            and out.nehari_residual <= cfg.el_tol)
+    out = _finalize(
+        polished, fam, V, trace, restart_index, cfg,
+        message=message + f" + newton polish ({steps} steps)",
+        newton_steps=steps,
+    )
+    accepted = not early or (
+        out.level <= point.level + LEVEL_TIE_RTOL * abs(point.level)
+        and out.nehari_residual <= cfg.el_tol
     )
     log.info(
         "newton handoff (%s, threshold %.0e): level %.15g -> %.15g, %s",
         message, POLISH_HANDOFF_CONSTANT_V if early else POLISH_HANDOFF_VARYING_V,
-        point.level, out.level if out is not None else float("nan"),
-        "accepted" if accepted else "rejected",
+        point.level, out.level, "accepted" if accepted else "rejected",
     )
-    if accepted:
-        return out
-    return None if early else _finalize(point.w, fam, V, trace, restart_index, cfg, message)
+    return out if accepted else None
 
 
 def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:

@@ -23,6 +23,7 @@ from .errors import HalfwaveError, InvalidField
 from .families import NonlinearityFamily
 from .grids import Field, Grid
 from .nehari import (
+    LEVEL_TIE_RTOL,
     GroundStateResult,
     SolverConfig,
     initial_directions,
@@ -165,7 +166,8 @@ def autonomous_level_vs_theta(
     """Ground-state level of the constant-potential problem across theta.
 
     Uses the same code path as the autonomous solve with V0 replaced by
-    theta; increases of less than 2 * outer_tol are flagged as violations.
+    theta; an increase of at most LEVEL_TIE_RTOL (relative), the rule by
+    which restart levels are one state, is flagged as a violation.
     The list is checked by ``check_theta_ladder``.
     """
     thetas = check_theta_ladder(theta_list)
@@ -175,7 +177,7 @@ def autonomous_level_vs_theta(
         records.append(ThetaLevel(theta, res.level, res.el_residual, res.converged))
     violations = []
     for a, b in zip(records, records[1:]):
-        if b.level - a.level <= 2.0 * cfg.outer_tol:
+        if b.level - a.level <= LEVEL_TIE_RTOL * abs(a.level):
             violations.append((a.theta, b.theta))
     return ThetaScan(records=records, monotone_violations=violations)
 
@@ -186,8 +188,6 @@ class SweepRecord:
     level: float
     y_eps: float
     x_eps: float
-    x_eps_u: float
-    x_eps_v: float
     dist_to_minima: float
     gap12: float
     gap12_cells: int
@@ -280,8 +280,6 @@ def concentration_sweep(
             level=res.level,
             y_eps=y_eps,
             x_eps=x_eps,
-            x_eps_u=e * y_u,
-            x_eps_v=e * y_v,
             dist_to_minima=dist,
             gap12=abs(e * y_u - e * y_v),
             gap12_cells=gap_cells,

@@ -181,7 +181,7 @@ def scalar_diagonal_solve(
         gnorm = norm_values(tang, Va, grid) * t
         if not np.isfinite(gnorm):
             raise InvalidField("scalar descent gradient has NaN/Inf samples")
-        if gnorm <= cfg.outer_tol:
+        if gnorm <= 1e-7:
             break
         level = scalar_I(t, d)
         step = alpha

@@ -117,7 +117,6 @@ class TestSolveCommand:
                 "solver": {
                     "max_outer": 1,
                     "restarts": 1,
-                    "outer_tol": 1e-14,
                 },
             },
         )
@@ -162,6 +161,13 @@ class TestSolveCommand:
         write_yaml(cfg, {"solver": {"threads": 2}})
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o_key")]) == 2
         assert "solver.'threads'" in capsys.readouterr().err
+        # the descent ends at the Newton handoff: it has no tolerance to set
+        cfg = tmp_path / "outer_tol.yaml"
+        write_yaml(cfg, {"solver": {"outer_tol": 1e-8}})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o_tol")]) == 2
+        assert "solver.'outer_tol'" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            SolverConfig(outer_tol=1e-7)
 
     def test_dump_fields_is_a_sweep_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

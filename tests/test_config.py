@@ -55,7 +55,7 @@ class TestResolve:
     def test_solver_section_keys(self):
         resolved = resolve({}).resolved
         assert list(resolved["solver"]) == [
-            "outer_tol", "el_tol", "max_outer", "restarts", "seed",
+            "el_tol", "max_outer", "restarts", "seed",
         ]
         assert list(resolved["sweep"]) == ["eps_list"]
 

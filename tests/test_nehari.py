@@ -342,7 +342,7 @@ class TestGroundStateSolve:
 
     def test_outer_budget_exhaustion(self, fam, grid, caplog):
         caplog.set_level(logging.INFO, logger="halfwave.nehari")
-        cfg = SolverConfig(seed=0, max_outer=1, outer_tol=1e-14)
+        cfg = SolverConfig(seed=0, max_outer=1)
         b = gaussian_bump(grid)
         best = outer_minimize(PairField(b, b), fam, 1.0, cfg)
         assert isinstance(best, GroundStateResult)
@@ -352,7 +352,7 @@ class TestGroundStateSolve:
         assert best.newton_steps == 0
         exhausted = [r for r in caplog.records if r.getMessage().startswith("outer descent")]
         assert len(exhausted) == 1 and exhausted[0].levelno == logging.INFO
-        assert exhausted[0].getMessage().endswith("above tol 1.00e-14 after 1 steps")
+        assert exhausted[0].getMessage().endswith(" after 1 steps")
 
     @pytest.mark.parametrize("max_outer", [600, 1])
     def test_stalled_inner_solves_still_give_a_result(self, monkeypatch, max_outer):
@@ -587,6 +587,28 @@ class TestNewtonHandoff:
         monkeypatch.setattr(nehari, "build_report", counted)
         solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig())
         assert len(calls) == SolverConfig().restarts == 5
+
+    def test_converged_start_leaves_through_the_handoff(self, fam, monkeypatch):
+        # a start that already solves the system has a gradient far below
+        # every handoff threshold: the descent hands it to a 0-step polish,
+        # which returns it certified once
+        cfg = SolverConfig(restarts=1, seed=0)
+        res = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        real = nehari.build_report
+        calls = []
+
+        def counted(w, fam_, V):
+            calls.append(w)
+            return real(w, fam_, V)
+
+        monkeypatch.setattr(nehari, "build_report", counted)
+        again = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg, inits=[res.w])
+        assert again.level == pytest.approx(res.level, rel=1e-12, abs=0)
+        assert again.message == "handed to newton polish + newton polish (0 steps)"
+        assert again.newton_steps == 0
+        assert len(again.trace) == 1
+        assert len(calls) == 1
+        assert again.converged
 
     def test_varying_v_polish_work_is_stable_under_ulp_flips(self, fam, monkeypatch):
         # a weakly pinned single-well state: the polish must do the same work
@@ -872,6 +894,21 @@ def test_one_path_from_a_potential_to_a_solve():
         "outer_minimize": {"nehari.solve_ground_state"},
         "evaluate": {"semiclassical.Potential.values"},
     }
+
+
+def test_coupled_system_is_written_once():
+    # the residual the polish drives to zero and the one the certificates
+    # report come from energy.strong_residual; f and g are called elsewhere
+    # only in the pairings and in the descent's own slice coordinates
+    callers = set()
+    for stem in ("energy", "nehari"):
+        path = Path(__file__).resolve().parents[1] / "src" / "halfwave" / f"{stem}.py"
+        for scopes in top_level_callers(path.read_text(), ("f", "g")).values():
+            callers |= {f"{stem}.{scope}" for scope in scopes}
+    assert callers <= {
+        "energy.strong_residual", "energy.phi_prime_pairing", "nehari.make_diagonal_gradient",
+        "nehari._RaySlice.ray_slope", "nehari.inner_maximize",
+    }, callers
 
 
 def test_caller_guard_sees_nested_and_method_calls():
