@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Ground-state solve of the coupled system and its certificates.
 
-Runs the two-level scheme (5 restarts) for the default family
+Runs the two-level scheme (up to 5 restarts) for the default family
 f = g = t^3 exp(t^2) at V0 = 1, prints the descent trace, checks every
 certificate (Euler-Lagrange and manifold residuals, dilation identity,
 level window, decay), and cross-checks the level against its dual form.

@@ -73,6 +73,7 @@ def _result_payload(res, cfg):
         "converged": bool(res.converged),
         "message": res.message,
         "restart_index": int(res.restart_index),
+        "restarts_run": int(res.restarts_run),
         "newton_steps": int(res.newton_steps),
     }
 

@@ -13,13 +13,15 @@ residual of the coupled system to the requested tolerance once the descent
 has localized the candidate.
 
 All randomness is seeded; restarts run one after another and are merged
-deterministically, so runs are reproducible bit-for-bit.
+deterministically, so runs are reproducible bit-for-bit.  For a constant
+potential the restarts stop once two converged ones tie in level, since
+every start then reaches the same state up to translation.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -81,7 +83,9 @@ log = logging.getLogger(__name__)
 class SolverConfig:
     """Settings of one solve, each checked here (ValueError): el_tol is a
     positive number, the rest integers, with max_outer, restarts >= 1 and
-    seed >= 0.  The descent has no tolerance: it ends at the Newton handoff."""
+    seed >= 0.  The descent has no tolerance: it ends at the Newton handoff.
+    ``restarts`` is the number of starts; for a constant V it is an upper
+    bound, as ``solve_ground_state`` stops once two converged starts tie."""
 
     el_tol: float = 1e-6
     max_outer: int = 600
@@ -137,6 +141,7 @@ class GroundStateResult:
     message: str = ""
     restart_index: int = 0
     newton_steps: int = 0
+    restarts_run: int = 1  # starts solve_ground_state ran, dropped ones included
 
     @property
     def el_residual(self) -> float:
@@ -793,6 +798,15 @@ def initial_directions(grid: Grid, cfg: SolverConfig, V) -> List[PairField]:
     return outs
 
 
+def _lowest_tied(results: List[GroundStateResult]) -> List[GroundStateResult]:
+    """The results whose levels are within LEVEL_TIE_RTOL (relative) of the
+    lowest, in restart order."""
+    if not results:
+        return []
+    lowest = min(r.level for r in results)
+    return [r for r in results if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
+
+
 def solve_ground_state(
     fam: NonlinearityFamily,
     V,
@@ -805,13 +819,22 @@ def solve_ground_state(
     Every restart that ends yields a result, unconverged when it ran out
     of budget; restarts that end in NoAscent or OverflowGuard are dropped
     and logged (INFO on ``halfwave.nehari``), and if all are, the NoAscent
-    raised lists each one's index, error type and message.  The merge
-    takes the converged results, or all of them when none converged; among
-    those, the levels within ``LEVEL_TIE_RTOL`` (relative) of the lowest;
-    among those, the first in restart order.  Round-off in a level or in a
-    polished residual therefore never picks the winner.  An unconverged
-    restart that reached a lower level than the one returned is logged at
-    WARNING.
+    raised lists each one's index, error type and message.
+
+    For a constant (scalar) V the ground state is unique up to translation,
+    so the starts stop early: once two converged results tie at the lowest
+    converged level (within ``LEVEL_TIE_RTOL``), the remaining starts are
+    skipped and one INFO record names them and the two that tied.  The
+    number of starts given is then an upper bound; ``restarts_run`` on the
+    result counts the ones that ran, dropped ones included.  A sampled V
+    runs every start, because its wells compete.
+
+    The merge takes the converged results, or all of them when none
+    converged; among those, the levels within ``LEVEL_TIE_RTOL`` (relative)
+    of the lowest; among those, the first in restart order.  Round-off in a
+    level or in a polished residual therefore never picks the winner.  An
+    unconverged restart that reached a lower level than the one returned is
+    logged at WARNING.
     """
     if inits is None:
         inits = initial_directions(grid, cfg, V)
@@ -822,12 +845,19 @@ def solve_ground_state(
         except (NoAscent, OverflowGuard) as err:
             dropped.append(f"restart {idx} dropped: {type(err).__name__}: {err}")
             log.info(dropped[-1])
+        tied = _lowest_tied([r for r in found if r.converged]) if np.ndim(V) == 0 else []
+        if len(tied) >= 2:
+            if idx + 1 < len(inits):
+                log.info(
+                    "restarts %s skipped: restarts %d and %d tie at level %.15g",
+                    list(range(idx + 1, len(inits))), tied[0].restart_index,
+                    tied[1].restart_index, tied[0].level,
+                )
+            break
     if not found:
         raise NoAscent("all restarts failed before producing a candidate: " + "; ".join(dropped))
 
-    candidates = [r for r in found if r.converged] or found
-    lowest = min(r.level for r in candidates)
-    best = next(r for r in candidates if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest))
+    best = _lowest_tied([r for r in found if r.converged] or found)[0]
     for r in found:
         if r.level < best.level - LEVEL_TIE_RTOL * abs(best.level):
             log.warning(
@@ -835,4 +865,4 @@ def solve_ground_state(
                 "below the returned %.15g (restart %d)",
                 r.restart_index, r.el_residual, r.level, best.level, best.restart_index,
             )
-    return best
+    return replace(best, restarts_run=len(found) + len(dropped))

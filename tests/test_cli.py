@@ -6,7 +6,7 @@ from halfwave.cli import main
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid, write_field_binary
 from halfwave.nehari import SolverConfig
-from halfwave.semiclassical import double_well, solve_rescaled
+from halfwave.semiclassical import constant_potential, double_well, solve_rescaled
 
 
 def write_yaml(path, payload):
@@ -141,6 +141,21 @@ class TestSolveCommand:
         report = yaml.safe_load((out / "report.yaml").read_text())
         assert report["level"] == lib.level
         assert report["restart_index"] == lib.restart_index
+        # a varying V runs every start: the 5 generic ones and one per well
+        assert report["restarts_run"] == lib.restarts_run == 7
+
+    def test_constant_potential_reports_the_starts_run(self, tmp_path):
+        # the default 5 starts stop at the first tie, after 2
+        out = tmp_path / "const"
+        assert main(["solve", "--out", str(out)]) == 0
+        lib = solve_rescaled(
+            1.0, constant_potential(1.0), builtin_family("cubic_exp", beta0=1.0),
+            Grid(40.0, 2048), SolverConfig(),
+        )
+        report = yaml.safe_load((out / "report.yaml").read_text())
+        assert report["level"] == lib.level
+        assert report["restart_index"] == lib.restart_index == 0
+        assert report["restarts_run"] == lib.restarts_run == 2
 
     def test_box_too_small_exits_one(self, tmp_path, capsys):
         # V(L/2) = V(5) is 1.688, not within 5% of Vinf = 2

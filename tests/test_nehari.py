@@ -430,6 +430,11 @@ DEFAULT_GROUND_LEVEL = 1.006013857769  # on-grid minimizer on DEFAULT_GRID
 DEFAULT_SADDLE_LEVEL = 1.006416452903  # the same state moved by h/2
 
 
+# canned certificates: at tolerance (converged) and stalled above it
+AT_TOL = ResidualReport(None, 1e-8, 1e-8, 1e-8, 1e-8, 0.0, 1.0, 1.0)
+STALLED = ResidualReport(None, 2e-4, 2e-4, 1e-8, 1e-8, 0.0, 1.0, 1.0)
+
+
 @pytest.fixture(scope="module")
 def default_starts(fam):
     """outer_minimize from each start of the seed-0, 5-restart default solve."""
@@ -458,6 +463,34 @@ class TestRestartMerge:
             assert won.level == best.level
             assert won.el_residual == best.el_residual
 
+    @pytest.mark.parametrize("name, restarts", [("cubic_exp", 5), ("cubic_quintic_exp", 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_early_stop_returns_the_full_merge(self, name, restarts, seed):
+        # on constant V every start reaches one state up to translation, so
+        # the solve that stops at the first tie returns what the merge of
+        # every start returns
+        fam = builtin_family(name, beta0=1.0)
+        cfg = SolverConfig(restarts=restarts, seed=seed)
+        per_start = [
+            outer_minimize(init, fam, 1.0, cfg, restart_index=i)
+            for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0))
+        ]
+        candidates = [r for r in per_start if r.converged] or per_start
+        lowest = min(r.level for r in candidates)
+        full = next(r for r in candidates if r.level - lowest <= 1e-12 * abs(lowest))
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        assert won.restarts_run == 2
+        assert (won.level, won.restart_index, won.el_residual) == (
+            full.level, full.restart_index, full.el_residual)
+        assert np.array_equal(won.w.u.values, full.w.u.values)
+        assert np.array_equal(won.w.v.values, full.w.v.values)
+        # the two that tie are one state: on a scalar V each result is
+        # recentred, so their fields agree sample by sample
+        first, second = per_start[:2]
+        assert first.converged and second.converged
+        for a, b in ((first.w.u, second.w.u), (first.w.v, second.w.v)):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-6
+
     def test_dropped_restart_is_logged(self, fam, grid, caplog):
         # a start with no diagonal part ends in NoAscent: the merge goes on
         # without it, and the log says which restart went and why
@@ -478,36 +511,93 @@ class TestRestartMerge:
         for idx in (0, 1):
             assert f"restart {idx} dropped: NoAscent: diagonal direction vanished" in msg
 
-    def test_merge_rule_on_canned_results(self, fam, grid, monkeypatch, caplog):
-        # converged results first, then the lowest level up to LEVEL_TIE_RTOL,
-        # then the first in restart order
+    @pytest.fixture
+    def canned(self, fam, grid, monkeypatch):
+        """solve_ground_state over canned restart results, each (level,
+        report) or None for a restart that ends in NoAscent; returns the
+        merged result and the restart indices that ran."""
         b = gaussian_bump(grid)
         w = PairField(b, b)
-        at_tol = ResidualReport(None, 1e-8, 1e-8, 1e-8, 1e-8, 0.0, 1.0, 1.0)
-        stalled = ResidualReport(None, 2e-4, 2e-4, 1e-8, 1e-8, 0.0, 1.0, 1.0)
 
-        def canned(*results):
+        def solve(*results, V=1.0):
+            ran = []
+
             def fake(init, fam, V, cfg, restart_index=0):
+                ran.append(restart_index)
+                if results[restart_index] is None:
+                    raise NoAscent("canned")
                 level, report = results[restart_index]
-                return GroundStateResult(w, level, report, converged=report is at_tol,
+                return GroundStateResult(w, level, report, converged=report is AT_TOL,
                                          restart_index=restart_index)
-            monkeypatch.setattr(nehari, "outer_minimize", fake)
-            return solve_ground_state(fam, 1.0, grid, SolverConfig(restarts=1),
-                                      inits=[w] * len(results))
 
+            monkeypatch.setattr(nehari, "outer_minimize", fake)
+            won = solve_ground_state(fam, V, grid, SolverConfig(restarts=1),
+                                     inits=[w] * len(results))
+            return won, ran
+
+        return solve
+
+    def test_merge_rule_on_canned_results(self, canned, caplog):
+        # converged results first, then the lowest level up to LEVEL_TIE_RTOL,
+        # then the first in restart order
         caplog.set_level(logging.WARNING, logger="halfwave.nehari")
-        won = canned((1.01, stalled), (1.02, at_tol), (1.03, at_tol))
+        won, _ = canned((1.01, STALLED), (1.02, AT_TOL), (1.03, AT_TOL))
         assert (won.restart_index, won.converged) == (1, True)
         warned = [r for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warned) == 1
         assert warned[0].getMessage().startswith("unconverged restart 0 (EL residual 2.00e-04)")
         caplog.clear()
         # none converged: the lowest level wins, and nothing lower is left
-        assert canned((1.02, stalled), (1.01, stalled)).restart_index == 1
+        assert canned((1.02, STALLED), (1.01, STALLED))[0].restart_index == 1
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
         # equal levels, up to round-off: the lowest index wins
-        assert canned((1.03, at_tol), (1.02 * (1 + 1e-15), at_tol), (1.02, at_tol)).restart_index == 1
+        won, _ = canned((1.03, AT_TOL), (1.02 * (1 + 1e-15), AT_TOL), (1.02, AT_TOL))
+        assert won.restart_index == 1
         assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+    def test_two_converged_ties_stop_a_constant_v_solve(self, canned, caplog):
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        won, ran = canned(*[(1.02, AT_TOL)] * 5)
+        assert ran == [0, 1]
+        assert (won.restart_index, won.restarts_run) == (0, 2)
+        skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == 1 and skipped[0].levelno == logging.INFO
+        assert skipped[0].getMessage() == "restarts [2, 3, 4] skipped: restarts 0 and 1 tie at level 1.02"
+        caplog.clear()
+        # a tie at the last start skips nothing, and says nothing
+        won, ran = canned((1.02, AT_TOL), (1.02, AT_TOL))
+        assert ran == [0, 1] and won.restarts_run == 2
+        assert not [r for r in caplog.records if "skipped" in r.getMessage()]
+
+    def test_levels_apart_keep_the_starts_going(self, canned, caplog):
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        # 0 and 1 are 1e-11 apart, ten times LEVEL_TIE_RTOL; 2 ties with 0 but
+        # not at the lowest level; 3 ties with 1, the lowest
+        low = 1.02
+        won, ran = canned((low * (1 + 1e-11), AT_TOL), (low, AT_TOL), (low * (1 + 1e-11), AT_TOL),
+                          (low * (1 + 1e-15), AT_TOL), (low, AT_TOL), (low, AT_TOL))
+        assert ran == [0, 1, 2, 3]
+        assert (won.restart_index, won.restarts_run) == (1, 4)
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skipped == ["restarts [4, 5] skipped: restarts 1 and 3 tie at level 1.02"]
+
+    def test_unconverged_and_dropped_restarts_never_tie(self, canned):
+        # a stalled result at the converged level, and a dropped restart,
+        # leave the converged count where it was
+        won, ran = canned((1.02, STALLED), (1.02, AT_TOL), None, (1.02, STALLED), (1.02, AT_TOL),
+                          (1.02, AT_TOL))
+        assert ran == [0, 1, 2, 3, 4]
+        assert (won.restart_index, won.restarts_run) == (1, 5)
+        won, ran = canned((1.02, STALLED), (1.02, STALLED), (1.02, STALLED))
+        assert ran == [0, 1, 2] and won.restarts_run == 3
+
+    def test_sampled_potential_runs_every_start(self, canned, grid, caplog):
+        # a sampled V, even a constant one, has wells that compete
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        won, ran = canned(*[(1.02, AT_TOL)] * 4, V=np.ones(grid.n_points))
+        assert ran == [0, 1, 2, 3]
+        assert (won.restart_index, won.restarts_run) == (0, 4)
+        assert not [r for r in caplog.records if "skipped" in r.getMessage()]
 
 
 def _translated(w, s):
@@ -556,8 +646,12 @@ class TestNewtonHandoff:
         assert res.converged
 
     def test_handoff_and_newton_steps_are_logged(self, fam, caplog):
+        # each of the five default starts, run on its own
         caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
-        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig(restarts=5, seed=0))
+        cfg = SolverConfig(restarts=5, seed=0)
+        for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0)):
+            res = outer_minimize(init, fam, 1.0, cfg, restart_index=i)
+            assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
         handoffs = [r for r in caplog.records if r.getMessage().startswith("newton handoff")]
         steps = [r for r in caplog.records if r.getMessage().startswith("newton step")]
         assert len(handoffs) == 5
@@ -572,6 +666,11 @@ class TestNewtonHandoff:
             residual, lam, eta, matvecs, damping = rec.args
             assert residual > 0.0 and lam >= 0.0 and 0.0 < eta <= nehari.EW_ETA_MAX
             assert matvecs >= 1 and 0.0 <= damping <= 1.0
+        # the solve stops after the first two, which tie
+        caplog.clear()
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        handoffs = [r for r in caplog.records if r.getMessage().startswith("newton handoff")]
+        assert len(handoffs) == won.restarts_run == 2
         assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
 
     def test_each_restart_certifies_one_state(self, fam, monkeypatch):
@@ -585,8 +684,15 @@ class TestNewtonHandoff:
             return real(w, fam_, V)
 
         monkeypatch.setattr(nehari, "build_report", counted)
-        solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig())
-        assert len(calls) == SolverConfig().restarts == 5
+        cfg = SolverConfig()
+        assert cfg.restarts == 5
+        for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0)):
+            before = len(calls)
+            outer_minimize(init, fam, 1.0, cfg, restart_index=i)
+            assert len(calls) - before == 1
+        calls.clear()
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        assert len(calls) == won.restarts_run == 2
 
     def test_converged_start_leaves_through_the_handoff(self, fam, monkeypatch):
         # a start that already solves the system has a gradient far below
@@ -738,27 +844,29 @@ class TestOuterDescent:
 
     def test_default_solve_accepts_most_first_trials(self, fam, monkeypatch):
         # step doubling threw away every other trial (ratio 0.5); a unit
-        # L-BFGS step is accepted at the first trial almost always
-        real_inner, real_outer = nehari.inner_maximize, nehari.outer_minimize
+        # L-BFGS step is accepted at the first trial almost always, from
+        # each of the five default starts
+        real_inner = nehari.inner_maximize
         inner_calls, traces = [], []
 
         def counted_inner(*args, **kwargs):
             inner_calls.append(None)
             return real_inner(*args, **kwargs)
 
-        def recorded_outer(*args, **kwargs):
-            before = len(inner_calls)
-            res = real_outer(*args, **kwargs)
-            traces.append((len(inner_calls) - before, len(res.trace)))
-            return res
-
         monkeypatch.setattr(nehari, "inner_maximize", counted_inner)
-        monkeypatch.setattr(nehari, "outer_minimize", recorded_outer)
-        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, SolverConfig(restarts=5, seed=0))
+        cfg = SolverConfig(restarts=5, seed=0)
+        for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0)):
+            before = len(inner_calls)
+            res = outer_minimize(init, fam, 1.0, cfg, restart_index=i)
+            traces.append((len(inner_calls) - before, len(res.trace)))
+            assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
         assert len(traces) == 5
         trials = sum(calls - 1 for calls, _ in traces)  # the first call is the start
         accepted = sum(steps - 1 for _, steps in traces)  # the last record is the exit
         assert accepted / trials >= 0.85
+        # the solve runs the first two starts only, since they tie
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        assert won.restarts_run == 2
         assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
 
     def test_outer_steps_are_logged(self, fam, caplog):

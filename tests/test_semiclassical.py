@@ -226,6 +226,20 @@ class TestResolvedDoubleWell:
         prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
         assert abs(grid.x[int(np.argmax(prof))] + 2.03) <= 0.05
 
+    def test_cold_equals_warm_on_the_finer_grid(self, fam, cfg, pot):
+        # on Grid(80, 8192) a warm rung may sit one lattice-pinned cell away
+        # from the cold solve (up to 6.8e-7 in level); at h ~ 0.0049 both
+        # reach the same state
+        grid = Grid(80.0, 16384)
+        start = solve_rescaled(0.5, pot, fam, grid, cfg)
+        cold = solve_rescaled(0.35, pot, fam, grid, cfg)
+        # the sweep's continuation: the peak keeps its physical point
+        j = int(np.argmax(np.abs(start.w.u.values) + np.abs(start.w.v.values)))
+        init = start.w.shift(grid.index_of(grid.x[j] * 0.5 / 0.35) - j)
+        warm = solve_rescaled(0.35, pot, fam, grid, cfg, init=init)
+        assert start.converged and cold.converged and warm.converged
+        assert warm.level == pytest.approx(cold.level, rel=1e-8, abs=0)
+
     @pytest.mark.parametrize("eps, level", [(0.35, 1.0128401652), (0.25, 1.0105073101)])
     def test_cold_solve_at_small_eps_converges(self, fam, cfg, grid, pot, eps, level):
         # with a 1e-4 handoff Newton spent its 25 steps on the soft
