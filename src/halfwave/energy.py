@@ -182,8 +182,11 @@ def strong_residual(uv: np.ndarray, fam: NonlinearityFamily, Va, grid: Grid):
     return halflap(uv, grid) + Va * uv - nl, nl
 
 
-def _pair_residual(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> np.ndarray:
-    """:func:`strong_residual` of a pair, behind the exp-argument guard."""
+def pair_residual(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> np.ndarray:
+    """:func:`strong_residual` of a pair, behind the exp-argument guard.
+
+    The certificates below take it as ``r``, so one evaluation can serve
+    them all; without ``r`` each evaluates it."""
     fam.guard_amplitude(w.u.values, "u")
     fam.guard_amplitude(w.v.values, "v")
     uv = np.stack([w.u.values, w.v.values])
@@ -194,14 +197,14 @@ def energy_gradient(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -
     """First derivative of J at w as its L2 representative: the pair pairing
     with a test (phi, psi) as integral(first*phi + second*psi), i.e. the
     Euler-Lagrange residuals (v-equation, u-equation)."""
-    r_u, r_v = _pair_residual(w, fam, V)
+    r_u, r_v = pair_residual(w, fam, V)
     g = w.grid
     return PairField(Field(g, r_v), Field(g, r_u))
 
 
-def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
+def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues, r=None):
     """L2 norms of the two Euler-Lagrange equation residuals (u-eq, v-eq)."""
-    r_u, r_v = _pair_residual(w, fam, V)
+    r_u, r_v = pair_residual(w, fam, V) if r is None else r
     h = w.grid.spacing
     return (
         float(np.sqrt(h) * np.linalg.norm(r_u)),
@@ -209,30 +212,31 @@ def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues)
     )
 
 
-def ray_derivative(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
+def ray_derivative(w: PairField, fam: NonlinearityFamily, V: PotentialValues, r=None) -> float:
     """<J'(w), w> = 2<u,v> - integral(f(u)u + g(v)v), paired in strong form:
     integral(r_v u + r_u v)."""
-    r_u, r_v = _pair_residual(w, fam, V)
+    r_u, r_v = pair_residual(w, fam, V) if r is None else r
     return w.grid.spacing * float(np.sum(r_v * w.u.values + r_u * w.v.values))
 
 
-def wminus_riesz(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> Field:
+def wminus_riesz(w: PairField, fam: NonlinearityFamily, V: PotentialValues, r=None) -> Field:
     """Riesz representative of phi -> <J'(w), (phi, -phi)> in H^{1/2}_V:
     ((-Delta)^{1/2} + V)^{-1} (r_v - r_u)."""
-    r_u, r_v = _pair_residual(w, fam, V)
+    r_u, r_v = pair_residual(w, fam, V) if r is None else r
     return Field(w.grid, riesz_solve(r_v - r_u, w.grid, V))
 
 
-def nehari_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues):
+def nehari_residuals(w: PairField, fam: NonlinearityFamily, V: PotentialValues, r=None):
     """Normalized membership residuals for the constrained manifold.
 
     Returns (ray, minus): |<J'(w),w>| / ||w||^2 and the dual norm of the
     antidiagonal derivative over unit antidiagonal directions, / ||w||.
+    ``r`` is :func:`pair_residual` at w, when the caller has it.
     """
     nw2 = pair_inner(w, w, V)
     if nw2 <= 0.0:
         return 0.0, 0.0
-    ray = abs(ray_derivative(w, fam, V)) / nw2
-    rho = wminus_riesz(w, fam, V)
+    ray = abs(ray_derivative(w, fam, V, r)) / nw2
+    rho = wminus_riesz(w, fam, V, r)
     minus = weighted_norm(rho, V) / np.sqrt(2.0 * nw2)
     return float(ray), float(minus)

@@ -15,7 +15,9 @@ has localized the candidate.
 All randomness is seeded; restarts run one after another and are merged
 deterministically, so runs are reproducible bit-for-bit.  For a constant
 potential the restarts stop once two converged ones tie in level, since
-every start then reaches the same state up to translation.
+every start then reaches the same state up to translation.  On a grid of
+N >= 4096 points the restarts run on the grid of N/4 points, and only the
+winner's own start runs on the full grid.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .energy import (
     inner_values,
     nehari_residuals,
     norm_values,
+    pair_residual,
     potential_array,
     strong_residual,
     weighted_inner,  # noqa: F401  (perfbench/spans.py patches these names here)
@@ -52,6 +55,10 @@ NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
 # predicts less increase is taken whole
 RAY_J_ULPS = 4
 LEVEL_TIE_RTOL = 1e-12  # restart levels this close (relative) are one state
+# restarts are screened on the grid with 1/SCREEN_FACTOR of the points when
+# that grid keeps at least SCREEN_MIN_POINTS
+SCREEN_FACTOR = 4
+SCREEN_MIN_POINTS = 1024
 # outer gradient, relative to 1 + |level|, at which the descent hands over to
 # Newton: a constant V leaves one minimizer up to translation, so Newton can
 # take over early; a varying V pins the profile only weakly, so the descent
@@ -85,7 +92,9 @@ class SolverConfig:
     positive number, the rest integers, with max_outer, restarts >= 1 and
     seed >= 0.  The descent has no tolerance: it ends at the Newton handoff.
     ``restarts`` is the number of starts; for a constant V it is an upper
-    bound, as ``solve_ground_state`` stops once two converged starts tie."""
+    bound, as ``solve_ground_state`` stops once two converged starts tie.
+    On N >= 4096 points the starts are screened on N/4 points and one runs
+    on N (see ``solve_ground_state``); no setting turns that on or off."""
 
     el_tol: float = 1e-6
     max_outer: int = 600
@@ -735,10 +744,12 @@ def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:
 
     The Pohozaev identity holds for a constant potential only: a scalar V
     is its V0, and for a sampled V the entry is None.  Decay and amplitude
-    are measured on the pair recentred at x = 0.
+    are measured on the pair recentred at x = 0.  The strong residual is
+    evaluated once and serves the Euler-Lagrange and Nehari certificates.
     """
-    res_u, res_v = el_residual_norms(w, fam, V)
-    ray, minus = nehari_residuals(w, fam, V)
+    r = pair_residual(w, fam, V)
+    res_u, res_v = el_residual_norms(w, fam, V, r)
+    ray, minus = nehari_residuals(w, fam, V, r)
     poh = pohozaev_residual(w, fam, float(V)) if np.ndim(V) == 0 else None
     centered, _ = recenter_pair(w)
     decay = decay_profile(centered)
@@ -807,6 +818,12 @@ def _lowest_tied(results: List[GroundStateResult]) -> List[GroundStateResult]:
     return [r for r in results if r.level - lowest <= LEVEL_TIE_RTOL * abs(lowest)]
 
 
+def _decimated(w: PairField, coarse: Grid) -> PairField:
+    """w sampled at every SCREEN_FACTOR-th point: coarse x_j is fine x_{4j}."""
+    u, v = w.u.values[::SCREEN_FACTOR], w.v.values[::SCREEN_FACTOR]
+    return PairField(Field(coarse, u), Field(coarse, v))
+
+
 def solve_ground_state(
     fam: NonlinearityFamily,
     V,
@@ -835,13 +852,34 @@ def solve_ground_state(
     level or in a polished residual therefore never picks the winner.  An
     unconverged restart that reached a lower level than the one returned is
     logged at WARNING.
+
+    Screening: with more than one start and N / SCREEN_FACTOR an even
+    integer >= SCREEN_MIN_POINTS (N >= 4096), the restart loop and the
+    merge above run on ``Grid(L, N / SCREEN_FACTOR)``, from the starts and
+    a sampled V taken at every SCREEN_FACTOR-th point (exactly their values
+    at the coarse points).  The descent then runs once on the given grid
+    from the winner's own start, not from its coarse state, which on the
+    double well can settle one cell off at a higher level; that result is
+    returned, with ``restart_index`` the winner's and ``restarts_run`` the
+    number of starts screened.  One INFO record gives the coarse grid, the
+    screened restarts, the winner, its coarse and fine levels and their
+    gap.  An error of the fine run propagates.
     """
     if inits is None:
         inits = initial_directions(grid, cfg, V)
+    # the coarse points are every SCREEN_FACTOR-th fine point, an even number
+    coarse_n = grid.n_points // SCREEN_FACTOR
+    screen = (len(inits) > 1 and coarse_n >= SCREEN_MIN_POINTS
+              and grid.n_points % (2 * SCREEN_FACTOR) == 0)
+    run_grid, run_V, run_inits = grid, V, inits
+    if screen:
+        run_grid = Grid(grid.length, coarse_n)
+        run_V = V if np.ndim(V) == 0 else np.asarray(V)[::SCREEN_FACTOR]
+        run_inits = [_decimated(w, run_grid) for w in inits]
     found, dropped = [], []
-    for idx, init in enumerate(inits):
+    for idx, init in enumerate(run_inits):
         try:
-            found.append(outer_minimize(init, fam, V, cfg, restart_index=idx))
+            found.append(outer_minimize(init, fam, run_V, cfg, restart_index=idx))
         except (NoAscent, OverflowGuard) as err:
             dropped.append(f"restart {idx} dropped: {type(err).__name__}: {err}")
             log.info(dropped[-1])
@@ -865,4 +903,15 @@ def solve_ground_state(
                 "below the returned %.15g (restart %d)",
                 r.restart_index, r.el_residual, r.level, best.level, best.restart_index,
             )
-    return replace(best, restarts_run=len(found) + len(dropped))
+    ran = len(found) + len(dropped)
+    if screen:
+        won = best.restart_index
+        fine = outer_minimize(inits[won], fam, V, cfg, restart_index=won)
+        log.info(
+            "screened restarts %s on %s: restart %d won at level %.15g; "
+            "on %s it reaches %.15g, |fine - coarse| %.2e",
+            list(range(ran)), run_grid, won, best.level, grid, fine.level,
+            abs(fine.level - best.level),
+        )
+        best = fine
+    return replace(best, restarts_run=ran)

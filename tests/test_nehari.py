@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import logging
 import time
 import warnings
@@ -34,7 +35,7 @@ from halfwave.nehari import (
     outer_minimize,
     solve_ground_state,
 )
-from halfwave.semiclassical import single_well, solve_rescaled
+from halfwave.semiclassical import double_well, single_well, solve_rescaled
 
 from _oracles import scalar_diagonal_solve
 from _testutil import gaussian_bump, smooth_random
@@ -435,6 +436,36 @@ AT_TOL = ResidualReport(None, 1e-8, 1e-8, 1e-8, 1e-8, 0.0, 1.0, 1.0)
 STALLED = ResidualReport(None, 2e-4, 2e-4, 1e-8, 1e-8, 0.0, 1.0, 1.0)
 
 
+SCREEN_GRID = Grid(40.0, 4096)  # the smallest grid whose restarts are screened
+
+
+def _merge_of_every_start(fam, V, inits, cfg):
+    """outer_minimize from each start, and the result the merge rule picks."""
+    per_start = [outer_minimize(init, fam, V, cfg, restart_index=i) for i, init in enumerate(inits)]
+    candidates = [r for r in per_start if r.converged] or per_start
+    lowest = min(r.level for r in candidates)
+    return per_start, next(r for r in candidates if r.level - lowest <= 1e-12 * abs(lowest))
+
+
+def _assert_same_result(won, full):
+    assert (won.level, won.restart_index, won.el_residual) == (
+        full.level, full.restart_index, full.el_residual)
+    assert np.array_equal(won.w.u.values, full.w.u.values)
+    assert np.array_equal(won.w.v.values, full.w.v.values)
+
+
+def _check_early_stop(name, restarts, seed, grid):
+    """A constant-V solve stops after two starts and returns the merge of
+    every start; returns the per-start results."""
+    fam = builtin_family(name, beta0=1.0)
+    cfg = SolverConfig(restarts=restarts, seed=seed)
+    per_start, full = _merge_of_every_start(fam, 1.0, initial_directions(grid, cfg, 1.0), cfg)
+    won = solve_ground_state(fam, 1.0, grid, cfg)
+    assert won.restarts_run == 2
+    _assert_same_result(won, full)
+    return per_start
+
+
 @pytest.fixture(scope="module")
 def default_starts(fam):
     """outer_minimize from each start of the seed-0, 5-restart default solve."""
@@ -469,27 +500,86 @@ class TestRestartMerge:
         # on constant V every start reaches one state up to translation, so
         # the solve that stops at the first tie returns what the merge of
         # every start returns
-        fam = builtin_family(name, beta0=1.0)
-        cfg = SolverConfig(restarts=restarts, seed=seed)
-        per_start = [
-            outer_minimize(init, fam, 1.0, cfg, restart_index=i)
-            for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0))
-        ]
-        candidates = [r for r in per_start if r.converged] or per_start
-        lowest = min(r.level for r in candidates)
-        full = next(r for r in candidates if r.level - lowest <= 1e-12 * abs(lowest))
-        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
-        assert won.restarts_run == 2
-        assert (won.level, won.restart_index, won.el_residual) == (
-            full.level, full.restart_index, full.el_residual)
-        assert np.array_equal(won.w.u.values, full.w.u.values)
-        assert np.array_equal(won.w.v.values, full.w.v.values)
+        per_start = _check_early_stop(name, restarts, seed, DEFAULT_GRID)
         # the two that tie are one state: on a scalar V each result is
-        # recentred, so their fields agree sample by sample
+        # recentred, so their fields agree sample by sample (on N = 4096
+        # only to 1.6e-6 for cubic_exp, seed 0)
         first, second = per_start[:2]
         assert first.converged and second.converged
         for a, b in ((first.w.u, second.w.u), (first.w.v, second.w.v)):
             assert np.max(np.abs(a.values - b.values)) <= 1e-6
+
+    @pytest.mark.parametrize("name, restarts", [("cubic_exp", 5), ("cubic_quintic_exp", 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_screened_early_stop_returns_the_full_merge(self, name, restarts, seed):
+        # on N = 4096 the starts run on the quarter grid and only the
+        # winner's start runs on N = 4096: the result is still the merge of
+        # every start run on N = 4096
+        _check_early_stop(name, restarts, seed, SCREEN_GRID)
+
+    def test_screened_double_well_returns_the_full_merge(self, fam):
+        # a sampled V runs every start; the quarter grid must pick the start
+        # whose fine result the merge of every fine result picks, here not
+        # restart 0
+        grid = Grid(80.0, 4096)
+        V = double_well(1.0, 2.0, separation=2.0).values(grid, 0.35)
+        cfg = SolverConfig(restarts=5, seed=0)
+        _, full = _merge_of_every_start(fam, V, initial_directions(grid, cfg, V), cfg)
+        won = solve_ground_state(fam, V, grid, cfg)
+        assert won.restarts_run == 5
+        assert full.restart_index != 0
+        _assert_same_result(won, full)
+
+    def test_restarts_are_screened_on_the_quarter_grid(self, fam, monkeypatch, caplog):
+        # N = 2048 runs every start on its own grid; N = 4096 runs the starts
+        # on N = 1024, then the winner's own start once on N = 4096; a
+        # single given start is run as given
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        real = nehari.outer_minimize
+        calls = []
+
+        def recording(init, *args, **kwargs):
+            calls.append(init.grid)
+            return real(init, *args, **kwargs)
+
+        monkeypatch.setattr(nehari, "outer_minimize", recording)
+        cfg = SolverConfig(restarts=5, seed=0)
+        won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
+        assert calls == [DEFAULT_GRID] * won.restarts_run
+        assert not [r for r in caplog.records if r.getMessage().startswith("screened")]
+        calls.clear()
+        won = solve_ground_state(fam, 1.0, SCREEN_GRID, cfg)
+        assert calls == [Grid(40.0, 1024)] * won.restarts_run + [SCREEN_GRID]
+        screened = [r for r in caplog.records if r.getMessage().startswith("screened")]
+        assert len(screened) == 1 and screened[0].levelno == logging.INFO
+        ran, coarse, index, coarse_level, fine, fine_level, gap = screened[0].args
+        assert (ran, coarse, fine) == ([0, 1], Grid(40.0, 1024), SCREEN_GRID)
+        assert index == won.restart_index
+        assert fine_level == won.level and gap == abs(fine_level - coarse_level) > 0.0
+        calls.clear()
+        init = initial_directions(SCREEN_GRID, cfg, 1.0)[0]
+        solve_ground_state(fam, 1.0, SCREEN_GRID, cfg, inits=[init])
+        assert calls == [SCREEN_GRID]
+
+    @pytest.mark.parametrize("n, coarse", [(2048, None), (4096, 1024), (4098, None), (4100, None),
+                                           (4104, 1026)])
+    def test_screening_needs_an_even_quarter_grid_of_1024_points(self, fam, monkeypatch, n, coarse):
+        # the coarse points are every fourth fine point, at least 1024 of
+        # them and an even number; the potential is decimated with them
+        ran = []
+
+        def fake(init, fam, V, cfg, restart_index=0):
+            ran.append(init.grid.n_points)
+            assert np.shape(V) == (init.grid.n_points,)
+            return GroundStateResult(init, 1.0 + restart_index, AT_TOL, converged=True,
+                                     restart_index=restart_index)
+
+        monkeypatch.setattr(nehari, "outer_minimize", fake)
+        grid = Grid(40.0, n)
+        b = gaussian_bump(grid)
+        won = solve_ground_state(fam, np.ones(n), grid, SolverConfig(), inits=[PairField(b, b)] * 3)
+        assert ran == ([n] * 3 if coarse is None else [coarse] * 3 + [n])
+        assert (won.restart_index, won.restarts_run, won.w.grid) == (0, 3, grid)
 
     def test_dropped_restart_is_logged(self, fam, grid, caplog):
         # a start with no diagonal part ends in NoAscent: the merge goes on
@@ -972,6 +1062,28 @@ def test_certificates_are_taken_in_one_function():
     assert callers == {name: {"nehari.build_report"} for name in CERTIFICATES}
 
 
+def test_one_strong_residual_serves_the_certificates(monkeypatch):
+    # the Euler-Lagrange and both Nehari certificates of a pair share one
+    # evaluation of the coupled system, and read what each takes on its own
+    energy_module = importlib.import_module("halfwave.energy")
+    fam = builtin_family("cubic_quintic_exp", beta0=1.0)
+    grid = Grid(40.0, 256)
+    V = 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x / grid.length)
+    w = PairField(gaussian_bump(grid, amp=0.8), gaussian_bump(grid, width=1.3, amp=0.6))
+    real = energy_module.strong_residual
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(energy_module, "strong_residual", counted)
+    report = nehari.build_report(w, fam, V)
+    assert len(calls) == 1
+    assert (report.euler_lagrange_u, report.euler_lagrange_v) == el_residual_norms(w, fam, V)
+    assert (report.nehari_ray, report.nehari_minus) == nehari_residuals(w, fam, V)
+
+
 def top_level_callers(source, names):
     """{name: {"function" or "Class.method"}} of the calls to ``names`` (by
     function or attribute name) in ``source``, each under its enclosing
@@ -1002,6 +1114,28 @@ def test_one_path_from_a_potential_to_a_solve():
         "outer_minimize": {"nehari.solve_ground_state"},
         "evaluate": {"semiclassical.Potential.values"},
     }
+
+
+def test_restarts_run_in_one_loop():
+    # the screened solve reuses the restart loop and the merge: one loop
+    # runs the starts, outer_minimize is called there and once more for the
+    # screened winner, and the tie rule (stop and merge) lives in this one
+    # function, which does not call itself
+    source = (Path(__file__).resolve().parents[1] / "src" / "halfwave" / "nehari.py").read_text()
+    fn = next(f for f in ast.parse(source).body
+              if isinstance(f, ast.FunctionDef) and f.name == "solve_ground_state")
+
+    def calls(node, name):
+        return [c for c in ast.walk(node)
+                if isinstance(c, ast.Call) and getattr(c.func, "id", None) == name]
+
+    loops = [n for n in ast.walk(fn)
+             if isinstance(n, (ast.For, ast.While)) and calls(n, "outer_minimize")]
+    assert len(loops) == 1
+    assert len(calls(fn, "outer_minimize")) == 2
+    assert len(calls(fn, "_lowest_tied")) == 2
+    assert not calls(fn, "solve_ground_state")
+    assert top_level_callers(source, ("_lowest_tied",)) == {"_lowest_tied": {"solve_ground_state"}}
 
 
 def test_coupled_system_is_written_once():
