@@ -38,7 +38,9 @@ class NonlinearityFamily:
     gp: Callable[[np.ndarray], np.ndarray]
     sign_restricted: bool = False
     exponential: bool = True
-    symmetric: bool = True
+    # f = g (with F = G, fp = gp): the solver then skips the antidiagonal
+    # work, which is exactly 0 on the diagonal; set it only when true
+    symmetric: bool = False
 
     def max_safe_amplitude(self) -> float:
         """Largest |t| for which exp(beta0 t^2) stays finite."""
@@ -167,8 +169,8 @@ def builtin_family(
     kappa0 = max(8.0 * np.sqrt(np.e) * V0 / b, np.pi / (b * r1)) + 1.0
 
     if sign_restricted:
-        f, g, F, G = _restrict(f), _restrict(g), _restrict(F), _restrict(G)
-        fp, gp = _restrict(fp), _restrict(gp)
+        f, F, fp = _restrict(f), _restrict(F), _restrict(fp)
+        g, G, gp = (f, F, fp) if symmetric else (_restrict(g), _restrict(G), _restrict(gp))
 
     # M witness for (H4): slightly above the sampled max of F/|f|
     ts = np.linspace(0.05, 10.0, 400)

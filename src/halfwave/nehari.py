@@ -8,9 +8,11 @@ and the antidiagonal subspace, where the maximizer is unique (Szulkin-Weth)
 and J is concave in the antidiagonal coordinate: one safeguarded Newton
 search on the slope in the ray coordinate, then joint Newton steps in (ray,
 antidiagonal), each a truncated preconditioned CG solve globalized by an
-Armijo test on J.  A matrix-free Newton polish then drives the strong-form
-residual of the coupled system to the requested tolerance once the descent
-has localized the candidate.
+Armijo test on J.  For f = g the swap (u, v) -> (v, u) maps J(t, q) to
+J(t, -q), so the maximizer has q = 0, and from a diagonal start the inner
+level skips the work on q, which is exactly 0.  A matrix-free Newton polish
+then drives the strong-form residual of the coupled system to the requested
+tolerance once the descent has localized the candidate.
 
 All randomness is seeded; restarts run one after another and are merged
 deterministically, so runs are reproducible bit-for-bit.  For a constant
@@ -186,20 +188,25 @@ def make_diagonal_gradient(grid: Grid, V, fam: NonlinearityFamily):
 
 
 class _RaySlice:
-    """State for maximizing J over {t*(ahat,ahat) + (q,-q)}."""
+    """State for maximizing J over {t*(ahat,ahat) + (q,-q)}; on the ``diagonal``
+    slice (f = g, q = 0; see inner_maximize) u is v and each kernel runs once."""
 
-    def __init__(self, ahat: np.ndarray, fam: NonlinearityFamily, h: float):
+    def __init__(self, ahat: np.ndarray, fam: NonlinearityFamily, h: float, diagonal=False):
         self.ahat = ahat
         self.fam = fam
         self.h = h
+        self.diagonal = diagonal
 
     def components(self, t, q):
+        if self.diagonal:
+            u = t * self.ahat
+            return u, u
         return t * self.ahat + q, t * self.ahat - q
 
     def _safe_components(self, t, q):
         """components(t, q), or None beyond the exp-safe amplitude."""
         u, v = self.components(t, q)
-        amp = max(np.max(np.abs(u)), np.max(np.abs(v))) if u.size else 0.0
+        amp = max(np.max(np.abs(w), initial=0.0) for w in ((u,) if v is u else (u, v)))
         return None if amp > self.fam.max_safe_amplitude() else (u, v)
 
     def j_value(self, t, q, q_norm_sq):
@@ -207,7 +214,7 @@ class _RaySlice:
         uv = self._safe_components(t, q)
         if uv is None:
             return -np.inf
-        dens = self.fam.F(uv[0]) + self.fam.G(uv[1])
+        dens = _pair_sum(self.fam.F, self.fam.G, *uv)
         return 0.5 * t * t - q_norm_sq - self.h * float(np.sum(dens))
 
     def ray_slope(self, t, q):
@@ -217,9 +224,8 @@ class _RaySlice:
         uv = self._safe_components(t, q)
         if uv is None:
             return -np.inf, -np.inf
-        u, v = uv
-        s = t - self.h * float(np.sum((self.fam.f(u) + self.fam.g(v)) * self.ahat))
-        curv = self.fam.fp(u) + self.fam.gp(v)
+        s = t - self.h * float(np.sum(_pair_sum(self.fam.f, self.fam.g, *uv) * self.ahat))
+        curv = _pair_sum(self.fam.fp, self.fam.gp, *uv)
         return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
 
     def ray_pairing(self, t, q_norm_sq, u, v, fu, gv):
@@ -227,6 +233,12 @@ class _RaySlice:
         (u, v) = components(t, q), given fu = f(u) and gv = g(v), as
         ||(ahat, ahat)|| = 1 gives <u, v> = t^2/2 - ||q||^2."""
         return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(fu * u + gv * v))
+
+
+def _pair_sum(fk, gk, u, v):
+    """fk(u) + gk(v); on the diagonal slice (v is u, fk = gk) fk runs once."""
+    a = fk(u)
+    return a + (a if v is u else gk(v))
 
 
 def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq):
@@ -274,7 +286,8 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
     representative, like r = -2 K q - f(u) + g(v) for J_q.
     """
     h, ahat = sl.h, sl.ahat
-    fpu, gpv = sl.fam.fp(u), sl.fam.gp(v)
+    fpu = sl.fam.fp(u)
+    gpv = fpu if v is u else sl.fam.gp(v)
     s = fpu + gpv
     c = (fpu - gpv) * ahat
     m_tt = h * float(s @ (ahat * ahat)) - 1.0
@@ -341,6 +354,12 @@ def inner_maximize(
     the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
+    Symmetric slice: for a family with ``symmetric`` set (f = g) and a
+    start with q identically 0 (``warm_phi`` None or all zero), q stays 0
+    bit for bit: r = -2 K q - f(u) + g(v) and the coupling (f'(u) - g'(v))
+    ahat vanish, so every step has dq = 0.  Then f, F and f' run once for
+    the pair, q and r take no FFT, and the results equal the general path's.
+
     When the residual targets are not met within ``max_inner`` iterations,
     or the line search stalls, the last iterate is returned: its residuals
     show the miss, and a DEBUG record on ``halfwave.nehari`` gives the
@@ -362,9 +381,10 @@ def inner_maximize(
 
     h = grid.spacing
     vbar = float(np.mean(Va))
-    sl = _RaySlice(ahat, fam, h)
-    q = np.zeros(grid.n_points) if warm_phi is None else warm_phi.copy()
-    q_norm_sq = inner_values(q, q, Va, grid)
+    diagonal = fam.symmetric and (warm_phi is None or not np.any(warm_phi))
+    sl = _RaySlice(ahat, fam, h, diagonal)
+    q = np.zeros(grid.n_points) if diagonal or warm_phi is None else warm_phi.copy()
+    q_norm_sq = 0.0 if diagonal else inner_values(q, q, Va, grid)
     t0 = warm_t if warm_t is not None else 1.0
     t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq)
 
@@ -382,11 +402,15 @@ def inner_maximize(
         # gradient: J_t, the L2 representative r of J_q, and rho = P r
         u, v = sl.components(t, q)
         fam.guard_amplitude(u, "u")
-        fam.guard_amplitude(v, "v")
-        fu, gv = fam.f(u), fam.g(v)
-        r = -2.0 * (halflap(q, grid) + Va * q) - fu + gv
-        rho = inv_multiplier(r, grid, vbar)  # exact strong residual only
-        rho_norm_sq = inner_values(rho, rho, Va, grid)
+        if diagonal:  # r = -2 K 0 - f(u) + f(u): 0, or NaN where f(u) is not finite
+            fu = fam.f(u)
+            gv, r, rho, rho_norm_sq = fu, q, q, (0.0 if np.isfinite(fu).all() else np.nan)
+        else:
+            fam.guard_amplitude(v, "v")
+            fu, gv = fam.f(u), fam.g(v)
+            r = -2.0 * (halflap(q, grid) + Va * q) - fu + gv
+            rho = inv_multiplier(r, grid, vbar)  # exact strong residual only
+            rho_norm_sq = inner_values(rho, rho, Va, grid)
         if not np.isfinite(rho_norm_sq):
             raise InvalidField("antidiagonal gradient has NaN/Inf samples")
 
@@ -412,7 +436,7 @@ def inner_maximize(
         step = 1.0
         for _ in range(40):
             t_try, q_try = t + step * dt, q + step * dq
-            q_try_norm_sq = inner_values(q_try, q_try, Va, grid)
+            q_try_norm_sq = 0.0 if diagonal else inner_values(q_try, q_try, Va, grid)
             j_try = sl.j_value(t_try, q_try, q_try_norm_sq)
             if (gain > 0.0 and j_try >= j_cur + 1e-4 * step * gain) or (flat and j_try > -np.inf):
                 break

@@ -36,6 +36,18 @@ class TestBuiltins:
         with pytest.raises(UnknownFamily):
             builtin_family("cubic_exp", beta0=-1.0)
 
+    def test_symmetric_flag(self):
+        # only a family known to have f = g takes the solver's diagonal path
+        ident = lambda t: np.asarray(t, dtype=float)
+        direct = NonlinearityFamily("direct", ident, ident, ident, ident, beta0=1.0, mu=2.1,
+                                    M=1.0, kappa0=1.0, r1=2.0, fp=ident, gp=ident)
+        assert direct.symmetric is False
+        assert builtin_family("cubic_quintic_exp").symmetric is False
+        for restricted in (False, True):
+            fam = builtin_family("cubic_exp", sign_restricted=restricted)
+            assert fam.symmetric is True
+            assert (fam.g, fam.G, fam.gp) == (fam.f, fam.F, fam.fp)
+
     def test_small_t_vanishing_order(self, cubic_exp):
         # ratio f(t)/t^2 must fall below 1e-5 on the way to 0
         ts = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])

@@ -65,9 +65,9 @@ class TestInnerMaximize:
     def test_symmetric_direction_keeps_phi_zero(self, fam, grid):
         b = gaussian_bump(grid)
         pt = inner_maximize(PairField(b, b), fam, 1.0, inner_tol=1e-10)
-        assert weighted_norm(pt.phi, 1.0) <= 1e-6 * pt.t
+        assert not np.any(pt.phi.values)
         assert pt.t > 0
-        assert pt.ray_residual <= 1e-10 and pt.minus_residual <= 1e-10
+        assert pt.ray_residual <= 1e-10 and pt.minus_residual == 0.0
 
     def test_cubic_ray_against_root_oracle(self, grid):
         # subcritical surrogate: the ray coordinate solves a scalar equation
@@ -300,6 +300,106 @@ class TestRaySearch:
             assert abs(sl.ray_slope(t, q)[0]) <= 1e-12
             ts.append(t)
         assert ts == pytest.approx([ts[1]] * 4, rel=1e-14)
+
+
+def _same_point(a, b):
+    """Two NehariPoints agree bit for bit: scalars by repr, fields by bytes."""
+    def key(p):
+        scalars = (p.t, p.ray_residual, p.minus_residual, p.level, p.inner_iters)
+        return repr(scalars), [f.values.tobytes() for f in (p.w.u, p.w.v, p.phi)]
+
+    assert key(a) == key(b)
+
+
+class _Counts(dict):
+    """Call counts of the wrapped callables, by name."""
+
+    def wrap(self, name, fun):
+        self[name] = 0
+
+        def wrapped(*args, **kwargs):
+            self[name] += 1
+            return fun(*args, **kwargs)
+
+        return wrapped
+
+
+class TestSymmetricSlice:
+    """f = g from a diagonal start: the slice work that is exactly 0 is
+    skipped, and every result is bit for bit the general path's."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["plain", "restricted"])
+    def sym(self, request):
+        return builtin_family("cubic_exp", beta0=1.0, sign_restricted=request.param)
+
+    @pytest.fixture(scope="class", params=["constant", "single_well"])
+    def V(self, request, grid):
+        return 1.0 if request.param == "constant" else single_well(1.0, 2.0).values(grid, 0.5)
+
+    # the default call, a warm ray start, and slice Newton steps below round-off
+    @pytest.mark.parametrize("kw", [{}, {"warm_t": 3.0}, {"inner_tol": 1e-17, "max_inner": 4}])
+    def test_inner_point_is_bitwise_the_general_one(self, sym, V, grid, kw):
+        b = gaussian_bump(grid)
+        fast = inner_maximize(PairField(b, b), sym, V, **kw)
+        general = dataclasses.replace(sym, symmetric=False)
+        _same_point(fast, inner_maximize(PairField(b, b), general, V, **kw))
+        assert fast.w.v.values.tobytes() == fast.w.u.values.tobytes()
+
+    def test_ground_state_is_bitwise_the_general_one(self, sym, V, grid):
+        cfg = SolverConfig(restarts=2, seed=0)
+        fast = solve_ground_state(sym, V, grid, cfg)
+        slow = solve_ground_state(dataclasses.replace(sym, symmetric=False), V, grid, cfg)
+        def key(r):
+            return repr((r.level, r.report, r.message, r.restart_index, r.newton_steps, r.trace))
+
+        assert key(fast) == key(slow)
+        _assert_same_result(fast, slow)
+
+    def test_nonzero_warm_phi_takes_the_general_path(self, sym, grid, monkeypatch):
+        b = gaussian_bump(grid)
+        phi = 1e-3 * smooth_random(grid, np.random.default_rng(2)).values
+        slow = inner_maximize(PairField(b, b), dataclasses.replace(sym, symmetric=False), 1.0,
+                              warm_t=2.0, warm_phi=phi)
+        counts = _Counts()
+        monkeypatch.setattr(nehari, "halflap", counts.wrap("halflap", nehari.halflap))
+        fast = inner_maximize(PairField(b, b), sym, 1.0, warm_t=2.0, warm_phi=phi)
+        assert counts["halflap"] > 0
+        _same_point(fast, slow)
+
+    def test_diagonal_work_counts(self, grid, monkeypatch):
+        counts = _Counts()
+        for name in ("halflap", "inv_multiplier", "inner_values"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        monkeypatch.setattr(_RaySlice, "ray_slope", counts.wrap("slopes", _RaySlice.ray_slope))
+        fam = builtin_family("cubic_exp", beta0=1.0)
+        kernels = {k: counts.wrap(k, getattr(fam, k)) for k in ("f", "g", "F", "G", "fp", "gp")}
+        sym = dataclasses.replace(fam, **kernels)
+        b = gaussian_bump(grid)
+        pt = inner_maximize(PairField(b, b), sym, 1.0)
+        assert pt.inner_iters == 1
+        assert counts["slopes"] > 0
+        # f and fp once per slope, f once per residual evaluation, F once
+        # at the ray's maximum; nothing of g, and no FFT on q or r
+        assert counts == {"halflap": 0, "inv_multiplier": 0, "inner_values": 0,
+                          "slopes": counts["slopes"], "f": counts["slopes"] + 1, "g": 0,
+                          "F": 1, "G": 0, "fp": counts["slopes"], "gp": 0}
+        # slice Newton steps on the diagonal use f and fp alone too
+        inner_maximize(PairField(b, b), sym, 1.0, inner_tol=1e-17, max_inner=4)
+        assert counts["g"] == counts["G"] == counts["gp"] == 0
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_nonlinearity_raises_in_the_loop(self, fam, grid, monkeypatch, symmetric,
+                                                        bad):
+        # the ray search is bypassed, so the loop's own check must catch f
+        def broken(t):
+            return np.where(np.abs(t) > 0.5, bad, fam.f(t))
+
+        sick = dataclasses.replace(fam, f=broken, g=broken, symmetric=symmetric)
+        monkeypatch.setattr(nehari, "_maximize_along_ray", lambda sl, t0, q, q_norm_sq: (2.0, 0.0))
+        b = gaussian_bump(grid)
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidField, match="NaN/Inf"):
+            inner_maximize(PairField(b, b), sick, 1.0)
 
 
 class TestGroundStateSolve:
