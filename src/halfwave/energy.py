@@ -177,8 +177,10 @@ def strong_residual(uv: np.ndarray, fam: NonlinearityFamily, Va, grid: Grid):
     r = (-Delta)^{1/2} uv + V uv - nl with nl = (g(v), f(u)), so r[0] is
     the u-equation residual and r[1] the v-equation one; ``Va`` is from
     :func:`potential_array`.  Returns (r, nl) and guards nothing.  The Newton
-    polish and every certificate of J' take their residual here."""
-    nl = np.stack([fam.g(uv[1]), fam.f(uv[0])])
+    polish and every certificate of J' take their residual here.  A single
+    row uv = (u,) stands for the pair (u, u) of a symmetric family (f = g),
+    whose two rows are both r = (-Delta)^{1/2} u + V u - f(u)."""
+    nl = fam.f(uv) if len(uv) == 1 else np.stack([fam.g(uv[1]), fam.f(uv[0])])
     return halflap(uv, grid) + Va * uv - nl, nl
 
 

@@ -12,7 +12,8 @@ Armijo test on J.  For f = g the swap (u, v) -> (v, u) maps J(t, q) to
 J(t, -q), so the maximizer has q = 0, and from a diagonal start the inner
 level skips the work on q, which is exactly 0.  A matrix-free Newton polish
 then drives the strong-form residual of the coupled system to the requested
-tolerance once the descent has localized the candidate.
+tolerance once the descent has localized the candidate (for f = g and u = v,
+on the one row u); ``newton_first`` runs it alone from a warm start.
 
 All randomness is seeded; restarts run one after another and are merged
 deterministically, so runs are reproducible bit-for-bit.  For a constant
@@ -53,6 +54,8 @@ from .krylov import Operator, gmres
 INNER_TOL = 1e-9
 INNER_MAX_ITERS = 300
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
+NEWTON_GIVE_UP = 2  # steps in a row that do not halve the residual end newton_first
+POLISH_TARGET = 0.05  # the polish targets this fraction of el_tol
 # ulps of |J| within which J is flat to round-off: a slice Newton step that
 # predicts less increase is taken whole
 RAY_J_ULPS = 4
@@ -283,7 +286,8 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
         -J_tt = h sum(s ahat^2) - 1,
 
     self-adjoint in (a, x).(b, y) = ab + h sum(x y); the q part is the L2
-    representative, like r = -2 K q - f(u) + g(v) for J_q.
+    representative, like r = -2 K q - f(u) + g(v) for J_q.  On the diagonal
+    slice c = 0 and the q part is exactly 0, held as an empty array.
     """
     h, ahat = sl.h, sl.ahat
     fpu = sl.fam.fp(u)
@@ -293,6 +297,8 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
     m_tt = h * float(s @ (ahat * ahat)) - 1.0
 
     def neg_hess(dt, dq):
+        if not dq.size:
+            return m_tt * dt, dq
         return m_tt * dt + h * float(c @ dq), c * dt + 2.0 * (halflap(dq, grid) + Va * dq) + s * dq
 
     return m_tt, neg_hess
@@ -305,7 +311,8 @@ def _slice_pcg(neg_hess, m_tt, jt, r, rho, grid: Grid, vbar, eta):
     (1/(-J_tt), (2 (|k| + vbar))^{-1}), whose action on r is rho/2.  It stops
     at preconditioned relative residual ``eta``, after SLICE_CG_MAX
     iterations, or on non-positive curvature at its current iterate (the
-    preconditioned gradient if that is the first direction).
+    preconditioned gradient if that is the first direction).  Empty q parts
+    (the diagonal slice) leave the recurrence in t alone, with no FFT.
     """
     h = grid.spacing
     xt, xq = 0.0, np.zeros_like(r)
@@ -322,7 +329,7 @@ def _slice_pcg(neg_hess, m_tt, jt, r, rho, grid: Grid, vbar, eta):
         alpha = rz / curv
         xt, xq = xt + alpha * pt, xq + alpha * pq
         rt, rq = rt - alpha * at, rq - alpha * aq
-        zt, zq = rt / m_tt, 0.5 * inv_multiplier(rq, grid, vbar)
+        zt, zq = rt / m_tt, 0.5 * inv_multiplier(rq, grid, vbar) if rq.size else rq
         rz_new = rt * zt + h * float(rq @ zq)
         if rz_new <= stop:
             break
@@ -403,8 +410,8 @@ def inner_maximize(
         u, v = sl.components(t, q)
         fam.guard_amplitude(u, "u")
         if diagonal:  # r = -2 K 0 - f(u) + f(u): 0, or NaN where f(u) is not finite
-            fu = fam.f(u)
-            gv, r, rho, rho_norm_sq = fu, q, q, (0.0 if np.isfinite(fu).all() else np.nan)
+            fu = fam.f(u)  # r and rho are 0, held as empty q parts (see _slice_pcg)
+            gv, r, rho, rho_norm_sq = fu, q[:0], q[:0], (0.0 if np.isfinite(fu).all() else np.nan)
         else:
             fam.guard_amplitude(v, "v")
             fu, gv = fam.f(u), fam.g(v)
@@ -435,7 +442,7 @@ def inner_maximize(
         flat = abs(gain) <= RAY_J_ULPS * np.finfo(float).eps * abs(j_cur)
         step = 1.0
         for _ in range(40):
-            t_try, q_try = t + step * dt, q + step * dq
+            t_try, q_try = t + step * dt, q if diagonal else q + step * dq
             q_try_norm_sq = 0.0 if diagonal else inner_values(q_try, q_try, Va, grid)
             j_try = sl.j_value(t_try, q_try, q_try_norm_sq)
             if (gain > 0.0 and j_try >= j_cur + 1e-4 * step * gain) or (flat and j_try > -np.inf):
@@ -456,7 +463,7 @@ def inner_maximize(
 # -- Newton polish ------------------------------------------------------------
 
 
-def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
+def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give_up=False):
     """Matrix-free Newton refinement of the coupled strong system.
 
     The linear solves are GMRES preconditioned on the right by the inverse
@@ -473,48 +480,54 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     translation mode too, with a Levenberg-Marquardt shift (on a GMRES
     failure or an overlong step) and step halving as safeguards.
     Every accepted step lowers the residual, so the last iterate is the best.
+    For f = g (``fam.symmetric``) from u == v, the residual is (r, r) and the
+    Jacobian maps (x, x) to (K x - f'(u) x) twice, so Newton keeps u = v and
+    runs on the one row u (residual K u - f(u), Jacobian K - f'(u), no g),
+    with norms that weigh the row twice: the target, the forcing terms and
+    the step guards mean what they mean for the pair.  With ``give_up`` it
+    stops after NEWTON_GIVE_UP steps in a row that do not halve the residual.
     Returns (iterate, its residual norm, accepted steps).
     """
     grid = w.grid
     n = grid.n_points
-    h = grid.spacing
     Va = np.asarray(V, dtype=float)
     vbar = float(np.mean(V))
+    # the Newton unknown uv stacks the rows (u, v), or holds the one row u
+    rows = 1 if fam.symmetric and np.array_equal(w.u.values, w.v.values) else 2
+    uv = np.concatenate([w.u.values, w.v.values][:rows])
+    weight = np.sqrt(2.0 * grid.spacing / rows)  # sqrt(h); sqrt(2h) for a row that counts twice
 
-    # the Newton unknown uv stacks (u, v) in one vector; returns the
-    # residual and its nonlinear part (g(v), f(u)), flattened alike
+    # the residual and its nonlinear part, (g(v), f(u)) or f(u), flattened
     def strong(uv):
-        r, nl = strong_residual(uv.reshape(2, n), fam, Va, grid)
+        r, nl = strong_residual(uv.reshape(rows, n), fam, Va, grid)
         return r.ravel(), nl.ravel()
 
     def res_norm(r):
-        return np.sqrt(h) * np.linalg.norm(r)
+        return weight * np.linalg.norm(r)
 
     def prec(x):
-        return inv_multiplier(x.reshape(2, n), grid, vbar).ravel()
+        return inv_multiplier(x.reshape(rows, n), grid, vbar).ravel()
 
-    # Jacobian at the current iterate (fp, gp) with the Levenberg-Marquardt
+    # Jacobian at the current iterate, whose u-row couples to v and v-row to
+    # u through ``coupling`` = (g'(v), f'(u)), with the Levenberg-Marquardt
     # shift lam; matvecs counts its applications for the step log
     def jac(x):
         nonlocal matvecs
         matvecs += 1
-        xu, xv = x[:n], x[n:]
-        au, av = halflap(x.reshape(2, n), grid)
-        return np.concatenate([au + (Va + lam) * xu - gp * xv,
-                               av + (Va + lam) * xv - fp * xu])
+        x = x.reshape(rows, n)
+        return (halflap(x, grid) + (Va + lam) * x - coupling * x[::-1]).ravel()
 
-    op = Operator((2 * n, 2 * n), float, jac)
+    op = Operator((rows * n, rows * n), float, jac)
 
-    uv = np.concatenate([w.u.values, w.v.values])
     r, nl = strong(uv)
     r_norm = res_norm(r)
-    scale = max(np.sqrt(h) * np.linalg.norm(uv), 1.0)
+    scale = max(res_norm(uv), 1.0)
     lam = 0.0
-    steps = 0
+    steps = slow = 0
     eta, prev_norm = EW_ETA_MAX, None
     remainder = np.inf  # Taylor remainder of the last step, per unit damping^2
     for _ in range(NEWTON_MAX_STEPS):
-        if r_norm <= target:
+        if r_norm <= target or (give_up and slow == NEWTON_GIVE_UP):
             break
         # forcing term: solve as accurately as the last step's contraction
         # warrants, never more than the target itself needs
@@ -526,15 +539,14 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
         reach = prev_norm is not None and remainder * (r_norm / prev_norm) ** 2 <= 0.5 * target
         eta = min(EW_ETA_MAX, floor if reach else max(eta, floor))
         prev_norm = r_norm
-        u, v = uv[:n], uv[n:]
-        fp = fam.fp(u)
-        gp = fam.gp(v)
+        u = uv.reshape(rows, n)
+        coupling = fam.fp(u) if rows == 1 else np.stack([fam.gp(u[1]), fam.fp(u[0])])
         matvecs = 0
         improved = False
         damp = 0.0
         for _ in range(6):
             delta, info = gmres(op, r, M=prec, rtol=eta)
-            step_size = np.sqrt(h) * np.linalg.norm(delta)
+            step_size = res_norm(delta)
             if info != 0 or step_size > 0.5 * scale:
                 lam = max(4.0 * lam, 1e-3)
                 continue
@@ -544,7 +556,7 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
                 rt, nlt = strong(trial)
                 nt = res_norm(rt)
                 if nt < r_norm:
-                    taylor = nlt - nl + damp * np.concatenate([gp * delta[n:], fp * delta[:n]])
+                    taylor = nlt - nl + damp * (coupling * delta.reshape(rows, n)[::-1]).ravel()
                     remainder = res_norm(taylor) / damp**2
                     uv, r, nl, r_norm = trial, rt, nlt, nt
                     improved = True
@@ -560,9 +572,10 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
         )
         if not improved:
             break
+        slow = slow + 1 if r_norm > 0.5 * prev_norm else 0
         lam = lam / 4.0 if lam > 1e-10 else 0.0
-    out = PairField(Field(grid, uv[:n]), Field(grid, uv[n:]))
-    return out, r_norm, steps
+    uv = uv.reshape(rows, n)
+    return PairField(Field(grid, uv[0]), Field(grid, uv[-1])), r_norm, steps
 
 
 # -- outer level ----------------------------------------------------------------
@@ -647,7 +660,8 @@ def outer_minimize(
     ``max_outer`` steps the last state is returned unpolished, with the
     message "max_outer reached", and the gradient is logged at INFO.  An
     inner solve that misses its targets enters the descent with the point
-    it reached.
+    it reached.  The first inner solve starts from the start's antidiagonal
+    part, so a polished f != g start keeps its q.
     """
     grid = init_direction.grid
     h = grid.spacing
@@ -656,7 +670,7 @@ def outer_minimize(
     a = _diag_normalize(
         0.5 * (init_direction.u.values + init_direction.v.values), grid, Va
     )
-    warm_t, warm_phi = None, None
+    warm_t, warm_phi = None, 0.5 * (init_direction.u.values - init_direction.v.values)
     trace: List[IterationRecord] = []
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
@@ -745,7 +759,7 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     certificates decide.
     """
     start = _centre_on_grid_point(point.w) if early else point.w
-    polished, _, steps = _newton_polish(start, fam, V, target=0.05 * cfg.el_tol)
+    polished, _, steps = _newton_polish(start, fam, V, target=POLISH_TARGET * cfg.el_tol)
     out = _finalize(
         polished, fam, V, trace, restart_index, cfg,
         message=message + f" + newton polish ({steps} steps)",
@@ -761,6 +775,15 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
         point.level, out.level, "accepted" if accepted else "rejected",
     )
     return out if accepted else None
+
+
+def newton_first(w: PairField, fam: NonlinearityFamily, V, cfg: SolverConfig):
+    """Newton polish of a warm start, before any descent, that gives up
+    after NEWTON_GIVE_UP steps in a row that do not halve the residual:
+    (the polished state, or None above the polish target; steps; residual)."""
+    target = POLISH_TARGET * cfg.el_tol
+    out, res, steps = _newton_polish(w, fam, V, target, give_up=True)
+    return (out if res <= target else None), steps, res
 
 
 def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:

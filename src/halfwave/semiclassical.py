@@ -12,6 +12,7 @@ from the autonomous ground state.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -27,12 +28,15 @@ from .nehari import (
     GroundStateResult,
     SolverConfig,
     initial_directions,
+    newton_first,
     outer_minimize,  # noqa: F401  (perfbench/spans.py patches this name here)
     solve_ground_state,
 )
 
 # largest relative distance of V(eps L/2) from Vinf that Potential.values accepts
 BOX_SLACK = 0.05
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -253,16 +257,21 @@ def concentration_sweep(
     multi-starts (``solve_rescaled``); every later rung warm-starts from the
     previous solution (continuation), moved so that a peak at y on rung eps
     sits at y * eps / eps' on rung eps' (the same physical point, so the
-    profile stays in its well).  A rung that runs out of budget is recorded
-    with ``converged`` false; a rung that raises is recorded in ``errors``,
-    the next rung starts cold again, and the sweep continues.  The result
-    keeps the autonomous solve, which ``profile_drift`` is measured against.
+    profile stays in its well).  After a converged rung, Newton polishes the
+    warm start first (``newton_first``): the descent then only confirms the
+    polished state, or, where Newton gave up, runs from the unpolished start.
+    An INFO record on ``halfwave.semiclassical`` and the rung's ``message``
+    give the outcome, or that Newton was skipped.  A rung that runs out of
+    budget is recorded with ``converged`` false; a rung that raises is
+    recorded in ``errors``, the next rung starts cold again, and the sweep
+    continues.  The result keeps the autonomous solve, which
+    ``profile_drift`` is measured against.
     """
     eps = check_eps_ladder(eps_list)
 
     auto = solve_ground_state(fam, potential.V0, grid, cfg)
 
-    def make_record(e: float, res: GroundStateResult) -> SweepRecord:
+    def make_record(e: float, res: GroundStateResult, note: str) -> SweepRecord:
         prof_u = res.w.u.values
         prof_v = res.w.v.values
         y_eps = _argmax_location(grid, np.abs(prof_u) + np.abs(prof_v))
@@ -286,26 +295,36 @@ def concentration_sweep(
             profile_drift=float(drift),
             el_residual=res.el_residual,
             converged=res.converged,
-            message=res.message,
+            message=note + res.message,
             solution=res.w if keep_solutions else None,
         )
 
     records: List[SweepRecord] = []
     errors: dict = {}
 
-    warm: Optional[PairField] = None
-    prev = None  # (eps, solution) of the last rung solved
+    prev = None  # (eps, solution, converged) of the last rung solved
     for e in eps:
-        if prev is not None:
-            e_prev, w_prev = prev
-            j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
-            warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
+        warm, note = None, ""
         try:
+            if prev is not None:
+                e_prev, w_prev, prev_converged = prev
+                j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
+                warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
+                if prev_converged:
+                    polished, steps, resid = newton_first(warm, fam, potential.values(grid, e), cfg)
+                    outcome = "fell back" if polished is None else "accepted"
+                    log.info("eps=%g: newton first %s after %d steps, residual %.2e",
+                             e, outcome, steps, resid)
+                    note = f"newton first {outcome} ({steps} steps); "
+                    warm = warm if polished is None else polished
+                else:
+                    log.info("eps=%g: newton first skipped, the previous rung is unconverged", e)
+                    note = "newton first skipped; "
             res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
-            records.append(make_record(e, res))
-            prev = (e, res.w)
+            records.append(make_record(e, res, note))
+            prev = (e, res.w, res.converged)
         except HalfwaveError as err:
             errors[e] = str(err)
-            warm, prev = None, None
+            prev = None
 
     return SweepResult(records=records, autonomous=auto, errors=errors)

@@ -352,8 +352,23 @@ class TestSymmetricSlice:
         def key(r):
             return repr((r.level, r.report, r.message, r.restart_index, r.newton_steps, r.trace))
 
-        assert key(fast) == key(slow)
-        _assert_same_result(fast, slow)
+        if np.ndim(V):
+            assert key(fast) == key(slow)
+            _assert_same_result(fast, slow)
+            return
+        # the descent is bitwise the general one; the polish then runs on the
+        # one row u, where the stacked pair's norms and dot products round
+        # otherwise, so the polished state agrees to round-off (measured: the
+        # level to 1 ulp, the samples to 2.2e-16, the report to 8e-16)
+        def descent(r):
+            return repr((r.message, r.restart_index, r.newton_steps, r.restarts_run, r.trace))
+
+        assert descent(fast) == descent(slow)
+        assert fast.level == pytest.approx(slow.level, rel=1e-14, abs=0)
+        for a, b in ((fast.w.u, slow.w.u), (fast.w.v, slow.w.v)):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-13)
+        assert dataclasses.astuple(fast.report) == pytest.approx(
+            dataclasses.astuple(slow.report), rel=1e-12, abs=1e-13)
 
     def test_nonzero_warm_phi_takes_the_general_path(self, sym, grid, monkeypatch):
         b = gaussian_bump(grid)
@@ -386,6 +401,17 @@ class TestSymmetricSlice:
         # slice Newton steps on the diagonal use f and fp alone too
         inner_maximize(PairField(b, b), sym, 1.0, inner_tol=1e-17, max_inner=4)
         assert counts["g"] == counts["G"] == counts["gp"] == 0
+
+    def test_slice_newton_steps_take_no_fft(self, grid, monkeypatch):
+        # q is exactly 0 on the diagonal, so the slice CG runs in t alone
+        counts = _Counts()
+        for name in ("halflap", "inv_multiplier", "_slice_pcg"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        b = gaussian_bump(grid)
+        fam = builtin_family("cubic_exp", beta0=1.0)
+        pt = inner_maximize(PairField(b, b), fam, 1.0, inner_tol=1e-17, max_inner=4)
+        assert pt.inner_iters == 4
+        assert counts == {"halflap": 0, "inv_multiplier": 0, "_slice_pcg": 3}
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -932,18 +958,69 @@ class TestNewtonHandoff:
 
             return wrapped
 
-        cfam = dataclasses.replace(fam, f=counted(fam.f), g=counted(fam.g))
-        work = []
-        for seed in range(5):
-            u = w.u.values
-            if seed:
-                rng = np.random.default_rng(seed)
-                u = np.nextafter(u, rng.choice([-np.inf, np.inf], size=u.size))
-            calls = 0
-            _, res, steps = real(PairField(Field(grid, u), w.v), cfam, V, target)
-            assert res <= target
-            work.append((steps, calls))
-        assert len(set(work)) == 1, work
+        # the stacked polish, and the one-row polish of f = g, which needs u == v
+        # and so flips u and v together
+        for symmetric in (False, True):
+            cfam = dataclasses.replace(fam, f=counted(fam.f), g=counted(fam.g), symmetric=symmetric)
+            work = []
+            for seed in range(5):
+                u = w.u.values
+                if seed:
+                    rng = np.random.default_rng(seed)
+                    u = np.nextafter(u, rng.choice([-np.inf, np.inf], size=u.size))
+                start = PairField(Field(grid, u), Field(grid, u) if symmetric else w.v)
+                calls = 0
+                _, res, steps = real(start, cfam, V, target)
+                assert res <= target
+                work.append((steps, calls))
+            assert len(set(work)) == 1, (symmetric, work)
+
+
+class TestOneRowPolish:
+    """f = g from a start with u == v: the polish runs on the one row u."""
+
+    TARGET = 5e-8
+
+    @pytest.fixture(scope="class")
+    def start(self, ground, grid):
+        u = 1.02 * ground.w.u.values
+        return PairField(Field(grid, u), Field(grid, u))
+
+    @pytest.fixture
+    def shapes(self, monkeypatch):
+        """The shapes of the GMRES operators, one per solve."""
+        real, shapes = nehari.gmres, []
+
+        def recorded(A, b, **kw):
+            shapes.append(A.shape)
+            return real(A, b, **kw)
+
+        monkeypatch.setattr(nehari, "gmres", recorded)
+        return shapes
+
+    def test_polish_works_on_one_row(self, fam, grid, start, shapes):
+        counts = _Counts()
+        kernels = {k: counts.wrap(k, getattr(fam, k)) for k in ("f", "g", "F", "G", "fp", "gp")}
+        out, res, steps = nehari._newton_polish(start, dataclasses.replace(fam, **kernels), 1.0,
+                                                self.TARGET)
+        assert res <= self.TARGET and steps >= 2
+        assert counts["f"] > 0 and counts["fp"] > 0
+        assert counts["g"] == counts["G"] == counts["gp"] == counts["F"] == 0
+        assert set(shapes) == {(grid.n_points, grid.n_points)}
+        assert out.u.values.tobytes() == out.v.values.tobytes()
+
+    def test_agrees_with_the_stacked_polish(self, fam, start):
+        one, res_one, _ = nehari._newton_polish(start, fam, 1.0, self.TARGET)
+        stacked = dataclasses.replace(fam, symmetric=False)
+        two, res_two, _ = nehari._newton_polish(start, stacked, 1.0, self.TARGET)
+        assert res_one <= self.TARGET and res_two <= self.TARGET
+        for a, b in ((one.u, two.u), (one.v, two.v)):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-10
+
+    def test_unequal_rows_take_the_stacked_polish(self, fam, grid, start, shapes):
+        v = np.nextafter(start.v.values, np.inf)
+        nehari._newton_polish(PairField(start.u, Field(grid, v)), fam, 1.0, self.TARGET)
+        assert set(shapes) == {(2 * grid.n_points, 2 * grid.n_points)}
 
 
 def _outer_steps(records):

@@ -1,3 +1,6 @@
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,8 @@ from halfwave.energy import PairField
 from halfwave.errors import InvalidField
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid
-from halfwave.nehari import SolverConfig, outer_minimize, solve_ground_state
+from halfwave import semiclassical
+from halfwave.nehari import POLISH_TARGET, SolverConfig, outer_minimize, solve_ground_state
 from halfwave.semiclassical import (
     POTENTIALS,
     Potential,
@@ -250,3 +254,92 @@ class TestResolvedDoubleWell:
         assert res.level == pytest.approx(level, rel=1e-9, abs=0)
         prof = np.abs(res.w.u.values) + np.abs(res.w.v.values)
         assert abs(abs(eps * grid.x[int(np.argmax(prof))]) - 2.0) <= 0.05
+
+
+def _record_rungs(monkeypatch, mark_unconverged=()):
+    """Patch the sweep's newton_first and solve_rescaled to record, per
+    call, (start, newton_first's result) and (init, result); the results of
+    the rungs in ``mark_unconverged`` come back with ``converged`` false."""
+    tried, solved = [], []
+    real_first, real_solve = semiclassical.newton_first, semiclassical.solve_rescaled
+
+    def first(w, *args):
+        tried.append((w, real_first(w, *args)))
+        return tried[-1][1]
+
+    def solve(e, *args, init=None):
+        res = real_solve(e, *args, init=init)
+        solved.append((init, res))
+        return dataclasses.replace(res, converged=False) if e in mark_unconverged else res
+
+    monkeypatch.setattr(semiclassical, "newton_first", first)
+    monkeypatch.setattr(semiclassical, "solve_rescaled", solve)
+    return tried, solved
+
+
+class TestNewtonFirst:
+    """A warm rung starts with a Newton polish of the shifted previous rung;
+    the descent confirms what it reaches, or runs from the unpolished start."""
+
+    EPS = [1.0, 0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp"])
+    def test_single_well_rungs_are_confirmed(self, name, cfg, sweep_grid, monkeypatch, caplog):
+        fam = builtin_family(name, beta0=1.0)
+        pot = single_well(1.0, 2.0)
+        tried, solved = _record_rungs(monkeypatch)
+        caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
+        sweep = concentration_sweep(self.EPS, pot, fam, sweep_grid, cfg)
+        assert not sweep.errors and len(tried) == 3
+        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        assert [r.args[0] for r in logged] == self.EPS[1:]
+        assert not sweep.records[0].message.startswith("newton first")
+        for (start, (out, steps, res)), (init, rung), rec, log_rec in zip(
+                tried, solved[1:], sweep.records[1:], logged):
+            # the polished state goes to the descent, which hands it over at
+            # once: one inner solve, no descent Newton step, one certificate
+            assert out is init and res <= POLISH_TARGET * cfg.el_tol
+            assert len(rung.trace) == 1 and rung.newton_steps == 0 and rung.converged
+            assert log_rec.args[1:] == ("accepted", steps, res)
+            assert rec.message == f"newton first accepted ({steps} steps); {rung.message}"
+
+        # the same sweep with every warm rung falling back to the descent
+        monkeypatch.setattr(semiclassical, "newton_first", lambda *a: (None, 0, np.inf))
+        fallback = concentration_sweep(self.EPS, pot, fam, sweep_grid, cfg)
+        for a, b in zip(sweep.records, fallback.records):
+            assert a.level == pytest.approx(b.level, rel=1e-12, abs=0)
+            assert a.y_eps == b.y_eps
+
+    def test_double_well_rungs_fall_back(self, fam, cfg, monkeypatch, caplog):
+        # the soft translation mode stalls Newton from the warm start on the
+        # resolved grid: it gives up within a few steps, and the rung runs the
+        # warm descent from the unpolished start
+        grid = Grid(80.0, 8192)
+        tried, solved = _record_rungs(monkeypatch)
+        caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
+        eps = [1.0, 0.5, 0.35, 0.25]
+        sweep = concentration_sweep(eps, double_well(1.0, 2.0, 2.0), fam, grid, cfg)
+        assert not sweep.errors and len(tried) == 3
+        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        for (start, (out, steps, _)), (init, rung), rec, log_rec in zip(
+                tried, solved[1:], sweep.records[1:], logged):
+            assert out is None and init is start
+            assert steps <= 10
+            assert log_rec.args[1:3] == ("fell back", steps)
+            assert rec.message.startswith(f"newton first fell back ({steps} steps); ")
+            assert rung.converged
+            assert abs(abs(rec.x_eps) - 2.0) <= 0.05
+
+    def test_no_newton_first_after_an_unconverged_rung(self, fam, cfg, sweep_grid, monkeypatch,
+                                                       caplog):
+        tried, _ = _record_rungs(monkeypatch, mark_unconverged=(1.0,))
+        caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
+        sweep = concentration_sweep(self.EPS, single_well(1.0, 2.0), fam, sweep_grid, cfg)
+        assert len(tried) == 2
+        messages = [r.message for r in sweep.records]
+        assert not messages[0].startswith("newton first")
+        assert messages[1].startswith("newton first skipped; ")
+        assert all(m.startswith("newton first accepted") for m in messages[2:])
+        logged = [r.getMessage() for r in caplog.records if r.name == "halfwave.semiclassical"]
+        assert logged[0] == "eps=0.5: newton first skipped, the previous rung is unconverged"
+        assert len(logged) == 3
