@@ -8,18 +8,24 @@ preconditioned conjugate gradients for a symmetric positive definite A
 and a symmetric positive definite M.
 
 A is anything with ``shape``, ``dtype`` and ``matvec`` (an `Operator`, or a
-scipy ``LinearOperator``); M is a plain callable.  Both return (x, info):
+scipy ``LinearOperator``); M is a plain callable, or for ``gmres`` None (no
+preconditioner: a caller that applies A M cheaper than A after M passes
+A M and applies M to the solution).  Both return (x, info):
 info == 0 when the tolerance is met, otherwise the budget spent (GMRES
 cycles, CG iterations), with x the last iterate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 EPS = np.finfo(float).eps
+
+
+def _identity(x):
+    return x
 
 
 class Operator(NamedTuple):
@@ -30,14 +36,17 @@ class Operator(NamedTuple):
     matvec: Callable[[np.ndarray], np.ndarray]
 
 
-def gmres(A, b, *, M: Callable, rtol=1e-5, restart=60, maxiter=200):
-    """Solve A x = b from x0 = 0 by GMRES(restart) on A M, at most maxiter cycles.
+def gmres(A, b, *, M: Optional[Callable] = None, rtol=1e-5, restart=60, maxiter=200):
+    """Solve A x = b from x0 = 0 by GMRES(restart) on A M, at most maxiter cycles;
+    M = None is the identity.
 
     Each cycle runs Arnoldi with modified Gram-Schmidt and Givens rotations
     until the rotated residual, equal to the true one in exact arithmetic,
     meets the tolerance (or is NaN, or the basis breaks down); the true
     residual of the updated x, one product, then decides.
     """
+    if M is None:
+        M = _identity
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     beta = np.linalg.norm(b)

@@ -15,6 +15,13 @@ then drives the strong-form residual of the coupled system to the requested
 tolerance once the descent has localized the candidate (for f = g and u = v,
 on the one row u); ``newton_first`` runs it alone from a warm start.
 
+Every level applies K = (-Delta)^{1/2} + V and the preconditioner
+P = (|k| + vbar)^{-1}, vbar = mean V.  For the discrete multipliers
+K P x = x + (V - vbar) P x exactly, so a vector just preconditioned has its
+K-image without another FFT; the descent, the slice CG and the polish take
+K-images that way and carry them forward, while the certificates
+(``build_report``) apply K afresh.
+
 All randomness is seeded; restarts run one after another and are merged
 deterministically, so runs are reproducible bit-for-bit.  For a constant
 potential the restarts stop once two converged ones tie in level, since
@@ -36,7 +43,7 @@ from .energy import (
     PairField,
     el_residual_norms,
     energy,
-    inner_values,
+    inner_values,  # noqa: F401  (tests count calls of this name here)
     nehari_residuals,
     norm_values,
     pair_residual,
@@ -170,22 +177,27 @@ class GroundStateResult:
 
 
 def make_diagonal_gradient(grid: Grid, V, fam: NonlinearityFamily):
-    """Preconditioned diagonal derivative representative.
+    """Preconditioned diagonal derivative representative and its K-image.
 
-    ``plus(u, v)`` evaluates P(strong residual), which represents
-    b -> <J'(w), (b, b)> and vanishes exactly at critical points.
-    P = (|k| + mean V)^{-1} is the exact Riesz map for scalar V and, for a
-    varying potential, the spectrally equivalent preconditioner used for all
-    descent directions (exact representatives are only needed in reports).
+    ``plus(u, v, ks)``, with ks = K (u + v), returns (c, K c) for c =
+    P(strong residual), which represents b -> <J'(w), (b, b)> and vanishes
+    exactly at critical points.  P = (|k| + mean V)^{-1} is the exact Riesz
+    map for scalar V and, for a varying potential, the spectrally equivalent
+    preconditioner used for all descent directions (exact representatives
+    are only needed in reports).
     """
-    Va = np.asarray(V, dtype=float)
     vbar = float(np.mean(V))
+    dv = np.asarray(V, dtype=float) - vbar
 
     # P is applied to exact strong-form residuals only: shortcuts of the
-    # form u - P(f) are biased whenever P is not the exact inverse
-    def plus(u, v):
-        s = u + v
-        return inv_multiplier(halflap(s, grid) + Va * s - fam.f(u) - fam.g(v), grid, vbar)
+    # form u - P(f) are biased whenever P is not the exact inverse.  K c is
+    # no such shortcut: K = P^{-1} + (V - vbar) holds for the discrete
+    # multipliers themselves, so K c = res + (V - vbar) c is exact algebra,
+    # equal to a fresh halflap(c) + V c up to round-off
+    def plus(u, v, ks):
+        res = ks - fam.f(u) - fam.g(v)
+        c = inv_multiplier(res, grid, vbar)
+        return c, res + dv * c
 
     return plus
 
@@ -286,8 +298,9 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
         -J_tt = h sum(s ahat^2) - 1,
 
     self-adjoint in (a, x).(b, y) = ab + h sum(x y); the q part is the L2
-    representative, like r = -2 K q - f(u) + g(v) for J_q.  On the diagonal
-    slice c = 0 and the q part is exactly 0, held as an empty array.
+    representative, like r = -2 K q - f(u) + g(v) for J_q; ``neg_hess``
+    applies K unless given ``kdq`` = K dq.  On the diagonal slice c = 0 and
+    the q part is exactly 0, held as an empty array.
     """
     h, ahat = sl.h, sl.ahat
     fpu = sl.fam.fp(u)
@@ -296,46 +309,54 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
     c = (fpu - gpv) * ahat
     m_tt = h * float(s @ (ahat * ahat)) - 1.0
 
-    def neg_hess(dt, dq):
+    def neg_hess(dt, dq, kdq=None):
         if not dq.size:
             return m_tt * dt, dq
-        return m_tt * dt + h * float(c @ dq), c * dt + 2.0 * (halflap(dq, grid) + Va * dq) + s * dq
+        if kdq is None:
+            kdq = halflap(dq, grid) + Va * dq
+        return m_tt * dt + h * float(c @ dq), c * dt + 2.0 * kdq + s * dq
 
     return m_tt, neg_hess
 
 
-def _slice_pcg(neg_hess, m_tt, jt, r, rho, grid: Grid, vbar, eta):
-    """Inexact Newton step (dt, dq) solving -H (dt, dq) = (J_t, r).
+def _slice_pcg(neg_hess, m_tt, jt, r, rho, dv, grid: Grid, vbar, eta):
+    """Inexact Newton step (dt, dq) solving -H (dt, dq) = (J_t, r), and K dq.
 
     Truncated PCG (Steihaug 1983) preconditioned by
     (1/(-J_tt), (2 (|k| + vbar))^{-1}), whose action on r is rho/2.  It stops
     at preconditioned relative residual ``eta``, after SLICE_CG_MAX
     iterations, or on non-positive curvature at its current iterate (the
-    preconditioned gradient if that is the first direction).  Empty q parts
+    preconditioned gradient if that is the first direction).  The q parts
+    carry K-images, from K z = r / 2 + dv z for z = P r / 2 (dv = V - vbar),
+    so an iteration takes one inv_multiplier and no halflap.  Empty q parts
     (the diagonal slice) leave the recurrence in t alone, with no FFT.
     """
     h = grid.spacing
-    xt, xq = 0.0, np.zeros_like(r)
+    xt, xq, kxq = 0.0, np.zeros_like(r), np.zeros_like(r)
     rt, rq = jt, r
     zt, zq = jt / m_tt, 0.5 * rho
-    pt, pq = zt, zq
+    kzq = 0.5 * rq + dv * zq if rq.size else rq
+    pt, pq, kpq = zt, zq, kzq
     rz = rt * zt + h * float(rq @ zq)
     stop = eta * eta * rz
     for k in range(SLICE_CG_MAX):
-        at, aq = neg_hess(pt, pq)
+        at, aq = neg_hess(pt, pq, kpq)
         curv = pt * at + h * float(pq @ aq)
         if not curv > 0.0:
-            return (zt, zq) if k == 0 else (xt, xq)
+            return (zt, zq, kzq) if k == 0 else (xt, xq, kxq)
         alpha = rz / curv
-        xt, xq = xt + alpha * pt, xq + alpha * pq
+        xt, xq, kxq = xt + alpha * pt, xq + alpha * pq, kxq + alpha * kpq
         rt, rq = rt - alpha * at, rq - alpha * aq
-        zt, zq = rt / m_tt, 0.5 * inv_multiplier(rq, grid, vbar) if rq.size else rq
+        zt = rt / m_tt
+        if rq.size:
+            zq = 0.5 * inv_multiplier(rq, grid, vbar)
+            kzq = 0.5 * rq + dv * zq
         rz_new = rt * zt + h * float(rq @ zq)
         if rz_new <= stop:
             break
         beta, rz = rz_new / rz, rz_new
-        pt, pq = zt + beta * pt, zq + beta * pq
-    return xt, xq
+        pt, pq, kpq = zt + beta * pt, zq + beta * pq, kzq + beta * kpq
+    return xt, xq, kxq
 
 
 def inner_maximize(
@@ -360,6 +381,10 @@ def inner_maximize(
     to round-off and the full step is taken.  Where the ray is not concave
     the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
+
+    K q is taken once, for a nonzero ``warm_phi``, then carried with the
+    K dq of each step, so r, ||q||^2 = h q.Kq and ||rho||^2 =
+    h rho.(r + (V - vbar) rho) take no halflap.
 
     Symmetric slice: for a family with ``symmetric`` set (f = g) and a
     start with q identically 0 (``warm_phi`` None or all zero), q stays 0
@@ -390,8 +415,10 @@ def inner_maximize(
     vbar = float(np.mean(Va))
     diagonal = fam.symmetric and (warm_phi is None or not np.any(warm_phi))
     sl = _RaySlice(ahat, fam, h, diagonal)
+    dv = Va - vbar
     q = np.zeros(grid.n_points) if diagonal or warm_phi is None else warm_phi.copy()
-    q_norm_sq = 0.0 if diagonal else inner_values(q, q, Va, grid)
+    kq = halflap(q, grid) + Va * q if np.any(q) else np.zeros_like(q)  # K q, carried
+    q_norm_sq = h * float(q @ kq)
     t0 = warm_t if warm_t is not None else 1.0
     t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq)
 
@@ -415,9 +442,9 @@ def inner_maximize(
         else:
             fam.guard_amplitude(v, "v")
             fu, gv = fam.f(u), fam.g(v)
-            r = -2.0 * (halflap(q, grid) + Va * q) - fu + gv
+            r = -2.0 * kq - fu + gv
             rho = inv_multiplier(r, grid, vbar)  # exact strong residual only
-            rho_norm_sq = inner_values(rho, rho, Va, grid)
+            rho_norm_sq = h * float(rho @ (r + dv * rho))  # K rho = r + (V - vbar) rho
         if not np.isfinite(rho_norm_sq):
             raise InvalidField("antidiagonal gradient has NaN/Inf samples")
 
@@ -437,13 +464,15 @@ def inner_maximize(
         if not m_tt > 0.0:  # the ray is not concave at t
             t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq)
             continue
-        dt, dq = _slice_pcg(neg_hess, m_tt, jt, r, rho, grid, vbar, eta)
+        dt, dq, kdq = _slice_pcg(neg_hess, m_tt, jt, r, rho, dv, grid, vbar, eta)
         gain = jt * dt + h * float(r @ dq)  # predicted increase <grad J, step>
         flat = abs(gain) <= RAY_J_ULPS * np.finfo(float).eps * abs(j_cur)
         step = 1.0
         for _ in range(40):
-            t_try, q_try = t + step * dt, q if diagonal else q + step * dq
-            q_try_norm_sq = 0.0 if diagonal else inner_values(q_try, q_try, Va, grid)
+            t_try, q_try, kq_try = t + step * dt, q, kq
+            if not diagonal:
+                q_try, kq_try = q + step * dq, kq + step * kdq
+            q_try_norm_sq = h * float(q_try @ kq_try)
             j_try = sl.j_value(t_try, q_try, q_try_norm_sq)
             if (gain > 0.0 and j_try >= j_cur + 1e-4 * step * gain) or (flat and j_try > -np.inf):
                 break
@@ -451,7 +480,7 @@ def inner_maximize(
         else:
             reason = "line search stalled"
             break
-        t, q, q_norm_sq, j_cur = t_try, q_try, q_try_norm_sq, j_try
+        t, q, kq, q_norm_sq, j_cur = t_try, q_try, kq_try, q_try_norm_sq, j_try
 
     log.debug(
         "inner maximization: residuals (%.2e, %.2e) above tol %.2e, %d of %d iterations used (%s)",
@@ -467,7 +496,9 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     """Matrix-free Newton refinement of the coupled strong system.
 
     The linear solves are GMRES preconditioned on the right by the inverse
-    multiplier, so the true linear residual meets the Eisenstat-Walker
+    multiplier P, as GMRES on J P y = y + (V - vbar + lam) z - coupling z
+    swapped, z = P y (one inv_multiplier, no halflap), with step P y.  The
+    true linear residual meets the Eisenstat-Walker
     choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
     floored at half the relative accuracy the target needs.  A step that can
     reach the target solves to exactly that accuracy, 0.5 target / residual,
@@ -492,6 +523,7 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     n = grid.n_points
     Va = np.asarray(V, dtype=float)
     vbar = float(np.mean(V))
+    dv = Va - vbar
     # the Newton unknown uv stacks the rows (u, v), or holds the one row u
     rows = 1 if fam.symmetric and np.array_equal(w.u.values, w.v.values) else 2
     uv = np.concatenate([w.u.values, w.v.values][:rows])
@@ -508,16 +540,16 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     def prec(x):
         return inv_multiplier(x.reshape(rows, n), grid, vbar).ravel()
 
-    # Jacobian at the current iterate, whose u-row couples to v and v-row to
-    # u through ``coupling`` = (g'(v), f'(u)), with the Levenberg-Marquardt
-    # shift lam; matvecs counts its applications for the step log
-    def jac(x):
+    # Jacobian at the current iterate times P, whose u-row couples to v and
+    # v-row to u through ``coupling`` = (g'(v), f'(u)), with the
+    # Levenberg-Marquardt shift lam; matvecs counts it for the step log
+    def jac_prec(y):
         nonlocal matvecs
         matvecs += 1
-        x = x.reshape(rows, n)
-        return (halflap(x, grid) + (Va + lam) * x - coupling * x[::-1]).ravel()
+        z = prec(y).reshape(rows, n)
+        return (y.reshape(rows, n) + (dv + lam) * z - coupling * z[::-1]).ravel()
 
-    op = Operator((rows * n, rows * n), float, jac)
+    op = Operator((rows * n, rows * n), float, jac_prec)
 
     r, nl = strong(uv)
     r_norm = res_norm(r)
@@ -545,7 +577,8 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
         improved = False
         damp = 0.0
         for _ in range(6):
-            delta, info = gmres(op, r, M=prec, rtol=eta)
+            y, info = gmres(op, r, rtol=eta)
+            delta = prec(y)
             step_size = res_norm(delta)
             if info != 0 or step_size > 0.5 * scale:
                 lam = max(4.0 * lam, 1e-3)
@@ -643,7 +676,8 @@ def outer_minimize(
     renormalization and the vector transport is projection onto the tangent
     space.  The newest LBFGS_MEMORY pairs (s, y) of iterate and gradient
     differences, projected at the new iterate, are kept with K s and K y
-    (K = (-Delta)^{1/2} + V), so the two-loop recursion needs no FFT; a pair
+    (K = (-Delta)^{1/2} + V), so the two-loop recursion needs no FFT; a step
+    applies K to a alone, as K g follows from K a and K c; a pair
     with <s, y> <= LBFGS_CURVATURE_RTOL |s| |y| is dropped.  The direction d
     is the two-loop's, projected; the Armijo test starts from a unit step
     and asks for the decrease ARMIJO_C * step * <g, d>.  Where <g, d> <= 0
@@ -686,9 +720,9 @@ def outer_minimize(
     point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
     for outer in range(cfg.max_outer):
         warm_t, warm_phi = point.t, point.phi.values
-        c = grad_plus(point.w.u.values, point.w.v.values)
-        ac = np.stack([a, c])
-        ka, kc = halflap(ac, grid) + Va * ac
+        ka = halflap(a, grid) + Va * a
+        # u + v = 2 t ahat with ahat = a up to round-off, as a is normalized
+        c, kc = grad_plus(point.w.u.values, point.w.v.values, 2.0 * point.t * ka)
         coeff = h * float(ka @ c)  # <c, a>_W
         g = point.t * (0.5 * c - coeff * a)
         kg = point.t * (0.5 * kc - coeff * ka)

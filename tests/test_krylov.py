@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
+from halfwave.grids import Grid, halflap, inv_multiplier
 from halfwave.krylov import Operator, cg, gmres
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -87,6 +88,49 @@ def test_scipy_linear_operator_is_accepted(solve, a):
                           M=lambda v: jacobi * v, rtol=1e-10)
     assert info == info_plain == 0
     np.testing.assert_array_equal(wrapped, plain)
+
+
+def test_gmres_without_preconditioner_is_the_identity():
+    # restart=4 makes the solve take several cycles
+    a = nonsymmetric()
+    b = np.random.default_rng(6).standard_normal(a.shape[0])
+    op, _ = counted(a)
+    for kw in ({}, {"restart": 4}):
+        plain, info_plain = gmres(op, b, rtol=1e-10, **kw)
+        identity, info = gmres(op, b, M=lambda v: v, rtol=1e-10, **kw)
+        assert info == info_plain
+        assert plain.tobytes() == identity.tobytes()
+
+
+def test_fused_right_preconditioning_matches_separate():
+    # the Newton polish's Jacobian K + lam - C swap on two stacked rows, with
+    # K = (-Delta)^{1/2} + V and P = (|k| + mean V)^{-1}: GMRES on A with
+    # M = P, and P applied to the GMRES solution of the fused product A P
+    grid = Grid(40.0, 256)
+    n = grid.n_points
+    V = 1.0 + 0.5 * np.cos(2.0 * np.pi * grid.x / grid.length)
+    vbar, lam = float(np.mean(V)), 1e-3
+    rng = np.random.default_rng(7)
+    coupling = 0.5 * np.exp(-grid.x**2) * (1.0 + 0.1 * rng.random((2, n)))
+
+    def prec(x):
+        return inv_multiplier(x.reshape(2, n), grid, vbar).ravel()
+
+    def jac(x):
+        x = x.reshape(2, n)
+        return (halflap(x, grid) + (V + lam) * x - coupling * x[::-1]).ravel()
+
+    def jac_prec(y):
+        z = prec(y).reshape(2, n)
+        return (y.reshape(2, n) + (V - vbar + lam) * z - coupling * z[::-1]).ravel()
+
+    b = rng.standard_normal(2 * n)
+    shape = (2 * n, 2 * n)
+    separate, info = gmres(Operator(shape, float, jac), b, M=prec, rtol=1e-8)
+    y, info_fused = gmres(Operator(shape, float, jac_prec), b, rtol=1e-8)
+    fused = prec(y)
+    assert info == info_fused == 0
+    assert np.max(np.abs(fused - separate)) <= 1e-12 * np.max(np.abs(separate))
 
 
 IMPORT_GUARD = """

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import logging
 import time
 import warnings
@@ -22,7 +23,7 @@ from halfwave.energy import (
 from halfwave.errors import HalfwaveError, InvalidField, NoAscent
 from halfwave.families import builtin_family
 from halfwave import nehari
-from halfwave.grids import Field, Grid, halflap, l2_norm, translate
+from halfwave.grids import Field, Grid, halflap, inv_multiplier, l2_norm, translate
 from halfwave.nehari import (
     POLISH_HANDOFF_CONSTANT_V,
     POLISH_HANDOFF_VARYING_V,
@@ -1023,6 +1024,166 @@ class TestOneRowPolish:
         assert set(shapes) == {(2 * grid.n_points, 2 * grid.n_points)}
 
 
+def _sampled(name, grid):
+    """The potential ``name`` as the solver takes it on ``grid``."""
+    if name == "constant":
+        return 1.0
+    pot = single_well(1.0, 2.0) if name == "single_well" else double_well(1.0, 2.0, 2.0)
+    return pot.values(grid, 0.5)
+
+
+def _fresh_k(x, V, grid):
+    """K x = (-Delta)^{1/2} x + V x, with its own FFT."""
+    return halflap(x, grid) + np.asarray(V) * x
+
+
+class TestKImages:
+    """K = P^{-1} + (V - vbar) for P = (|k| + vbar)^{-1}: the solver takes
+    the K-image of a vector it has just preconditioned without an FFT, and
+    carries K-images forward; every carried number matches a fresh one."""
+
+    ASYM = builtin_family("cubic_quintic_exp", beta0=1.0)
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("potential", ["constant", "single_well", "double_well"])
+    def test_k_of_a_preconditioned_vector(self, grid, potential, rows):
+        V = np.asarray(_sampled(potential, grid))
+        vbar = float(np.mean(V))
+        shape = (grid.n_points,) if rows == 1 else (rows, grid.n_points)
+        x = np.random.default_rng(rows).standard_normal(shape)
+        z = inv_multiplier(x, grid, vbar)
+        fresh = _fresh_k(z, V, grid)
+        assert np.max(np.abs(fresh - (x + (V - vbar) * z))) <= 1e-13 * np.max(np.abs(fresh))
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["one_row", "stacked"])
+    def test_polish_matvec_takes_one_multiplier(self, fam, grid, ground, monkeypatch, symmetric):
+        # the fused product J P y against J applied afresh to P y, with the
+        # Jacobian's coupling and shift read off the operator's closure
+        V = _sampled("single_well", grid)
+        ops = []
+        real = nehari.gmres
+
+        def recorded(A, b, **kw):
+            ops.append((A, b))
+            return real(A, b, **kw)
+
+        monkeypatch.setattr(nehari, "gmres", recorded)
+        u = 1.02 * ground.w.u.values
+        start = PairField(Field(grid, u), Field(grid, u))
+        pfam = fam if symmetric else self.ASYM
+        nehari._newton_polish(start, pfam, V, 5e-8)
+        op, b = ops[-1]
+        rows = 1 if symmetric else 2
+        assert op.shape[0] == rows * grid.n_points
+        jacobian = inspect.getclosurevars(op.matvec).nonlocals
+        z = inv_multiplier(b.reshape(rows, -1), grid, float(np.mean(V)))
+        fresh = _fresh_k(z, V, grid) + jacobian["lam"] * z - jacobian["coupling"] * z[::-1]
+        counts = _Counts()
+        for name in ("halflap", "inv_multiplier"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        fused = op.matvec(b)
+        assert counts == {"halflap": 0, "inv_multiplier": 1}
+        assert np.max(np.abs(fused - fresh.ravel())) <= 1e-13 * np.max(np.abs(fresh))
+
+    def test_slice_cg_iteration_takes_one_multiplier(self, grid, monkeypatch):
+        V = _sampled("single_well", grid)
+        vbar = float(np.mean(V))
+        h = grid.spacing
+        b = gaussian_bump(grid).values
+        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), V)), self.ASYM, h)
+        q = smooth_random(grid, np.random.default_rng(4), amplitude=0.1).values
+        t, _ = _maximize_along_ray(sl, 1.0, q, weighted_inner(Field(grid, q), Field(grid, q), V))
+        u, v = sl.components(t, q)
+        r = -2.0 * _fresh_k(q, V, grid) - self.ASYM.f(u) + self.ASYM.g(v)
+        jt = t - h * float((self.ASYM.f(u) + self.ASYM.g(v)) @ sl.ahat)
+        m_tt, neg_hess = nehari._slice_hessian(sl, u, v, V, grid)
+        rho = inv_multiplier(r, grid, vbar)
+        counts = _Counts()
+        for name in ("halflap", "inv_multiplier"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        hess = counts.wrap("iterations", neg_hess)
+        dt, dq, kdq = nehari._slice_pcg(hess, m_tt, jt, r, rho, V - vbar, grid, vbar, 1e-12)
+        assert counts["iterations"] >= 5
+        assert counts == {"halflap": 0, "inv_multiplier": counts["iterations"],
+                          "iterations": counts["iterations"]}
+        fresh = _fresh_k(dq, V, grid)
+        assert np.max(np.abs(kdq - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm_phi"])
+    def test_inner_maximize_takes_at_most_one_halflap(self, grid, monkeypatch, warm):
+        V = _sampled("single_well", grid)
+        b = gaussian_bump(grid)
+        phi = 1e-2 * smooth_random(grid, np.random.default_rng(2)).values if warm else None
+        counts = _Counts()
+        for name in ("halflap", "inv_multiplier", "inner_values"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        real_hessian, cg_iterations = nehari._slice_hessian, []
+
+        def counted_hessian(*args):
+            m_tt, neg_hess = real_hessian(*args)
+
+            def counted(*hess_args):
+                cg_iterations.append(None)
+                return neg_hess(*hess_args)
+
+            return m_tt, counted
+
+        monkeypatch.setattr(nehari, "_slice_hessian", counted_hessian)
+        pt = inner_maximize(PairField(b, b), self.ASYM, V, inner_tol=1e-12, warm_phi=phi)
+        assert pt.inner_iters >= 3
+        # one multiplier per residual evaluation and per CG iteration
+        assert counts == {"halflap": int(warm), "inner_values": 0,
+                          "inv_multiplier": pt.inner_iters + len(cg_iterations)}
+
+    # The residuals below are compared on the scale the solver holds them
+    # against: minus_residual, ||rho|| / (sqrt(2) ||w||), is scale-free and
+    # meets inner_tol; the outer gradient meets a threshold times
+    # 1 + |level|.  On that scale the gaps measure 4e-18 and 2e-16.  Relative
+    # to the residual itself they reach 4e-2 at inner_tol 1e-12, where the
+    # residual sits at its round-off floor of 1e-16.
+    @pytest.mark.parametrize("inner_tol", [nehari.INNER_TOL, 1e-12])
+    @pytest.mark.parametrize("potential", ["constant", "single_well"])
+    def test_carried_images_give_the_fresh_antidiagonal_residual(self, grid, potential,
+                                                                 inner_tol):
+        V = _sampled(potential, grid)
+        Va, vbar = np.asarray(V), float(np.mean(V))
+        b = gaussian_bump(grid)
+        pt = inner_maximize(PairField(b, b), self.ASYM, V, inner_tol=inner_tol)
+        assert pt.minus_residual <= inner_tol and pt.inner_iters >= 3
+        q, u, v = pt.phi.values, pt.w.u.values, pt.w.v.values
+        r = -2.0 * _fresh_k(q, V, grid) - self.ASYM.f(u) + self.ASYM.g(v)
+        rho = Field(grid, inv_multiplier(r, grid, vbar))
+        nw2 = pt.t**2 + 2.0 * weighted_inner(pt.phi, pt.phi, Va)
+        fresh = weighted_norm(rho, Va) / np.sqrt(2.0 * nw2)
+        assert abs(pt.minus_residual - fresh) <= 1e-14
+
+    @pytest.mark.parametrize("potential", ["constant", "single_well"])
+    def test_carried_images_give_the_fresh_outer_gradient(self, grid, monkeypatch, potential):
+        V = _sampled(potential, grid)
+        Va, vbar, h = np.asarray(V), float(np.mean(V)), grid.spacing
+        real, points = nehari.inner_maximize, {}
+
+        def recorded(direction, *args, **kwargs):
+            pt = real(direction, *args, **kwargs)
+            points[pt.level] = (direction.u.values, pt)
+            return pt
+
+        monkeypatch.setattr(nehari, "inner_maximize", recorded)
+        b = gaussian_bump(grid, width=1.5)
+        res = outer_minimize(PairField(b, b), self.ASYM, V, SolverConfig(seed=0))
+        assert res.converged and len(res.trace) >= 5
+        for rec in res.trace:
+            a, pt = points[rec.level]
+            u, v = pt.w.u.values, pt.w.v.values
+            c = inv_multiplier(_fresh_k(u + v, V, grid) - self.ASYM.f(u) - self.ASYM.g(v),
+                               grid, vbar)
+            ka, kc = _fresh_k(a, V, grid), _fresh_k(c, V, grid)
+            coeff = h * float(ka @ c)
+            g, kg = pt.t * (0.5 * c - coeff * a), pt.t * (0.5 * kc - coeff * ka)
+            fresh = np.sqrt(2.0 * h * float(kg @ g))
+            assert abs(rec.grad_norm - fresh) <= 1e-14 * (1.0 + abs(rec.level))
+
+
 def _outer_steps(records):
     """Args of the DEBUG "outer step" log records: (level, gradient, step,
     trials, memory pairs, reset)."""
@@ -1060,9 +1221,11 @@ class TestOuterDescent:
             plus = real_gradient(grid_, Va, fam_)
             calls = []
 
-            def wrapped(u, v):
+            def wrapped(u, v, ks):
                 calls.append(None)
-                return (1.0 + 0.6 * np.sin(1.7 * len(calls))) * plus(u, v)
+                scale = 1.0 + 0.6 * np.sin(1.7 * len(calls))
+                c, kc = plus(u, v, ks)
+                return scale * c, scale * kc
 
             return wrapped
 
