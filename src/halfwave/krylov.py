@@ -1,31 +1,26 @@
 """Matrix-free Krylov solvers for the Newton polish and the Riesz solves.
 
-``gmres`` is restarted GMRES with right preconditioning (Saad & Schultz,
-SIAM J. Sci. Stat. Comput. 7, 1986).  It minimizes the true residual over
-x0 + M K_k(A M, r0), so it stops on ||b - A x|| <= rtol ||b||, the
-quantity an inexact-Newton forcing term is written for.  ``cg`` is
-preconditioned conjugate gradients for a symmetric positive definite A
-and a symmetric positive definite M.
+``gmres`` is restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+7, 1986).  It minimizes the true residual over x0 + K_k(A, r0), so it stops
+on ||b - A x|| <= rtol ||b||, the quantity an inexact-Newton forcing term is
+written for.  It takes no preconditioner: a caller preconditions on the
+right by passing A M, which it may apply cheaper than A after M, and
+applying M to the solution.  ``cg`` is preconditioned conjugate gradients
+for a symmetric positive definite A and a symmetric positive definite M.
 
 A is anything with ``shape``, ``dtype`` and ``matvec`` (an `Operator`, or a
-scipy ``LinearOperator``); M is a plain callable, or for ``gmres`` None (no
-preconditioner: a caller that applies A M cheaper than A after M passes
-A M and applies M to the solution).  Both return (x, info):
+scipy ``LinearOperator``); M is a plain callable.  Both return (x, info):
 info == 0 when the tolerance is met, otherwise the budget spent (GMRES
 cycles, CG iterations), with x the last iterate.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 EPS = np.finfo(float).eps
-
-
-def _identity(x):
-    return x
 
 
 class Operator(NamedTuple):
@@ -36,17 +31,14 @@ class Operator(NamedTuple):
     matvec: Callable[[np.ndarray], np.ndarray]
 
 
-def gmres(A, b, *, M: Optional[Callable] = None, rtol=1e-5, restart=60, maxiter=200):
-    """Solve A x = b from x0 = 0 by GMRES(restart) on A M, at most maxiter cycles;
-    M = None is the identity.
+def gmres(A, b, *, rtol=1e-5, restart=60, maxiter=200):
+    """Solve A x = b from x0 = 0 by GMRES(restart), at most maxiter cycles.
 
     Each cycle runs Arnoldi with modified Gram-Schmidt and Givens rotations
     until the rotated residual, equal to the true one in exact arithmetic,
     meets the tolerance (or is NaN, or the basis breaks down); the true
     residual of the updated x, one product, then decides.
     """
-    if M is None:
-        M = _identity
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     beta = np.linalg.norm(b)
@@ -63,7 +55,7 @@ def gmres(A, b, *, M: Optional[Callable] = None, rtol=1e-5, restart=60, maxiter=
         g[:] = 0.0
         g[0] = beta
         for j in range(m):
-            w = np.array(A.matvec(M(basis[j])), dtype=float)
+            w = np.array(A.matvec(basis[j]), dtype=float)
             w_norm = np.linalg.norm(w)
             for i in range(j + 1):
                 hess[i, j] = w @ basis[i]
@@ -84,7 +76,7 @@ def gmres(A, b, *, M: Optional[Callable] = None, rtol=1e-5, restart=60, maxiter=
         y = g[:k].copy()
         for i in range(k - 1, -1, -1):  # back substitution; a zero pivot drops its direction
             y[i] = (y[i] - hess[i, i + 1:k] @ y[i + 1:]) / hess[i, i] if hess[i, i] else 0.0
-        x = x + M(y @ basis[:k])
+        x = x + y @ basis[:k]
         r = b - A.matvec(x)
         beta = np.linalg.norm(r)
         if beta <= tol:

@@ -43,7 +43,6 @@ from .energy import (
     PairField,
     el_residual_norms,
     energy,
-    inner_values,  # noqa: F401  (tests count calls of this name here)
     nehari_residuals,
     norm_values,
     pair_residual,
@@ -133,15 +132,18 @@ class SolverConfig:
 
 @dataclass
 class NehariPoint:
-    """Intersection of one ray-plus-antidiagonal slice with the manifold."""
+    """Intersection of one ray-plus-antidiagonal slice with the manifold:
+    w = t (ahat, ahat) + (q, -q), with the arrays q and kq = K q.  A warm
+    start needs t, q and kq alone; the other fields default to unsolved."""
 
-    w: PairField
     t: float
-    phi: Field
-    ray_residual: float
-    minus_residual: float
-    level: float
-    inner_iters: int
+    q: np.ndarray
+    kq: np.ndarray
+    w: Optional[PairField] = None
+    ray_residual: float = np.inf
+    minus_residual: float = np.inf
+    level: float = np.nan
+    inner_iters: int = 0
 
 
 @dataclass
@@ -288,7 +290,7 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq):
             return t, sl.j_value(t, q, q_norm_sq)
 
 
-def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
+def _slice_hessian(sl: _RaySlice, u, v):
     """-J_tt and the operator -H of J on the slice at (u, v) = sl.components(t, q).
 
     With K = (-Delta)^{1/2} + V, s = f'(u) + g'(v) and
@@ -299,8 +301,8 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
 
     self-adjoint in (a, x).(b, y) = ab + h sum(x y); the q part is the L2
     representative, like r = -2 K q - f(u) + g(v) for J_q; ``neg_hess``
-    applies K unless given ``kdq`` = K dq.  On the diagonal slice c = 0 and
-    the q part is exactly 0, held as an empty array.
+    takes ``kdq`` = K dq with dq, so it applies no K.  On the diagonal slice
+    c = 0 and the q part is exactly 0, held as an empty array.
     """
     h, ahat = sl.h, sl.ahat
     fpu = sl.fam.fp(u)
@@ -309,11 +311,9 @@ def _slice_hessian(sl: _RaySlice, u, v, Va, grid: Grid):
     c = (fpu - gpv) * ahat
     m_tt = h * float(s @ (ahat * ahat)) - 1.0
 
-    def neg_hess(dt, dq, kdq=None):
+    def neg_hess(dt, dq, kdq):
         if not dq.size:
             return m_tt * dt, dq
-        if kdq is None:
-            kdq = halflap(dq, grid) + Va * dq
         return m_tt * dt + h * float(c @ dq), c * dt + 2.0 * kdq + s * dq
 
     return m_tt, neg_hess
@@ -360,17 +360,19 @@ def _slice_pcg(neg_hess, m_tt, jt, r, rho, dv, grid: Grid, vbar, eta):
 
 
 def inner_maximize(
-    direction: PairField,
+    ahat: np.ndarray,
     fam: NonlinearityFamily,
-    V,
+    Va,
+    grid: Grid,
     inner_tol: float = INNER_TOL,
     max_inner: int = INNER_MAX_ITERS,
-    warm_t: Optional[float] = None,
-    warm_phi: Optional[np.ndarray] = None,
+    warm: Optional[NehariPoint] = None,
 ) -> NehariPoint:
-    """Maximize J over the ray-antidiagonal slice spanned by ``direction``.
+    """Maximize J over the slice {t (ahat, ahat) + (q, -q)}.
 
-    One ray search (``_maximize_along_ray``, from ``warm_t`` or else 1)
+    ``ahat`` is a diagonal direction as ``_diag_normalize`` returns it,
+    ||(ahat, ahat)||_W = 1, and ``Va`` a potential from ``potential_array``.
+    One ray search (``_maximize_along_ray``, from ``warm.t`` or else 1)
     places t; then Newton iterations in (t, q), each solved inexactly by
     ``_slice_pcg`` to the forcing term min(SLICE_ETA_MAX, sqrt(residual))
     and globalized by an Armijo test on J, run until the ray and
@@ -382,51 +384,45 @@ def inner_maximize(
     the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
-    K q is taken once, for a nonzero ``warm_phi``, then carried with the
-    K dq of each step, so r, ||q||^2 = h q.Kq and ||rho||^2 =
-    h rho.(r + (V - vbar) rho) take no halflap.
+    q and K q start from ``warm`` (the previous point) or at 0, and K q is
+    carried with the K dq of each step, so r, ||q||^2 = h q.Kq and ||rho||^2
+    = h rho.(r + (V - vbar) rho) take no halflap.
 
     Symmetric slice: for a family with ``symmetric`` set (f = g) and a
-    start with q identically 0 (``warm_phi`` None or all zero), q stays 0
-    bit for bit: r = -2 K q - f(u) + g(v) and the coupling (f'(u) - g'(v))
-    ahat vanish, so every step has dq = 0.  Then f, F and f' run once for
-    the pair, q and r take no FFT, and the results equal the general path's.
+    start with q identically 0 (no ``warm``, or one with q all zero), q
+    stays 0 bit for bit: r = -2 K q - f(u) + g(v) and the coupling
+    (f'(u) - g'(v)) ahat vanish, so every step has dq = 0.  Then f, F and f'
+    run once for the pair, q and r take no FFT, and the results equal the
+    general path's.
 
     When the residual targets are not met within ``max_inner`` iterations,
     or the line search stalls, the last iterate is returned: its residuals
     show the miss, and a DEBUG record on ``halfwave.nehari`` gives the
     iterations used and the reason.
 
-    Raises ValueError when ``max_inner < 1``; NoAscent when the diagonal
-    part of the direction vanishes or the maximum collapses to the origin;
-    OverflowGuard when an iterate leaves the exp-safe amplitude range.
+    Raises ValueError when ``max_inner < 1``; NoAscent when the maximum
+    collapses to the origin; OverflowGuard when an iterate leaves the
+    exp-safe amplitude range.
     """
     if max_inner < 1:
         raise ValueError("max_inner must be >= 1")
-    grid = direction.grid
-    Va = potential_array(V, grid)
-    a = 0.5 * (direction.u.values + direction.v.values)
-    na = norm_values(a, Va, grid)
-    if na <= 1e-12:
-        raise NoAscent("direction has no diagonal component")
-    ahat = a / (np.sqrt(2.0) * na)  # ||(ahat, ahat)||_W = 1
-
     h = grid.spacing
     vbar = float(np.mean(Va))
-    diagonal = fam.symmetric and (warm_phi is None or not np.any(warm_phi))
+    diagonal = fam.symmetric and (warm is None or not np.any(warm.q))
     sl = _RaySlice(ahat, fam, h, diagonal)
     dv = Va - vbar
-    q = np.zeros(grid.n_points) if diagonal or warm_phi is None else warm_phi.copy()
-    kq = halflap(q, grid) + Va * q if np.any(q) else np.zeros_like(q)  # K q, carried
+    if diagonal or warm is None:
+        q, kq = np.zeros(grid.n_points), np.zeros(grid.n_points)
+    else:
+        q, kq = warm.q, warm.kq
     q_norm_sq = h * float(q @ kq)
-    t0 = warm_t if warm_t is not None else 1.0
-    t, j_cur = _maximize_along_ray(sl, t0, q, q_norm_sq)
+    t, j_cur = _maximize_along_ray(sl, 1.0 if warm is None else warm.t, q, q_norm_sq)
 
     def point(ray_res, minus_res, level):
-        """The slice point at the current (t, q), as fields."""
+        """The slice point at the current (t, q), with w as fields."""
         u, v = sl.components(t, q)
         w = PairField(Field(grid, u), Field(grid, v))
-        return NehariPoint(w, float(t), Field(grid, q), ray_res, minus_res, float(level), iters)
+        return NehariPoint(float(t), q, kq, w, ray_res, minus_res, float(level), iters)
 
     reason = "iteration budget exhausted"
     for it in range(max_inner):
@@ -460,7 +456,7 @@ def inner_maximize(
 
         jt = t - h * float((fu + gv) @ ahat)
         eta = min(SLICE_ETA_MAX, np.sqrt(max(ray_res, minus_res)))
-        m_tt, neg_hess = _slice_hessian(sl, u, v, Va, grid)
+        m_tt, neg_hess = _slice_hessian(sl, u, v)
         if not m_tt > 0.0:  # the ray is not concave at t
             t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq)
             continue
@@ -633,9 +629,11 @@ def _centre_on_grid_point(w: PairField) -> PairField:
 
 
 def _diag_normalize(a_vals: np.ndarray, grid: Grid, Va) -> np.ndarray:
+    """The diagonal direction ahat = a / (sqrt(2) ||a||_W) that
+    ``inner_maximize`` takes, so ||(ahat, ahat)||_W = 1."""
     nrm = norm_values(a_vals, Va, grid)
     if nrm <= 1e-14:
-        raise NoAscent("diagonal direction vanished during outer descent")
+        raise NoAscent("diagonal direction vanished: the direction has no diagonal component")
     return a_vals / (np.sqrt(2.0) * nrm)
 
 
@@ -695,33 +693,27 @@ def outer_minimize(
     message "max_outer reached", and the gradient is logged at INFO.  An
     inner solve that misses its targets enters the descent with the point
     it reached.  The first inner solve starts from the start's antidiagonal
-    part, so a polished f != g start keeps its q.
+    part q, so a polished f != g start keeps it; K q is taken there, once,
+    and each inner solve hands its K q to the next.
     """
     grid = init_direction.grid
     h = grid.spacing
     Va = potential_array(V, grid)
-
-    a = _diag_normalize(
-        0.5 * (init_direction.u.values + init_direction.v.values), grid, Va
-    )
-    warm_t, warm_phi = None, 0.5 * (init_direction.u.values - init_direction.v.values)
+    u0, v0 = init_direction.u.values, init_direction.v.values
+    a = _diag_normalize(0.5 * (u0 + v0), grid, Va)
+    q0 = 0.5 * (u0 - v0)
+    start = NehariPoint(1.0, q0, halflap(q0, grid) + Va * q0) if np.any(q0) else None
     trace: List[IterationRecord] = []
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
     handoff = POLISH_HANDOFF_CONSTANT_V if Va.ndim == 0 else POLISH_HANDOFF_VARYING_V
 
-    def eval_F(a_vals, wt, wq, tol):
-        a_field = Field(grid, a_vals)
-        return inner_maximize(PairField(a_field, a_field), fam, V, inner_tol=tol,
-                              warm_t=wt, warm_phi=wq)
-
     grad_plus = make_diagonal_gradient(grid, Va, fam)
     inner_tol_eff = max(INNER_TOL, 1e-6)
-    point = eval_F(a, warm_t, warm_phi, inner_tol_eff)
+    point = inner_maximize(a, fam, Va, grid, inner_tol_eff, warm=start)
     for outer in range(cfg.max_outer):
-        warm_t, warm_phi = point.t, point.phi.values
         ka = halflap(a, grid) + Va * a
-        # u + v = 2 t ahat with ahat = a up to round-off, as a is normalized
+        # u + v = 2 t a, as a is the slice's ahat
         c, kc = grad_plus(point.w.u.values, point.w.v.values, 2.0 * point.t * ka)
         coeff = h * float(ka @ c)  # <c, a>_W
         g = point.t * (0.5 * c - coeff * a)
@@ -759,7 +751,7 @@ def outer_minimize(
         for trials in range(1, MAX_LINESEARCH + 1):
             a_try = _diag_normalize(a - step * d, grid, Va)
             try:
-                pt_try = eval_F(a_try, warm_t, warm_phi, inner_tol_eff)
+                pt_try = inner_maximize(a_try, fam, Va, grid, inner_tol_eff, warm=point)
             except NoAscent:
                 step *= ARMIJO_SHRINK
                 continue
