@@ -44,7 +44,6 @@ from .energy import (
     el_residual_norms,
     energy,
     nehari_residuals,
-    norm_values,
     pair_residual,
     potential_array,
     strong_residual,
@@ -196,8 +195,14 @@ def make_diagonal_gradient(grid: Grid, V, fam: NonlinearityFamily):
     # no such shortcut: K = P^{-1} + (V - vbar) holds for the discrete
     # multipliers themselves, so K c = res + (V - vbar) c is exact algebra,
     # equal to a fresh halflap(c) + V c up to round-off
+    # on the symmetric slice (f = g, u = v) f runs once, and the residual
+    # is formed in the same order, so it is bit for bit the general one
     def plus(u, v, ks):
-        res = ks - fam.f(u) - fam.g(v)
+        if fam.symmetric and np.array_equal(u, v):
+            fu = fam.f(u)
+            res = ks - fu - fu
+        else:
+            res = ks - fam.f(u) - fam.g(v)
         c = inv_multiplier(res, grid, vbar)
         return c, res + dv * c
 
@@ -258,17 +263,18 @@ def _pair_sum(fk, gk, u, v):
     return a + (a if v is u else gk(v))
 
 
-def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq):
+def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, tol: float):
     """Locate argmax of t -> J on the ray from t0 > 0; returns (t, J(t)).
 
     Newton on the slope s = dJ/dt, safeguarded as rtsafe (Numerical Recipes
     9.4) by a bracket lo < t* < hi with s(lo) > 0 >= s(hi), from (0, inf).
     A Newton step that leaves the bracket, starts where s' >= 0 (the ray is
     not concave) or is more than half the previous step gives way to
-    doubling t while hi = inf and to bisection after.  Stops at a step
-    <= 1e-13 (1 + t) and evaluates J once, at the result.  Raises
-    InvalidField on a NaN slope and NoAscent when t overflows (J has no
-    maximum on the ray).
+    doubling t while hi = inf and to bisection after.  Stops after a
+    Newton step taken from |s| <= tol t / 10, which leaves |s| well below
+    tol t, or at a step <= 1e-13 (1 + t); ``tol`` = 0 keeps only the
+    latter.  Evaluates J once, at the result.  Raises InvalidField on a NaN
+    slope and NoAscent when t overflows (J has no maximum on the ray).
     """
     lo, hi = 0.0, np.inf
     t, step = t0, np.inf
@@ -281,12 +287,14 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq):
         else:
             hi = t
         t_new = t - s / sp if sp < 0.0 else np.nan
-        if not (lo <= t_new <= hi and abs(t_new - t) <= 0.5 * step):
+        newton = lo <= t_new <= hi and abs(t_new - t) <= 0.5 * step
+        if not newton:
             t_new = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
         if t_new == np.inf:
             raise NoAscent("J has no maximum on the ray")
+        close = newton and abs(s) <= 0.1 * tol * t
         t, step = t_new, abs(t_new - t)
-        if step <= 1e-13 * (1.0 + t):
+        if close or step <= 1e-13 * (1.0 + t):
             return t, sl.j_value(t, q, q_norm_sq)
 
 
@@ -372,13 +380,15 @@ def inner_maximize(
 
     ``ahat`` is a diagonal direction as ``_diag_normalize`` returns it,
     ||(ahat, ahat)||_W = 1, and ``Va`` a potential from ``potential_array``.
-    One ray search (``_maximize_along_ray``, from ``warm.t`` or else 1)
-    places t; then Newton iterations in (t, q), each solved inexactly by
-    ``_slice_pcg`` to the forcing term min(SLICE_ETA_MAX, sqrt(residual))
-    and globalized by an Armijo test on J, run until the ray and
-    antidiagonal residuals are at ``inner_tol`` (default INNER_TOL; the
-    outer descent loosens it while its gradient is large).  ``max_inner``
-    (default INNER_MAX_ITERS) bounds the iterations.
+    One ray search (``_maximize_along_ray``, from ``warm.t`` or else 1,
+    to the slope ``inner_tol`` asks of the ray residual) places t; then
+    Newton iterations in (t, q), each solved inexactly by ``_slice_pcg`` to
+    the forcing term min(SLICE_ETA_MAX, sqrt(residual)) and globalized by
+    an Armijo test on J, run until the ray and antidiagonal residuals are
+    at ``inner_tol``.  Its default is INNER_TOL, the floor; the outer
+    descent passes max(INNER_TOL, min(handoff, 0.02 |g|)), as accurate as
+    its gradient g (see ``outer_minimize``).  ``max_inner`` (default
+    INNER_MAX_ITERS) bounds the iterations.
     Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
     to round-off and the full step is taken.  Where the ray is not concave
     the step is a ray search from t instead.  ``inner_iters`` counts the
@@ -416,7 +426,7 @@ def inner_maximize(
     else:
         q, kq = warm.q, warm.kq
     q_norm_sq = h * float(q @ kq)
-    t, j_cur = _maximize_along_ray(sl, 1.0 if warm is None else warm.t, q, q_norm_sq)
+    t, j_cur = _maximize_along_ray(sl, 1.0 if warm is None else warm.t, q, q_norm_sq, inner_tol)
 
     def point(ray_res, minus_res, level):
         """The slice point at the current (t, q), with w as fields."""
@@ -458,7 +468,7 @@ def inner_maximize(
         eta = min(SLICE_ETA_MAX, np.sqrt(max(ray_res, minus_res)))
         m_tt, neg_hess = _slice_hessian(sl, u, v)
         if not m_tt > 0.0:  # the ray is not concave at t
-            t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq)
+            t, j_cur = _maximize_along_ray(sl, t, q, q_norm_sq, inner_tol)
             continue
         dt, dq, kdq = _slice_pcg(neg_hess, m_tt, jt, r, rho, dv, grid, vbar, eta)
         gain = jt * dt + h * float(r @ dq)  # predicted increase <grad J, step>
@@ -628,35 +638,41 @@ def _centre_on_grid_point(w: PairField) -> PairField:
     return PairField(Field(grid, uv[0]), Field(grid, uv[1]))
 
 
-def _diag_normalize(a_vals: np.ndarray, grid: Grid, Va) -> np.ndarray:
+def _diag_normalize(a_vals: np.ndarray, ka_vals: np.ndarray, h: float):
     """The diagonal direction ahat = a / (sqrt(2) ||a||_W) that
-    ``inner_maximize`` takes, so ||(ahat, ahat)||_W = 1."""
-    nrm = norm_values(a_vals, Va, grid)
+    ``inner_maximize`` takes, so ||(ahat, ahat)||_W = 1, and K ahat, given
+    ka_vals = K a; ||a||_W^2 = h a.Ka takes no FFT."""
+    nrm = np.sqrt(max(h * float(a_vals @ ka_vals), 0.0))
     if nrm <= 1e-14:
         raise NoAscent("diagonal direction vanished: the direction has no diagonal component")
-    return a_vals / (np.sqrt(2.0) * nrm)
+    return a_vals / (np.sqrt(2.0) * nrm), ka_vals / (np.sqrt(2.0) * nrm)
 
 
-def _lbfgs_direction(g, memory):
-    """H g for the L-BFGS inverse Hessian H of ``memory`` (two-loop recursion,
-    Nocedal & Wright, Algorithm 7.4), with H0 = gamma I from the newest pair.
+def _lbfgs_direction(g, kg, memory):
+    """(H g, K H g) for the L-BFGS inverse Hessian H of ``memory`` (two-loop
+    recursion, Nocedal & Wright, Algorithm 7.4), with H0 = gamma I from the
+    newest pair, given kg = K g.
 
     ``memory`` holds (s, K s, y, K y, 1/<s, y>) pairs, oldest first; every
     inner product is <x, z> ~ (K x) . z, the W inner product up to a constant
-    factor, which cancels in the recursion.  An empty memory returns g.
+    factor, which cancels in the recursion.  H g combines g, the y and the s,
+    so K H g combines their K-images with the same coefficients.  An empty
+    memory returns (g, kg).
     """
-    q, alphas = g, []
-    for _, ks, y, _, rho in reversed(memory):
+    q, kq, alphas = g, kg, []
+    for _, ks, y, ky, rho in reversed(memory):
         al = rho * float(ks @ q)
-        q = q - al * y
+        q, kq = q - al * y, kq - al * ky
         alphas.append(al)
     if not memory:
-        return q
+        return q, kq
     _, _, y, ky, rho = memory[-1]
-    r = q / (rho * float(ky @ y))  # gamma = <s, y> / <y, y>
-    for (s, _, _, ky, rho), al in zip(memory, reversed(alphas)):
-        r = r + (al - rho * float(ky @ r)) * s
-    return r
+    den = rho * float(ky @ y)  # 1 / gamma, gamma = <s, y> / <y, y>
+    r, kr = q / den, kq / den
+    for (s, ks, _, ky, rho), al in zip(memory, reversed(alphas)):
+        b = al - rho * float(ky @ r)
+        r, kr = r + b * s, kr + b * ks
+    return r, kr
 
 
 def outer_minimize(
@@ -674,13 +690,19 @@ def outer_minimize(
     renormalization and the vector transport is projection onto the tangent
     space.  The newest LBFGS_MEMORY pairs (s, y) of iterate and gradient
     differences, projected at the new iterate, are kept with K s and K y
-    (K = (-Delta)^{1/2} + V), so the two-loop recursion needs no FFT; a step
-    applies K to a alone, as K g follows from K a and K c; a pair
-    with <s, y> <= LBFGS_CURVATURE_RTOL |s| |y| is dropped.  The direction d
-    is the two-loop's, projected; the Armijo test starts from a unit step
-    and asks for the decrease ARMIJO_C * step * <g, d>.  Where <g, d> <= 0
-    the memory is cleared and d = g.  Each step is logged at DEBUG on
-    ``halfwave.nehari``.
+    (K = (-Delta)^{1/2} + V); a pair with <s, y> <= LBFGS_CURVATURE_RTOL
+    |s| |y| is dropped.  The direction d is the two-loop's, projected; the
+    Armijo test starts from a unit step and asks for the decrease ARMIJO_C *
+    step * <g, d>.  Where <g, d> <= 0 the memory is cleared and d = g.  Each
+    step is logged at DEBUG on ``halfwave.nehari``.  K is applied to the
+    start's a alone: K g follows from K a and K c, the two-loop carries K d
+    from K g, K s and K y, and a trial a - step d has K-image K a - step K d,
+    so no step applies halflap outside the inner level.
+
+    Each inner solve runs to max(INNER_TOL, min(handoff, 0.02 |g|)), where
+    |g| is the last gradient and handoff the threshold below: the inner
+    level is only as accurate as the gradient it feeds, never looser than
+    the state Newton will take, and the first solve runs to 1e-6.
 
     The descent only localizes the minimizer; it has no tolerance of its
     own and ends in one of three returns.  At the handoff threshold on the
@@ -700,7 +722,8 @@ def outer_minimize(
     h = grid.spacing
     Va = potential_array(V, grid)
     u0, v0 = init_direction.u.values, init_direction.v.values
-    a = _diag_normalize(0.5 * (u0 + v0), grid, Va)
+    a0 = 0.5 * (u0 + v0)
+    a, ka = _diag_normalize(a0, halflap(a0, grid) + Va * a0, h)
     q0 = 0.5 * (u0 - v0)
     start = NehariPoint(1.0, q0, halflap(q0, grid) + Va * q0) if np.any(q0) else None
     trace: List[IterationRecord] = []
@@ -712,7 +735,6 @@ def outer_minimize(
     inner_tol_eff = max(INNER_TOL, 1e-6)
     point = inner_maximize(a, fam, Va, grid, inner_tol_eff, warm=start)
     for outer in range(cfg.max_outer):
-        ka = halflap(a, grid) + Va * a
         # u + v = 2 t a, as a is the slice's ahat
         c, kc = grad_plus(point.w.u.values, point.w.v.values, 2.0 * point.t * ka)
         coeff = h * float(ka @ c)  # <c, a>_W
@@ -724,6 +746,7 @@ def outer_minimize(
         if last is not None:
             # the newest secant pair, projected onto the tangent space at a
             s, ks, y, ky = a - last[0], ka - last[1], g - last[2], kg - last[3]
+            last = None  # freed, so the line search (the memory peak) does not hold it
             s_a, y_a = 2.0 * h * float(ka @ s), 2.0 * h * float(ka @ y)
             s, ks, y, ky = s - s_a * a, ks - s_a * ka, y - y_a * a, ky - y_a * ka
             sy = float(ks @ y)
@@ -736,20 +759,22 @@ def outer_minimize(
             if polished is not None:
                 return polished
             handoff = POLISH_HANDOFF_VARYING_V
-        # inner accuracy tracks the outer gradient (inexact descent)
-        inner_tol_eff = max(INNER_TOL, min(1e-5, 0.02 * grad_norm))
+        # inner accuracy tracks the outer gradient (inexact descent), up to
+        # the handoff the descent is heading for
+        inner_tol_eff = max(INNER_TOL, min(handoff, 0.02 * grad_norm))
 
         # Armijo backtracking from a unit step along the projected direction
-        d = _lbfgs_direction(g, memory)
-        d = d - 2.0 * h * float(ka @ d) * a
+        d, kd = _lbfgs_direction(g, kg, memory)
+        d_a = 2.0 * h * float(ka @ d)
+        d, kd = d - d_a * a, kd - d_a * ka
         slope = 2.0 * h * float(kg @ d)  # <g, d>
         reset = not slope > 0.0
         if reset:
-            memory, d, slope = [], g, grad_norm * grad_norm
+            memory, d, kd, slope = [], g, kg, grad_norm * grad_norm
         accepted = False
         step = 1.0
         for trials in range(1, MAX_LINESEARCH + 1):
-            a_try = _diag_normalize(a - step * d, grid, Va)
+            a_try, ka_try = _diag_normalize(a - step * d, ka - step * kd, h)
             try:
                 pt_try = inner_maximize(a_try, fam, Va, grid, inner_tol_eff, warm=point)
             except NoAscent:
@@ -767,7 +792,7 @@ def outer_minimize(
             return _polish(point, fam, V, trace, cfg, restart_index, "line search exhausted",
                            early=False)
         last = (a, ka, g, kg)
-        a, point = a_try, pt_try
+        a, ka, point = a_try, ka_try, pt_try
     log.info("outer descent: gradient %.2e after %d steps", grad_norm, cfg.max_outer)
     return _finalize(point.w, fam, V, trace, restart_index, cfg, "max_outer reached")
 

@@ -64,7 +64,8 @@ def _inner(d: PairField, fam, V, **kw):
     normalizes it."""
     grid = d.grid
     Va = potential_array(V, grid)
-    ahat = nehari._diag_normalize(0.5 * (d.u.values + d.v.values), grid, Va)
+    a = 0.5 * (d.u.values + d.v.values)
+    ahat, _ = nehari._diag_normalize(a, _fresh_k(a, Va, grid), grid.spacing)
     return inner_maximize(ahat, fam, Va, grid, **kw)
 
 
@@ -274,7 +275,7 @@ class TestRaySearch:
         # J is flat at its maximum: the slope root is returned even where
         # J(1) is an ulp below J(t0), with one J evaluation and no rescan
         ray = _FlatRay(j_top, j_top - np.nextafter(j_top, 0.0))
-        t, j = _maximize_along_ray(ray, 1.0 + 1e-9, None, 0.0)
+        t, j = _maximize_along_ray(ray, 1.0 + 1e-9, None, 0.0, 0.0)
         assert (t, j) == (1.0, np.nextafter(j_top, 0.0))
         assert ray.calls == [1.0]
 
@@ -293,10 +294,10 @@ class TestRaySearch:
         # unperturbed slice q = 0, as inner_maximize restarts from warm_t
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         sl = _RaySlice(_bump_ray(grid), asym, grid.spacing)
-        t0 = _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0)[0] if warm else 1.0
+        t0 = _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0, 0.0)[0] if warm else 1.0
         q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
         q_norm_sq = weighted_inner(Field(grid, q), Field(grid, q), 1.0)
-        t, j = _maximize_along_ray(sl, t0, q, q_norm_sq)
+        t, j = _maximize_along_ray(sl, t0, q, q_norm_sq, 0.0)
         assert j == sl.j_value(t, q, q_norm_sq)
         assert abs(sl.ray_slope(t, q)[0]) <= 1e-12 * (1.0 + t)
 
@@ -311,12 +312,33 @@ class TestRaySearch:
             sl = _CountedSlice(ahat, builtin_family(name, beta0=1.0), grid.spacing)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                t, j = _maximize_along_ray(sl, t0, q, 0.0)
+                t, j = _maximize_along_ray(sl, t0, q, 0.0, 0.0)
             assert sl.slopes <= 32
             assert sl.js == 1
             assert abs(sl.ray_slope(t, q)[0]) <= 1e-12
             ts.append(t)
         assert ts == pytest.approx([ts[1]] * 4, rel=1e-14)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp", "cubic"])
+    def test_tolerance_stops_at_the_requested_slope(self, grid, name, warm):
+        # a tolerance ends the search once |s| <= tol t is assured, sooner
+        # than the round-off rule of tol = 0 when tol is loose
+        fam = builtin_family(name, beta0=1.0)
+        ahat = _bump_ray(grid)
+        t0 = _maximize_along_ray(_RaySlice(ahat, fam, grid.spacing), 1.0,
+                                 np.zeros(grid.n_points), 0.0, 0.0)[0] if warm else 1.0
+        q = smooth_random(grid, np.random.default_rng(4), amplitude=0.2).values
+        q_norm_sq = weighted_inner(Field(grid, q), Field(grid, q), 1.0)
+        slopes = {}
+        for tol in (0.0, 1e-6, 1e-2):
+            sl = _CountedSlice(ahat, fam, grid.spacing)
+            t, j = _maximize_along_ray(sl, t0, q, q_norm_sq, tol)
+            slopes[tol] = sl.slopes
+            assert sl.js == 1 and j == sl.j_value(t, q, q_norm_sq)
+            assert abs(sl.ray_slope(t, q)[0]) <= max(tol, 1e-15) * t
+        assert slopes[1e-2] < slopes[0.0]
+        assert slopes[1e-2] <= slopes[1e-6] <= slopes[0.0]
 
 
 def _same_point(a, b):
@@ -420,6 +442,25 @@ class TestSymmetricSlice:
         _inner(PairField(b, b), sym, 1.0, inner_tol=1e-17, max_inner=4)
         assert counts["g"] == counts["G"] == counts["gp"] == 0
 
+    def test_diagonal_gradient_runs_f_once(self, grid):
+        # the descent hands plus u and v as distinct arrays; when they are
+        # equal and f = g, f runs once and (c, K c) is the general one, bit
+        # for bit
+        fam = builtin_family("cubic_exp", beta0=1.0)
+        counts = _Counts()
+        sym = dataclasses.replace(fam, f=counts.wrap("f", fam.f), g=counts.wrap("g", fam.g))
+        u = 2.0 * gaussian_bump(grid).values
+        ks = 2.0 * _fresh_k(u, 1.0, grid)
+        fast = nehari.make_diagonal_gradient(grid, 1.0, sym)(u, u.copy(), ks)
+        assert counts == {"f": 1, "g": 0}
+        slow = nehari.make_diagonal_gradient(grid, 1.0, dataclasses.replace(sym, symmetric=False))
+        general = slow(u, u.copy(), ks)
+        assert counts == {"f": 2, "g": 1}
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(fast, general))
+        # u != v takes both kernels, whatever the family
+        nehari.make_diagonal_gradient(grid, 1.0, sym)(u, 0.5 * u, ks)
+        assert counts == {"f": 3, "g": 2}
+
     def test_slice_newton_steps_take_no_fft(self, grid, monkeypatch):
         # q is exactly 0 on the diagonal, so the slice CG runs in t alone
         counts = _Counts()
@@ -440,7 +481,8 @@ class TestSymmetricSlice:
             return np.where(np.abs(t) > 0.5, bad, fam.f(t))
 
         sick = dataclasses.replace(fam, f=broken, g=broken, symmetric=symmetric)
-        monkeypatch.setattr(nehari, "_maximize_along_ray", lambda sl, t0, q, q_norm_sq: (2.0, 0.0))
+        monkeypatch.setattr(nehari, "_maximize_along_ray",
+                            lambda sl, t0, q, q_norm_sq, tol: (2.0, 0.0))
         b = gaussian_bump(grid)
         with np.errstate(invalid="ignore"), pytest.raises(InvalidField, match="NaN/Inf"):
             _inner(PairField(b, b), sick, 1.0)
@@ -994,6 +1036,77 @@ class TestNewtonHandoff:
             assert len(set(work)) == 1, (symmetric, work)
 
 
+class TestInnerTolerance:
+    """Each inner solve runs to max(INNER_TOL, min(handoff, 0.02 |g|)), |g|
+    the gradient of the step it serves, and the first to 1e-6."""
+
+    ASYM = builtin_family("cubic_quintic_exp", beta0=1.0)
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """Patch inner_maximize to record (inner_tol, warm, polishes so far)."""
+        real, calls, polishes = nehari.inner_maximize, [], []
+
+        def recorded(ahat, fam_, Va, grid_, inner_tol, *args, warm=None, **kwargs):
+            calls.append((inner_tol, warm, len(polishes)))
+            return real(ahat, fam_, Va, grid_, inner_tol, *args, warm=warm, **kwargs)
+
+        monkeypatch.setattr(nehari, "inner_maximize", recorded)
+        return calls, polishes
+
+    @staticmethod
+    def _check(res, calls, handoffs):
+        # a line-search trial warm-starts from the point of the step it
+        # serves, whose trace record holds that step's gradient
+        by_level = {rec.level: rec for rec in res.trace}
+        assert len(by_level) == len(res.trace)
+        assert calls[0][0] == 1e-6
+        for tol, warm, polishes in calls[1:]:
+            rec = by_level[warm.level]
+            want = max(nehari.INNER_TOL, min(handoffs[polishes], 0.02 * rec.grad_norm))
+            assert tol == want
+        return [tol for tol, _, _ in calls[1:]]
+
+    def test_constant_v_schedule_is_live(self, monkeypatch):
+        calls, _ = self._recorded(monkeypatch)
+        cfg = SolverConfig(restarts=1, seed=0)
+        init = initial_directions(DEFAULT_GRID, cfg, 1.0)[0]
+        res = outer_minimize(init, self.ASYM, 1.0, cfg)
+        assert res.converged
+        tols = self._check(res, calls, [POLISH_HANDOFF_CONSTANT_V])
+        assert max(tols) > POLISH_HANDOFF_VARYING_V
+        assert max(tols) <= POLISH_HANDOFF_CONSTANT_V
+
+    @pytest.mark.parametrize("name", ["single_well", "double_well"])
+    def test_varying_v_stays_at_its_handoff(self, grid, monkeypatch, name):
+        calls, _ = self._recorded(monkeypatch)
+        b = gaussian_bump(grid, width=1.5)
+        res = outer_minimize(PairField(b, b), self.ASYM, _sampled(name, grid),
+                             SolverConfig(seed=0))
+        assert res.converged
+        tols = self._check(res, calls, [POLISH_HANDOFF_VARYING_V])
+        assert max(tols) <= POLISH_HANDOFF_VARYING_V
+
+    def test_rejected_polish_tightens_the_schedule(self, fam, monkeypatch):
+        # after a rejected early polish the descent heads for the varying-V
+        # handoff, and its inner solves are capped there
+        calls, polishes = self._recorded(monkeypatch)
+        real = nehari._newton_polish
+
+        def saddle_first(w, fam_, V, target):
+            polishes.append(None)
+            if len(polishes) == 1:  # polish from half a cell over: rejected
+                w = _translated(w, 0.5 * DEFAULT_GRID.spacing)
+            return real(w, fam_, V, target)
+
+        monkeypatch.setattr(nehari, "_newton_polish", saddle_first)
+        cfg = SolverConfig(restarts=1, seed=0)
+        res = outer_minimize(initial_directions(DEFAULT_GRID, cfg, 1.0)[0], fam, 1.0, cfg)
+        assert len(polishes) == 2 and res.converged
+        self._check(res, calls, [POLISH_HANDOFF_CONSTANT_V, POLISH_HANDOFF_VARYING_V])
+        assert any(p == 1 for _, _, p in calls)
+
+
 class TestOneRowPolish:
     """f = g from a start with u == v: the polish runs on the one row u."""
 
@@ -1109,7 +1222,7 @@ class TestKImages:
         b = gaussian_bump(grid).values
         sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), V)), self.ASYM, h)
         q = smooth_random(grid, np.random.default_rng(4), amplitude=0.1).values
-        t, _ = _maximize_along_ray(sl, 1.0, q, weighted_inner(Field(grid, q), Field(grid, q), V))
+        t, _ = _maximize_along_ray(sl, 1.0, q, weighted_inner(Field(grid, q), Field(grid, q), V), 0.0)
         u, v = sl.components(t, q)
         r = -2.0 * _fresh_k(q, V, grid) - self.ASYM.f(u) + self.ASYM.g(v)
         jt = t - h * float((self.ASYM.f(u) + self.ASYM.g(v)) @ sl.ahat)
@@ -1130,11 +1243,12 @@ class TestKImages:
     def test_inner_maximize_takes_no_halflap(self, grid, monkeypatch, warm):
         # a warm start hands K q in with q, so no start takes an FFT of q
         Va = potential_array(_sampled("single_well", grid), grid)
-        ahat = nehari._diag_normalize(gaussian_bump(grid).values, grid, Va)
+        a = gaussian_bump(grid).values
+        ahat, _ = nehari._diag_normalize(a, _fresh_k(a, Va, grid), grid.spacing)
         phi = 1e-2 * smooth_random(grid, np.random.default_rng(2)).values
         start = _warm(1.0, phi, Va, grid) if warm else None
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier", "norm_values"):
+        for name in ("halflap", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         real_hessian, cg_iterations = nehari._slice_hessian, []
 
@@ -1151,8 +1265,7 @@ class TestKImages:
         pt = inner_maximize(ahat, self.ASYM, Va, grid, inner_tol=1e-12, warm=start)
         assert pt.inner_iters >= 3
         # one multiplier per residual evaluation and per CG iteration
-        assert counts == {"halflap": 0, "norm_values": 0,
-                          "inv_multiplier": pt.inner_iters + len(cg_iterations)}
+        assert counts == {"halflap": 0, "inv_multiplier": pt.inner_iters + len(cg_iterations)}
 
     @pytest.mark.parametrize("antidiagonal", [0.0, 0.1], ids=["diagonal", "antidiagonal"])
     def test_descent_hands_each_inner_solve_its_warm_start(self, grid, monkeypatch,
@@ -1181,6 +1294,19 @@ class TestKImages:
             assert first is None
         assert len(warms) >= 3
         assert all(any(w is p for p in points) for w in warms[1:])
+
+    @pytest.mark.parametrize("antidiagonal", [0.0, 0.1], ids=["diagonal", "antidiagonal"])
+    def test_descent_applies_halflap_to_its_start_alone(self, grid, monkeypatch, antidiagonal):
+        # K a of the start, and K q when the start has an antidiagonal part;
+        # every trial's K a comes from the carried K d
+        V = _sampled("single_well", grid)
+        counts = _Counts()
+        monkeypatch.setattr(nehari, "halflap", counts.wrap("halflap", nehari.halflap))
+        b = gaussian_bump(grid)
+        q = smooth_random(grid, np.random.default_rng(3), amplitude=antidiagonal)
+        res = outer_minimize(PairField(b + q, b - q), self.ASYM, V, SolverConfig(seed=0))
+        assert res.converged and len(res.trace) >= 5
+        assert counts == {"halflap": 2 if antidiagonal else 1}
 
     # The residuals below are compared on the scale the solver holds them
     # against: minus_residual, ||rho|| / (sqrt(2) ||w||), is scale-free and
@@ -1255,8 +1381,11 @@ class TestOuterDescent:
             E = np.eye(n) - rho * np.outer(s, y)
             H = E @ H @ E.T + rho * np.outer(s, s)
         g = rng.normal(size=n)
-        assert nehari._lbfgs_direction(g, pairs) == pytest.approx(H @ g, rel=1e-12, abs=1e-12)
-        assert np.array_equal(nehari._lbfgs_direction(g, []), g)
+        d, kd = nehari._lbfgs_direction(g, g, pairs)
+        assert d == pytest.approx(H @ g, rel=1e-12, abs=1e-12)
+        assert kd == pytest.approx(H @ g, rel=1e-12, abs=1e-12)
+        d, kd = nehari._lbfgs_direction(g, 2.0 * g, [])
+        assert np.array_equal(d, g) and np.array_equal(kd, 2.0 * g)
 
     def test_every_direction_descends_under_a_scrambled_gradient(self, fam, grid, monkeypatch):
         # a gradient rescaled by a different factor at every evaluation
@@ -1280,11 +1409,11 @@ class TestOuterDescent:
 
         slopes, memory_sizes = [], []
 
-        def spied(g, memory):
-            d = real_direction(g, memory)
+        def spied(g, kg, memory):
+            d, kd = real_direction(g, kg, memory)
             slopes.append(weighted_inner(Field(grid, g), Field(grid, d), V))
             memory_sizes.append(len(memory))
-            return d
+            return d, kd
 
         monkeypatch.setattr(nehari, "make_diagonal_gradient", scrambled)
         monkeypatch.setattr(nehari, "_lbfgs_direction", spied)
@@ -1303,10 +1432,10 @@ class TestOuterDescent:
         real = nehari._lbfgs_direction
         calls = []
 
-        def flipped_once(g, memory):
+        def flipped_once(g, kg, memory):
             calls.append(len(memory))
-            d = real(g, memory)
-            return -d if len(calls) == 4 else d
+            d, kd = real(g, kg, memory)
+            return (-d, -kd) if len(calls) == 4 else (d, kd)
 
         monkeypatch.setattr(nehari, "_lbfgs_direction", flipped_once)
         cfg = SolverConfig(restarts=1, seed=0)
@@ -1387,7 +1516,7 @@ class TestFaultInjection:
     def test_nan_slope_raises_invalid_field(self, nan_fam, grid):
         sl = _RaySlice(_bump_ray(grid), nan_fam, grid.spacing)
         with pytest.raises(InvalidField, match="ray slope is NaN"):
-            _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0)
+            _maximize_along_ray(sl, 1.0, np.zeros(grid.n_points), 0.0, 0.0)
 
     def test_scalar_oracle_raises_typed_error(self, nan_fam, grid):
         start = time.perf_counter()
