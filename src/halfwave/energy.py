@@ -130,6 +130,12 @@ def pair_norm(w: PairField, V: PotentialValues) -> float:
     return float(np.sqrt(max(pair_inner(w, w, V), 0.0)))
 
 
+def apply_k(x: np.ndarray, Va, grid: Grid) -> np.ndarray:
+    """K x = (-Delta)^{1/2} x + V x along the last axis, ``Va`` from
+    :func:`potential_array`."""
+    return halflap(x, grid) + Va * x
+
+
 def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
     """Invert (-Delta)^{1/2} + V; exact multiplier for scalar V, CG otherwise."""
     Va = potential_array(V, grid)
@@ -139,13 +145,10 @@ def riesz_solve(rhs: np.ndarray, grid: Grid, V: PotentialValues) -> np.ndarray:
     vbar = float(np.mean(Va))
     n = grid.n_points
 
-    def apply_op(x):
-        return halflap(x, grid) + Va * x
-
     def apply_prec(x):
         return inv_multiplier(x, grid, vbar)
 
-    op = Operator((n, n), float, apply_op)
+    op = Operator((n, n), float, lambda x: apply_k(x, Va, grid))
     sol, info = cg(op, rhs, M=apply_prec, rtol=RIESZ_RTOL)
     if info != 0:
         raise InvalidField(f"Riesz CG solve did not converge (info={info})")
@@ -172,16 +175,17 @@ def energy(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
     return weighted_inner(w.u, w.v, V) - phi(w, fam)
 
 
-def strong_residual(uv: np.ndarray, fam: NonlinearityFamily, Va, grid: Grid):
+def strong_residual(uv: np.ndarray, fam: NonlinearityFamily, Va, grid: Grid, kuv=None):
     """The coupled system in strong form at uv = (u, v), stacked rows:
-    r = (-Delta)^{1/2} uv + V uv - nl with nl = (g(v), f(u)), so r[0] is
-    the u-equation residual and r[1] the v-equation one; ``Va`` is from
-    :func:`potential_array`.  Returns (r, nl) and guards nothing.  The Newton
-    polish and every certificate of J' take their residual here.  A single
-    row uv = (u,) stands for the pair (u, u) of a symmetric family (f = g),
-    whose two rows are both r = (-Delta)^{1/2} u + V u - f(u)."""
+    r = K uv - nl with K = (-Delta)^{1/2} + V and nl = (g(v), f(u)), so r[0]
+    is the u-equation residual and r[1] the v-equation one; ``Va`` is from
+    :func:`potential_array`, and ``kuv`` = K uv when the caller carries it
+    (otherwise K is applied here).  Returns (r, nl) and guards nothing.  The
+    Newton polish and every certificate of J' take their residual here.  A
+    single row uv = (u,) stands for the pair (u, u) of a symmetric family
+    (f = g), whose two rows are both r = (-Delta)^{1/2} u + V u - f(u)."""
     nl = fam.f(uv) if len(uv) == 1 else np.stack([fam.g(uv[1]), fam.f(uv[0])])
-    return halflap(uv, grid) + Va * uv - nl, nl
+    return (apply_k(uv, Va, grid) if kuv is None else kuv) - nl, nl
 
 
 def pair_residual(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> np.ndarray:

@@ -37,7 +37,8 @@ def gmres(A, b, *, rtol=1e-5, restart=60, maxiter=200):
     Each cycle runs Arnoldi with modified Gram-Schmidt and Givens rotations
     until the rotated residual, equal to the true one in exact arithmetic,
     meets the tolerance (or is NaN, or the basis breaks down); the true
-    residual of the updated x, one product, then decides.
+    residual of the updated x, one product, then decides.  So the last
+    product is taken at the x returned, itself passed, unless b = 0.
     """
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)

@@ -41,6 +41,7 @@ import numpy as np
 from .diagnostics import ResidualReport, decay_profile, pohozaev_residual, recenter_pair
 from .energy import (
     PairField,
+    apply_k,
     el_residual_norms,
     energy,
     nehari_residuals,
@@ -71,11 +72,17 @@ SCREEN_FACTOR = 4
 SCREEN_MIN_POINTS = 1024
 # outer gradient, relative to 1 + |level|, at which the descent hands over to
 # Newton: a constant V leaves one minimizer up to translation, so Newton can
-# take over early; a varying V pins the profile only weakly, so the descent
-# must localize it first (from 1e-4, Newton spends its whole budget on the
-# double well's translation mode at eps <= 0.35)
-POLISH_HANDOFF_CONSTANT_V = 1e-2
+# take over early (from 1e-1 some polishes fail the checks of _polish and the
+# descent resumes; 5e-2 keeps a factor 2 below that); a varying V pins the
+# profile only weakly, so the descent must localize it first (from 1e-4,
+# Newton spends its whole budget on the double well's translation mode at
+# eps <= 0.35)
+POLISH_HANDOFF_CONSTANT_V = 5e-2
 POLISH_HANDOFF_VARYING_V = 1e-5
+# an early polish is kept only if its peak sits within this many cells of a
+# grid point (3-point parabolic fit): the on-grid minimizer reads ~1e-15, the
+# mid-cell saddle 1/2
+PEAK_OFFSET_MAX = 0.25
 # Eisenstat-Walker choice-2 forcing terms for the Newton-GMRES solves
 EW_GAMMA = 0.9
 EW_ALPHA = 2.0
@@ -268,13 +275,18 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, tol: float):
 
     Newton on the slope s = dJ/dt, safeguarded as rtsafe (Numerical Recipes
     9.4) by a bracket lo < t* < hi with s(lo) > 0 >= s(hi), from (0, inf).
-    A Newton step that leaves the bracket, starts where s' >= 0 (the ray is
-    not concave) or is more than half the previous step gives way to
-    doubling t while hi = inf and to bisection after.  Stops after a
-    Newton step taken from |s| <= tol t / 10, which leaves |s| well below
-    tol t, or at a step <= 1e-13 (1 + t); ``tol`` = 0 keeps only the
-    latter.  Evaluates J once, at the result.  Raises InvalidField on a NaN
-    slope and NoAscent when t overflows (J has no maximum on the ray).
+    With S = t - s = h sum((f(u) + g(v)) ahat), where S > 0 and its
+    elasticity e = S' t / S exceeds 1 the step is Newton on log S = log t
+    in log t, t -> t exp(-log(S / t) / (e - 1)), which is exact for a power
+    nonlinearity (S = c t^e) and takes the same slope evaluation; elsewhere
+    it is Newton on s, t -> t - s / s'.  A step that leaves the bracket,
+    overflows, is Newton on s where s' >= 0 (the ray is not concave) or is
+    more than half the previous step gives way to doubling t while hi = inf
+    and to bisection after.  Stops after a Newton step taken from
+    |s| <= tol t / 10, which leaves |s| well below tol t, or at a step
+    <= 1e-13 (1 + t); ``tol`` = 0 keeps only the latter.  Evaluates J
+    once, at the result.  Raises InvalidField on a NaN slope and NoAscent
+    when t overflows (J has no maximum on the ray).
     """
     lo, hi = 0.0, np.inf
     t, step = t0, np.inf
@@ -286,8 +298,14 @@ def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, tol: float):
             lo = t
         else:
             hi = t
-        t_new = t - s / sp if sp < 0.0 else np.nan
-        newton = lo <= t_new <= hi and abs(t_new - t) <= 0.5 * step
+        s_nl = t - s  # S, the nonlinear part of the slope
+        elasticity = (1.0 - sp) * t / s_nl if s_nl > 0.0 else 0.0
+        if elasticity > 1.0:
+            with np.errstate(over="ignore"):
+                t_new = t * np.exp(-np.log(s_nl / t) / (elasticity - 1.0))
+        else:
+            t_new = t - s / sp if sp < 0.0 else np.nan
+        newton = lo <= t_new <= hi and abs(t_new - t) <= 0.5 * step and t_new < np.inf
         if not newton:
             t_new = 2.0 * t if hi == np.inf else 0.5 * (lo + hi)
         if t_new == np.inf:
@@ -387,7 +405,8 @@ def inner_maximize(
     an Armijo test on J, run until the ray and antidiagonal residuals are
     at ``inner_tol``.  Its default is INNER_TOL, the floor; the outer
     descent passes max(INNER_TOL, min(handoff, 0.02 |g|)), as accurate as
-    its gradient g (see ``outer_minimize``).  ``max_inner`` (default
+    its gradient g, and max(INNER_TOL, handoff) to its first solve (see
+    ``outer_minimize``).  ``max_inner`` (default
     INNER_MAX_ITERS) bounds the iterations.
     Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
     to round-off and the full step is taken.  Where the ray is not concave
@@ -523,6 +542,12 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     with norms that weigh the row twice: the target, the forcing terms and
     the step guards mean what they mean for the pair.  With ``give_up`` it
     stops after NEWTON_GIVE_UP steps in a row that do not halve the residual.
+
+    K is applied once, to the start (``energy.apply_k``).  The step
+    delta = P y is the z of GMRES's last product, the one that checked its
+    true residual at y, and K delta = y + (V - vbar) delta, so K uv is
+    carried through the trials into ``strong_residual``: a step spends FFTs
+    only in its GMRES products.
     Returns (iterate, its residual norm, accepted steps).
     """
     grid = w.grid
@@ -532,35 +557,31 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     dv = Va - vbar
     # the Newton unknown uv stacks the rows (u, v), or holds the one row u
     rows = 1 if fam.symmetric and np.array_equal(w.u.values, w.v.values) else 2
-    uv = np.concatenate([w.u.values, w.v.values][:rows])
+    uv = np.stack([w.u.values, w.v.values][:rows])
     weight = np.sqrt(2.0 * grid.spacing / rows)  # sqrt(h); sqrt(2h) for a row that counts twice
-
-    # the residual and its nonlinear part, (g(v), f(u)) or f(u), flattened
-    def strong(uv):
-        r, nl = strong_residual(uv.reshape(rows, n), fam, Va, grid)
-        return r.ravel(), nl.ravel()
 
     def res_norm(r):
         return weight * np.linalg.norm(r)
 
-    def prec(x):
-        return inv_multiplier(x.reshape(rows, n), grid, vbar).ravel()
-
     # Jacobian at the current iterate times P, whose u-row couples to v and
     # v-row to u through ``coupling`` = (g'(v), f'(u)), with the
-    # Levenberg-Marquardt shift lam; matvecs counts it for the step log
+    # Levenberg-Marquardt shift lam; matvecs counts it for the step log, and
+    # ``last`` keeps the newest product's (y, P y)
     def jac_prec(y):
-        nonlocal matvecs
+        nonlocal matvecs, last
         matvecs += 1
-        z = prec(y).reshape(rows, n)
+        z = inv_multiplier(y.reshape(rows, n), grid, vbar)
+        last = y, z
         return (y.reshape(rows, n) + (dv + lam) * z - coupling * z[::-1]).ravel()
 
     op = Operator((rows * n, rows * n), float, jac_prec)
 
-    r, nl = strong(uv)
+    kuv = apply_k(uv, Va, grid)
+    r, nl = strong_residual(uv, fam, Va, grid, kuv)
     r_norm = res_norm(r)
     scale = max(res_norm(uv), 1.0)
     lam = 0.0
+    last = None, None
     steps = slow = 0
     eta, prev_norm = EW_ETA_MAX, None
     remainder = np.inf  # Taylor remainder of the last step, per unit damping^2
@@ -577,27 +598,30 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
         reach = prev_norm is not None and remainder * (r_norm / prev_norm) ** 2 <= 0.5 * target
         eta = min(EW_ETA_MAX, floor if reach else max(eta, floor))
         prev_norm = r_norm
-        u = uv.reshape(rows, n)
-        coupling = fam.fp(u) if rows == 1 else np.stack([fam.gp(u[1]), fam.fp(u[0])])
+        coupling = fam.fp(uv) if rows == 1 else np.stack([fam.gp(uv[1]), fam.fp(uv[0])])
         matvecs = 0
         improved = False
         damp = 0.0
         for _ in range(6):
-            y, info = gmres(op, r, rtol=eta)
-            delta = prec(y)
+            y, info = gmres(op, r.ravel(), rtol=eta)
+            # GMRES took its last product at the y it returns, to check the
+            # true residual there (unless r = 0 needed none): delta = P y is its z
+            delta = last[1] if last[0] is y else inv_multiplier(y.reshape(rows, n), grid, vbar)
+            y = y.reshape(rows, n)
             step_size = res_norm(delta)
             if info != 0 or step_size > 0.5 * scale:
                 lam = max(4.0 * lam, 1e-3)
                 continue
+            k_delta = y + dv * delta
             damp = 1.0
             for _ in range(6):
-                trial = uv - damp * delta
-                rt, nlt = strong(trial)
+                trial, k_trial = uv - damp * delta, kuv - damp * k_delta
+                rt, nlt = strong_residual(trial, fam, Va, grid, k_trial)
                 nt = res_norm(rt)
                 if nt < r_norm:
-                    taylor = nlt - nl + damp * (coupling * delta.reshape(rows, n)[::-1]).ravel()
+                    taylor = nlt - nl + damp * (coupling * delta[::-1])
                     remainder = res_norm(taylor) / damp**2
-                    uv, r, nl, r_norm = trial, rt, nlt, nt
+                    uv, kuv, r, nl, r_norm = trial, k_trial, rt, nlt, nt
                     improved = True
                     steps += 1
                     break
@@ -613,28 +637,33 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
             break
         slow = slow + 1 if r_norm > 0.5 * prev_norm else 0
         lam = lam / 4.0 if lam > 1e-10 else 0.0
-    uv = uv.reshape(rows, n)
     return PairField(Field(grid, uv[0]), Field(grid, uv[-1])), r_norm, steps
 
 
 # -- outer level ----------------------------------------------------------------
 
 
-def _centre_on_grid_point(w: PairField) -> PairField:
-    """Translate w so the peak of |u|+|v| (3-point parabolic fit) sits on a
-    grid point.
+def _peak_offset(w: PairField) -> float:
+    """Offset, in cells, of the peak of |u|+|v| from its largest sample
+    (3-point parabolic fit); 0 where the samples do not curve down.
 
     On a grid a constant-V ground state has an on-grid minimizer and a
-    mid-cell saddle, the same profile moved by h/2; Newton converges to the
-    one nearer its start.
+    mid-cell saddle, the same profile moved by h/2: the fit reads ~1e-15
+    on the first and +-1/2 on the second.
     """
-    grid = w.grid
     p = np.abs(w.u.values) + np.abs(w.v.values)
     j = int(np.argmax(p))
     pm, p0, pp = p[j - 1], p[j], p[(j + 1) % p.size]
     curv = pm - 2.0 * p0 + pp
-    offset = 0.5 * (pm - pp) / curv if curv < 0.0 else 0.0  # cells
-    uv = translate(np.stack([w.u.values, w.v.values]), grid, -offset * grid.spacing)
+    return 0.5 * (pm - pp) / curv if curv < 0.0 else 0.0
+
+
+def _centre_on_grid_point(w: PairField) -> PairField:
+    """Translate w so its peak (``_peak_offset``) sits on a grid point, where
+    Newton converges to the minimizer, not to the saddle nearer a start
+    centred mid-cell."""
+    grid = w.grid
+    uv = translate(np.stack([w.u.values, w.v.values]), grid, -_peak_offset(w) * grid.spacing)
     return PairField(Field(grid, uv[0]), Field(grid, uv[1]))
 
 
@@ -702,7 +731,8 @@ def outer_minimize(
     Each inner solve runs to max(INNER_TOL, min(handoff, 0.02 |g|)), where
     |g| is the last gradient and handoff the threshold below: the inner
     level is only as accurate as the gradient it feeds, never looser than
-    the state Newton will take, and the first solve runs to 1e-6.
+    the state Newton will take, and the first solve, with no gradient yet,
+    runs to max(INNER_TOL, handoff).
 
     The descent only localizes the minimizer; it has no tolerance of its
     own and ends in one of three returns.  At the handoff threshold on the
@@ -714,25 +744,31 @@ def outer_minimize(
     ``max_outer`` steps the last state is returned unpolished, with the
     message "max_outer reached", and the gradient is logged at INFO.  An
     inner solve that misses its targets enters the descent with the point
-    it reached.  The first inner solve starts from the start's antidiagonal
-    part q, so a polished f != g start keeps it; K q is taken there, once,
-    and each inner solve hands its K q to the next.
+    it reached.  The first inner solve starts from the start itself,
+    t0 (a, a) + (q0, -q0) with t0 = ||(a0, a0)||_W from the K a0 taken
+    anyway, so a converged start is the first inner point and leaves through
+    a 0-step polish, and a polished f != g start keeps its antidiagonal part
+    q0; K q0 is taken there, once (none for q0 = 0), and each inner solve
+    hands its K q to the next.
     """
     grid = init_direction.grid
     h = grid.spacing
     Va = potential_array(V, grid)
     u0, v0 = init_direction.u.values, init_direction.v.values
     a0 = 0.5 * (u0 + v0)
-    a, ka = _diag_normalize(a0, halflap(a0, grid) + Va * a0, h)
+    ka0 = halflap(a0, grid) + Va * a0
+    a, ka = _diag_normalize(a0, ka0, h)
+    # the start is t0 (a, a) + (q0, -q0), with t0 = ||(a0, a0)||_W
+    t0 = np.sqrt(2.0 * h * float(a0 @ ka0))
     q0 = 0.5 * (u0 - v0)
-    start = NehariPoint(1.0, q0, halflap(q0, grid) + Va * q0) if np.any(q0) else None
+    start = NehariPoint(t0, q0, halflap(q0, grid) + Va * q0 if np.any(q0) else np.zeros_like(q0))
     trace: List[IterationRecord] = []
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
     handoff = POLISH_HANDOFF_CONSTANT_V if Va.ndim == 0 else POLISH_HANDOFF_VARYING_V
 
     grad_plus = make_diagonal_gradient(grid, Va, fam)
-    inner_tol_eff = max(INNER_TOL, 1e-6)
+    inner_tol_eff = max(INNER_TOL, handoff)
     point = inner_maximize(a, fam, Va, grid, inner_tol_eff, warm=start)
     for outer in range(cfg.max_outer):
         # u + v = 2 t a, as a is the slice's ahat
@@ -805,9 +841,13 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     polish (n steps)" added to ``message``.  An early handoff starts from
     the state centred on a grid point (``_centre_on_grid_point``) and
     returns None, so the descent can resume, unless the polish keeps the
-    level (up to LEVEL_TIE_RTOL) and meets the Nehari constraints to
-    ``el_tol``; the state it rejects is certified too, since those
-    certificates decide.
+    level (up to LEVEL_TIE_RTOL), meets the Nehari constraints to
+    ``el_tol`` and keeps its peak within PEAK_OFFSET_MAX cells of a grid
+    point (``_peak_offset``); the state it rejects is certified too, since
+    those certificates decide.  The peak check does not depend on the
+    handoff level: the mid-cell saddle sits below every handoff level
+    that gradient 5e-2 leaves on Grid(40, 2048) (and 4e-7 above the
+    minimizer on Grid(40, 4096)), so the level check alone keeps it.
     """
     start = _centre_on_grid_point(point.w) if early else point.w
     polished, _, steps = _newton_polish(start, fam, V, target=POLISH_TARGET * cfg.el_tol)
@@ -819,6 +859,7 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     accepted = not early or (
         out.level <= point.level + LEVEL_TIE_RTOL * abs(point.level)
         and out.nehari_residual <= cfg.el_tol
+        and abs(_peak_offset(polished)) <= PEAK_OFFSET_MAX
     )
     log.info(
         "newton handoff (%s, threshold %.0e): level %.15g -> %.15g, %s",

@@ -905,10 +905,10 @@ class TestNewtonHandoff:
             calls.append(w)
             if len(calls) > 1:
                 return real(w, fam_, V, target)
-            if fault == "saddle":  # polish from half a cell over: higher level
-                return real(_translated(w, 0.5 * DEFAULT_GRID.spacing), fam_, V, target)
-            out, res, steps = real(w, fam_, V, target)  # off the Nehari manifold
-            return 1.01 * out, res, steps
+            out, res, steps = real(w, fam_, V, target)
+            if fault == "saddle":  # the mid-cell saddle: the minimizer moved by h/2, polished
+                return real(_translated(out, 0.5 * DEFAULT_GRID.spacing), fam_, V, target)
+            return 1.01 * out, res, steps  # off the Nehari manifold
 
         monkeypatch.setattr(nehari, "_newton_polish", faulty_first)
         res = outer_minimize(init, fam, 1.0, cfg)
@@ -920,6 +920,48 @@ class TestNewtonHandoff:
         assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
         assert len(res.trace) == len(tight.trace)
         assert res.converged
+
+    def test_peak_guard_rejects_the_saddle_the_level_check_accepts(self, fam, monkeypatch):
+        # on Grid(40, 4096) the mid-cell saddle sits 4e-7 above the on-grid
+        # minimizer, below every early handoff level: only the peak offset
+        # tells them apart
+        grid = Grid(40.0, 4096)
+        cfg = SolverConfig(restarts=1, seed=0)
+        real_polish, handed = nehari._polish, []
+
+        def recorded(point, *args, **kwargs):
+            handed.append(point)
+            return real_polish(point, *args, **kwargs)
+
+        monkeypatch.setattr(nehari, "_polish", recorded)
+        res = outer_minimize(initial_directions(grid, cfg, 1.0)[0], fam, 1.0, cfg)
+        assert len(handed) == 1 and res.converged
+        point = handed[0]
+        target = nehari.POLISH_TARGET * cfg.el_tol
+        saddle, _, _ = nehari._newton_polish(_translated(res.w, 0.5 * grid.spacing), fam, 1.0,
+                                             target)
+        assert abs(nehari._peak_offset(res.w)) <= 1e-12
+        assert abs(nehari._peak_offset(saddle)) == pytest.approx(0.5, abs=1e-3)
+        certified = nehari._finalize(saddle, fam, 1.0, [], 0, cfg, "saddle")
+        assert res.level < certified.level <= point.level
+        assert certified.nehari_residual <= cfg.el_tol
+        monkeypatch.setattr(nehari, "_newton_polish", lambda w, fam_, V, target: (saddle, 0.0, 1))
+        assert real_polish(point, fam, 1.0, [], cfg, 0, "handed to newton polish", early=True) is None
+
+    @pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp"])
+    def test_no_early_polish_is_rejected(self, name, caplog):
+        caplog.set_level(logging.INFO, logger="halfwave.nehari")
+        afam = builtin_family(name, beta0=1.0)
+        for seed in range(3):
+            cfg = SolverConfig(restarts=5, seed=seed)
+            for i, init in enumerate(initial_directions(DEFAULT_GRID, cfg, 1.0)):
+                caplog.clear()
+                res = outer_minimize(init, afam, 1.0, cfg, restart_index=i)
+                handoffs = [r.args for r in caplog.records
+                            if r.getMessage().startswith("newton handoff")]
+                assert len(handoffs) == 1 and res.converged, (seed, i)
+                assert handoffs[0][1] == POLISH_HANDOFF_CONSTANT_V
+                assert handoffs[0][4] == "accepted", (seed, i)
 
     def test_handoff_and_newton_steps_are_logged(self, fam, caplog):
         # each of the five default starts, run on its own
@@ -1038,7 +1080,8 @@ class TestNewtonHandoff:
 
 class TestInnerTolerance:
     """Each inner solve runs to max(INNER_TOL, min(handoff, 0.02 |g|)), |g|
-    the gradient of the step it serves, and the first to 1e-6."""
+    the gradient of the step it serves, and the first to max(INNER_TOL,
+    handoff)."""
 
     ASYM = builtin_family("cubic_quintic_exp", beta0=1.0)
 
@@ -1060,7 +1103,7 @@ class TestInnerTolerance:
         # serves, whose trace record holds that step's gradient
         by_level = {rec.level: rec for rec in res.trace}
         assert len(by_level) == len(res.trace)
-        assert calls[0][0] == 1e-6
+        assert calls[0][0] == max(nehari.INNER_TOL, handoffs[0])
         for tol, warm, polishes in calls[1:]:
             rec = by_level[warm.level]
             want = max(nehari.INNER_TOL, min(handoffs[polishes], 0.02 * rec.grad_norm))
@@ -1095,8 +1138,9 @@ class TestInnerTolerance:
 
         def saddle_first(w, fam_, V, target):
             polishes.append(None)
-            if len(polishes) == 1:  # polish from half a cell over: rejected
-                w = _translated(w, 0.5 * DEFAULT_GRID.spacing)
+            if len(polishes) == 1:  # the mid-cell saddle, polished: rejected
+                out, _, _ = real(w, fam_, V, target)
+                w = _translated(out, 0.5 * DEFAULT_GRID.spacing)
             return real(w, fam_, V, target)
 
         monkeypatch.setattr(nehari, "_newton_polish", saddle_first)
@@ -1215,6 +1259,46 @@ class TestKImages:
         assert counts == {"halflap": 0, "inv_multiplier": 1}
         assert np.max(np.abs(fused - fresh.ravel())) <= 1e-13 * np.max(np.abs(fresh))
 
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["one_row", "stacked"])
+    def test_polish_step_takes_ffts_in_gmres_alone(self, fam, grid, ground, monkeypatch,
+                                                   symmetric):
+        # one multiplier per GMRES product and none else: the step is the P y
+        # of GMRES's last product; K is applied once, to the start, and the
+        # K uv carried through the trials matches a fresh K
+        energy_module = importlib.import_module("halfwave.energy")
+        V = _sampled("single_well", grid)
+        counts = _Counts()
+        monkeypatch.setattr(energy_module, "halflap",
+                            counts.wrap("K", energy_module.halflap))
+        for name in ("halflap", "inv_multiplier"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
+        real_gmres, real_strong, carried = nehari.gmres, nehari.strong_residual, []
+
+        def counted_gmres(A, b, **kw):
+            def product(x):
+                counts["products"] += 1
+                return A.matvec(x)
+
+            return real_gmres(nehari.Operator(A.shape, A.dtype, product), b, **kw)
+
+        def recorded_strong(uv, fam_, Va, grid_, kuv=None):
+            carried.append((uv, kuv))
+            return real_strong(uv, fam_, Va, grid_, kuv)
+
+        counts["products"] = 0
+        monkeypatch.setattr(nehari, "gmres", counted_gmres)
+        monkeypatch.setattr(nehari, "strong_residual", recorded_strong)
+        u = 1.02 * ground.w.u.values
+        start = PairField(Field(grid, u), Field(grid, u))
+        _, res, steps = nehari._newton_polish(start, fam if symmetric else self.ASYM, V, 5e-8)
+        assert res <= 5e-8 and steps >= 2
+        assert counts == {"K": 1, "halflap": 0, "inv_multiplier": counts["products"],
+                          "products": counts["products"]}
+        assert len(carried) > steps
+        for uv, kuv in carried:
+            fresh = _fresh_k(uv, V, grid)
+            assert np.max(np.abs(kuv - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
     def test_slice_cg_iteration_takes_one_multiplier(self, grid, monkeypatch):
         V = _sampled("single_well", grid)
         vbar = float(np.mean(V))
@@ -1270,9 +1354,10 @@ class TestKImages:
     @pytest.mark.parametrize("antidiagonal", [0.0, 0.1], ids=["diagonal", "antidiagonal"])
     def test_descent_hands_each_inner_solve_its_warm_start(self, grid, monkeypatch,
                                                            antidiagonal):
-        # the first inner solve gets the start's (u - v) / 2 with its K image,
-        # taken once, or no warm start when that part is 0; every later one
-        # gets a point an earlier inner solve returned
+        # the first inner solve gets the start's own t0 = ||(a0, a0)||_W and
+        # (u - v) / 2 with its K image, taken once, or q all zero when that
+        # part is 0; every later one gets a point an earlier inner solve
+        # returned
         V = _sampled("single_well", grid)
         real, warms, points = nehari.inner_maximize, [], []
 
@@ -1286,12 +1371,14 @@ class TestKImages:
         q = smooth_random(grid, np.random.default_rng(3), amplitude=antidiagonal)
         outer_minimize(PairField(b + q, b - q), self.ASYM, V, SolverConfig(seed=0, max_outer=3))
         first = warms[0]
+        t0 = np.sqrt(2.0 * grid.spacing * float(b.values @ _fresh_k(b.values, V, grid)))
+        assert first.t == pytest.approx(t0, rel=1e-14, abs=0)
         if antidiagonal:
             kq = _fresh_k(first.q, V, grid)
-            assert first.t == 1.0 and np.any(first.q)
+            assert np.any(first.q)
             assert np.max(np.abs(first.kq - kq)) <= 1e-13 * np.max(np.abs(kq))
         else:
-            assert first is None
+            assert not np.any(first.q) and not np.any(first.kq)
         assert len(warms) >= 3
         assert all(any(w is p for p in points) for w in warms[1:])
 
