@@ -26,11 +26,8 @@ from .diagnostics import (
     recenter_pair,
 )
 from .energy import (
-    Decomposition,
     PairField,
-    decompose,
     energy,
-    energy_gradient,
     nehari_residuals,
     pair_inner,
     pair_norm,
@@ -61,7 +58,6 @@ from .grids import (
     SpectralExponent,
     apply_fractional_laplacian,
     integrate,
-    l2_inner,
     l2_norm,
     linf_norm,
     read_field_binary,

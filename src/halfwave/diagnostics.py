@@ -103,38 +103,16 @@ class DecayMetrics:
     tail_sup: float
     linf_u: float
     linf_v: float
-    envelope_exponent: float
 
 
 def decay_profile(w: PairField) -> DecayMetrics:
-    """Tail and amplitude metrics for a recentered pair.
-
-    ``tail_sup`` is the sup of |u|+|v| on the outer TAIL_BAND of the box;
-    the envelope exponent p of |u|+|v| ~ |x|^-p is a descriptive
-    log-log fit over the intermediate range (no decay-rate claim is tested
-    against it).
-    """
+    """Tail and amplitude metrics for a recentered pair: ``tail_sup`` is the
+    sup of |u|+|v| on the outer TAIL_BAND of the box."""
     g = w.grid
     profile = np.abs(w.u.values) + np.abs(w.v.values)
-    cut = 0.5 * (1.0 - TAIL_BAND) * g.length
-    outer = np.abs(g.x) >= cut
+    outer = np.abs(g.x) >= 0.5 * (1.0 - TAIL_BAND) * g.length
     tail = float(np.max(profile[outer])) if np.any(outer) else 0.0
-
-    fit_zone = (np.abs(g.x) >= 0.1 * g.length) & (np.abs(g.x) <= 0.3 * g.length)
-    xs = np.abs(g.x[fit_zone])
-    ys = profile[fit_zone]
-    good = ys > 1e-280
-    if np.count_nonzero(good) >= 8:
-        slope = np.polyfit(np.log(xs[good]), np.log(ys[good]), 1)[0]
-        exponent = float(-slope)
-    else:
-        exponent = float("inf")
-    return DecayMetrics(
-        tail_sup=tail,
-        linf_u=linf_norm(w.u),
-        linf_v=linf_norm(w.v),
-        envelope_exponent=exponent,
-    )
+    return DecayMetrics(tail_sup=tail, linf_u=linf_norm(w.u), linf_v=linf_norm(w.v))
 
 
 # -- piecewise-logarithmic test sequence -------------------------------------

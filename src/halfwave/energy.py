@@ -1,4 +1,4 @@
-"""The coupled-pair energy, its splitting, and its first derivative.
+"""The coupled-pair energy and its first derivative.
 
 The energy of a pair w = (u, v) is
 
@@ -18,7 +18,6 @@ the varying case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -59,9 +58,6 @@ class PairField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "PairField":
-        return PairField(-self.u, -self.v)
-
     def shift(self, n_cells: int) -> "PairField":
         return PairField(self.u.shift(n_cells), self.v.shift(n_cells))
 
@@ -69,22 +65,6 @@ class PairField:
     def zero(cls, grid: Grid) -> "PairField":
         z = Field(grid, np.zeros(grid.n_points))
         return cls(z, z)
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """w = plus + minus with plus = (a, a) and minus = (b, -b)."""
-
-    plus: PairField
-    minus: PairField
-
-
-def decompose(w: PairField) -> Decomposition:
-    a = 0.5 * (w.u.values + w.v.values)
-    b = 0.5 * (w.u.values - w.v.values)
-    fa = Field(w.grid, a)
-    fb = Field(w.grid, b)
-    return Decomposition(PairField(fa, fa), PairField(fb, -fb))
 
 
 def potential_array(V: PotentialValues, grid: Grid) -> np.ndarray:
@@ -163,14 +143,6 @@ def phi(w: PairField, fam: NonlinearityFamily) -> float:
     return float(w.grid.spacing * np.sum(dens))
 
 
-def phi_prime_pairing(w: PairField, fam: NonlinearityFamily) -> float:
-    """<Phi'(w), w> = integral(f(u)u + g(v)v)."""
-    fam.guard_amplitude(w.u.values, "u")
-    fam.guard_amplitude(w.v.values, "v")
-    dens = fam.f(w.u.values) * w.u.values + fam.g(w.v.values) * w.v.values
-    return float(w.grid.spacing * np.sum(dens))
-
-
 def energy(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> float:
     return weighted_inner(w.u, w.v, V) - phi(w, fam)
 
@@ -197,15 +169,6 @@ def pair_residual(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> 
     fam.guard_amplitude(w.v.values, "v")
     uv = np.stack([w.u.values, w.v.values])
     return strong_residual(uv, fam, potential_array(V, w.grid), w.grid)[0]
-
-
-def energy_gradient(w: PairField, fam: NonlinearityFamily, V: PotentialValues) -> PairField:
-    """First derivative of J at w as its L2 representative: the pair pairing
-    with a test (phi, psi) as integral(first*phi + second*psi), i.e. the
-    Euler-Lagrange residuals (v-equation, u-equation)."""
-    r_u, r_v = pair_residual(w, fam, V)
-    g = w.grid
-    return PairField(Field(g, r_v), Field(g, r_u))
 
 
 def el_residual_norms(w: PairField, fam: NonlinearityFamily, V: PotentialValues, r=None):

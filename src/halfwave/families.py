@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -259,22 +259,17 @@ def _rel_margin(num, scale):
     return num / np.maximum(scale, 1e-300)
 
 
-def audit_hypotheses(
-    fam: NonlinearityFamily, t_grid: Optional[np.ndarray] = None
-) -> HypothesisAudit:
-    """Sample every admissibility condition and record worst-case margins.
+def audit_hypotheses(fam: NonlinearityFamily) -> HypothesisAudit:
+    """Sample every admissibility condition on ``default_audit_grid()`` and
+    record worst-case margins.
 
     Sign-restricted families are audited on the positive half-line, which is
     the domain the restriction trick targets.
     """
-    if t_grid is None:
-        t_grid = default_audit_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = default_audit_grid()
     if fam.sign_restricted:
         t_grid = t_grid[t_grid >= 0.0]
     T = float(np.max(np.abs(t_grid)))
-    if T < 10.0:
-        raise ValueError(f"audit grid must span [-T, T] with T >= 10, got {T}")
 
     audit = HypothesisAudit(family=fam.name, t_min=float(np.min(t_grid)), t_max=T)
     nz = t_grid[t_grid != 0.0]

@@ -184,13 +184,6 @@ def apply_fractional_laplacian(u: Field, s: SpectralExponent = HALF) -> Field:
     return Field(u.grid, multiply(u.values, u.grid, u.grid.abs_k ** (2.0 * s.s)))
 
 
-def multiplier_solve(u: Field, shift: float) -> Field:
-    """Invert ((-Delta)^{1/2} + shift) spectrally; requires shift > 0."""
-    if shift <= 0:
-        raise InvalidField(f"operator shift must be positive, got {shift}")
-    return Field(u.grid, inv_multiplier(u.values, u.grid, shift))
-
-
 def half_pairing(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     """integral((-Delta)^{1/4}a * (-Delta)^{1/4}b): modes j and N - j are
     conjugate, so twice the rfft half-spectrum sum less the Nyquist term."""
@@ -198,11 +191,6 @@ def half_pairing(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     bhat = ahat if b is a else np.fft.rfft(b)
     terms = grid.abs_k * (ahat.real * bhat.real + ahat.imag * bhat.imag)
     return float((2.0 * np.sum(terms) - terms[-1]) * grid.spacing / grid.n_points)
-
-
-def l2_inner(u: Field, v: Field) -> float:
-    u._check_same_grid(v)
-    return u.grid.spacing * float(np.dot(u.values, v.values))
 
 
 def l2_norm(u: Field) -> float:

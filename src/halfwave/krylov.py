@@ -21,6 +21,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 EPS = np.finfo(float).eps
+GMRES_RESTART = 60  # Krylov dimension of one GMRES cycle
+GMRES_MAX_CYCLES = 200
+CG_MAX_ITERS = 400
 
 
 class Operator(NamedTuple):
@@ -31,8 +34,9 @@ class Operator(NamedTuple):
     matvec: Callable[[np.ndarray], np.ndarray]
 
 
-def gmres(A, b, *, rtol=1e-5, restart=60, maxiter=200):
-    """Solve A x = b from x0 = 0 by GMRES(restart), at most maxiter cycles.
+def gmres(A, b, *, rtol=1e-5):
+    """Solve A x = b from x0 = 0 by GMRES(GMRES_RESTART), at most
+    GMRES_MAX_CYCLES cycles.
 
     Each cycle runs Arnoldi with modified Gram-Schmidt and Givens rotations
     until the rotated residual, equal to the true one in exact arithmetic,
@@ -46,12 +50,12 @@ def gmres(A, b, *, rtol=1e-5, restart=60, maxiter=200):
     if beta == 0.0:
         return x, 0
     tol = rtol * beta
-    m = min(restart, b.size)
+    m = min(GMRES_RESTART, b.size)
     basis = np.empty((m + 1, b.size))
     hess = np.zeros((m, m))  # the rotated Hessenberg matrix: upper triangular
     cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
     r = b
-    for cycle in range(1, maxiter + 1):
+    for cycle in range(1, GMRES_MAX_CYCLES + 1):
         basis[0] = r / beta
         g[:] = 0.0
         g[0] = beta
@@ -87,8 +91,8 @@ def gmres(A, b, *, rtol=1e-5, restart=60, maxiter=200):
     return x, cycle
 
 
-def cg(A, b, *, M: Callable, rtol=1e-5, maxiter=400):
-    """Solve A x = b by preconditioned CG from x0 = 0, at most maxiter
+def cg(A, b, *, M: Callable, rtol=1e-5):
+    """Solve A x = b by preconditioned CG from x0 = 0, at most CG_MAX_ITERS
     iterations, stopping on the recursive residual."""
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
@@ -97,7 +101,7 @@ def cg(A, b, *, M: Callable, rtol=1e-5, maxiter=400):
     tol = rtol * np.linalg.norm(b)
     r = b.copy()
     p = rho_prev = None
-    for _ in range(maxiter):
+    for _ in range(CG_MAX_ITERS):
         if np.linalg.norm(r) <= tol:
             return x, 0
         z = M(r)
@@ -108,4 +112,4 @@ def cg(A, b, *, M: Callable, rtol=1e-5, maxiter=400):
         x += alpha * p
         r -= alpha * q
         rho_prev = rho
-    return x, (0 if np.linalg.norm(r) <= tol else maxiter)
+    return x, (0 if np.linalg.norm(r) <= tol else CG_MAX_ITERS)

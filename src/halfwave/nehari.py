@@ -56,7 +56,7 @@ from .families import NonlinearityFamily
 from .grids import Field, Grid, halflap, inv_multiplier, translate
 from .krylov import Operator, gmres
 
-# target of the inner residuals, and the iteration budget of inner_maximize
+# floor of the inner residual target, and the iteration budget of inner_maximize
 INNER_TOL = 1e-9
 INNER_MAX_ITERS = 300
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
@@ -390,62 +390,54 @@ def inner_maximize(
     fam: NonlinearityFamily,
     Va,
     grid: Grid,
-    inner_tol: float = INNER_TOL,
-    max_inner: int = INNER_MAX_ITERS,
-    warm: Optional[NehariPoint] = None,
+    inner_tol: float,
+    warm: NehariPoint,
 ) -> NehariPoint:
     """Maximize J over the slice {t (ahat, ahat) + (q, -q)}.
 
     ``ahat`` is a diagonal direction as ``_diag_normalize`` returns it,
     ||(ahat, ahat)||_W = 1, and ``Va`` a potential from ``potential_array``.
-    One ray search (``_maximize_along_ray``, from ``warm.t`` or else 1,
-    to the slope ``inner_tol`` asks of the ray residual) places t; then
+    One ray search (``_maximize_along_ray``, from ``warm.t``, to the slope
+    ``inner_tol`` asks of the ray residual) places t; then
     Newton iterations in (t, q), each solved inexactly by ``_slice_pcg`` to
     the forcing term min(SLICE_ETA_MAX, sqrt(residual)) and globalized by
     an Armijo test on J, run until the ray and antidiagonal residuals are
-    at ``inner_tol``.  Its default is INNER_TOL, the floor; the outer
-    descent passes max(INNER_TOL, min(handoff, 0.02 |g|)), as accurate as
-    its gradient g, and max(INNER_TOL, handoff) to its first solve (see
-    ``outer_minimize``).  ``max_inner`` (default
-    INNER_MAX_ITERS) bounds the iterations.
+    at ``inner_tol``, at most INNER_MAX_ITERS of them.  The outer descent
+    passes max(INNER_TOL, min(handoff, 0.02 |g|)), as accurate as its
+    gradient g, and max(INNER_TOL, handoff) to its first solve (see
+    ``outer_minimize``).
     Where the predicted increase is within RAY_J_ULPS ulp of |J|, J is flat
     to round-off and the full step is taken.  Where the ray is not concave
     the step is a ray search from t instead.  ``inner_iters`` counts the
     iterations, i.e. the residual evaluations.
 
-    q and K q start from ``warm`` (the previous point) or at 0, and K q is
+    q and K q start from ``warm`` (the previous point), and K q is
     carried with the K dq of each step, so r, ||q||^2 = h q.Kq and ||rho||^2
     = h rho.(r + (V - vbar) rho) take no halflap.
 
     Symmetric slice: for a family with ``symmetric`` set (f = g) and a
-    start with q identically 0 (no ``warm``, or one with q all zero), q
+    start with q identically 0 (a ``warm`` with q all zero), q
     stays 0 bit for bit: r = -2 K q - f(u) + g(v) and the coupling
     (f'(u) - g'(v)) ahat vanish, so every step has dq = 0.  Then f, F and f'
     run once for the pair, q and r take no FFT, and the results equal the
     general path's.
 
-    When the residual targets are not met within ``max_inner`` iterations,
+    When the residual targets are not met within INNER_MAX_ITERS iterations,
     or the line search stalls, the last iterate is returned: its residuals
     show the miss, and a DEBUG record on ``halfwave.nehari`` gives the
     iterations used and the reason.
 
-    Raises ValueError when ``max_inner < 1``; NoAscent when the maximum
-    collapses to the origin; OverflowGuard when an iterate leaves the
-    exp-safe amplitude range.
+    Raises NoAscent when the maximum collapses to the origin; OverflowGuard
+    when an iterate leaves the exp-safe amplitude range.
     """
-    if max_inner < 1:
-        raise ValueError("max_inner must be >= 1")
     h = grid.spacing
     vbar = float(np.mean(Va))
-    diagonal = fam.symmetric and (warm is None or not np.any(warm.q))
+    diagonal = fam.symmetric and not np.any(warm.q)
     sl = _RaySlice(ahat, fam, h, diagonal)
     dv = Va - vbar
-    if diagonal or warm is None:
-        q, kq = np.zeros(grid.n_points), np.zeros(grid.n_points)
-    else:
-        q, kq = warm.q, warm.kq
+    q, kq = warm.q, warm.kq
     q_norm_sq = h * float(q @ kq)
-    t, j_cur = _maximize_along_ray(sl, 1.0 if warm is None else warm.t, q, q_norm_sq, inner_tol)
+    t, j_cur = _maximize_along_ray(sl, warm.t, q, q_norm_sq, inner_tol)
 
     def point(ray_res, minus_res, level):
         """The slice point at the current (t, q), with w as fields."""
@@ -454,7 +446,7 @@ def inner_maximize(
         return NehariPoint(float(t), q, kq, w, ray_res, minus_res, float(level), iters)
 
     reason = "iteration budget exhausted"
-    for it in range(max_inner):
+    for it in range(INNER_MAX_ITERS):
         if t <= 1e-12:
             raise NoAscent("maximum collapses onto the antidiagonal subspace")
 
@@ -480,7 +472,7 @@ def inner_maximize(
         iters = it + 1
         if ray_res <= inner_tol and minus_res <= inner_tol:
             return point(ray_res, minus_res, j_cur)
-        if iters == max_inner:
+        if iters == INNER_MAX_ITERS:
             break
 
         jt = t - h * float((fu + gv) @ ahat)
@@ -509,7 +501,7 @@ def inner_maximize(
 
     log.debug(
         "inner maximization: residuals (%.2e, %.2e) above tol %.2e, %d of %d iterations used (%s)",
-        ray_res, minus_res, inner_tol, iters, max_inner, reason,
+        ray_res, minus_res, inner_tol, iters, INNER_MAX_ITERS, reason,
     )
     return point(ray_res, minus_res, j_cur)
 

@@ -222,23 +222,24 @@ def _argmax_location(grid: Grid, vals: np.ndarray) -> float:
 
 def check_theta_ladder(theta_list) -> List[float]:
     """The theta values as floats; InvalidField unless all are positive,
-    finite and ascending."""
+    finite and strictly ascending."""
     thetas = [float(t) for t in theta_list]
-    if not (all(0.0 < t < np.inf for t in thetas) and sorted(thetas) == thetas):
-        raise InvalidField(f"theta list must be positive and ascending, got {thetas}")
+    if not (all(0.0 < t < np.inf for t in thetas)
+            and all(a < b for a, b in zip(thetas, thetas[1:]))):
+        raise InvalidField(f"theta list must be positive and strictly ascending, got {thetas}")
     return thetas
 
 
 def check_eps_ladder(eps_list) -> List[float]:
     """The epsilon values as floats; InvalidField unless there are at least
-    4, all positive and finite, descending, with extremes a factor >= 2
-    apart."""
+    4, all positive and finite, strictly descending, with extremes a factor
+    >= 2 apart."""
     eps = [float(e) for e in eps_list]
     if not (len(eps) >= 4 and all(0.0 < e < np.inf for e in eps)
-            and sorted(eps, reverse=True) == eps and eps[0] >= 2.0 * eps[-1]):
+            and all(a > b for a, b in zip(eps, eps[1:])) and eps[0] >= 2.0 * eps[-1]):
         raise InvalidField(
-            f"epsilon list must hold >= 4 positive values, descending, with extremes "
-            f">= 2x apart; got {eps}"
+            f"epsilon list must hold >= 4 positive values, strictly descending, with "
+            f"extremes >= 2x apart; got {eps}"
         )
     return eps
 

@@ -3,11 +3,14 @@
 The operator oracles deliberately avoid the FFT code paths they are used to
 check: the singular-integral oracle goes through adaptive quadrature of the
 periodized kernel, the Gagliardo oracle through a dense double sum, the
-Moser seminorm through its closed form on the line.  The scalar diagonal
-solve checks the coupled two-level solver with a different scheme, and its
-Newton polish runs on scipy's GMRES rather than ``halfwave.krylov``.
+Moser seminorm through its closed form on the line.  The pair splitting
+and <Phi'(w), w> are written out on fields, apart from the array kernels
+of ``halfwave.energy``.  The scalar diagonal solve checks the coupled
+two-level solver with a different scheme, and its Newton polish runs on
+scipy's GMRES rather than ``halfwave.krylov``.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,6 +77,30 @@ def gagliardo_double_sum(u, v, x, L, V0):
     np.fill_diagonal(kper, 0.0)
     semi = np.sum(du * dv * kper) * h**2 / (2.0 * np.pi)
     return semi + V0 * h * float(np.dot(u, v))
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """w = plus + minus with plus = (a, a) and minus = (b, -b)."""
+
+    plus: PairField
+    minus: PairField
+
+
+def decompose(w: PairField) -> Decomposition:
+    a = 0.5 * (w.u.values + w.v.values)
+    b = 0.5 * (w.u.values - w.v.values)
+    fa = Field(w.grid, a)
+    fb = Field(w.grid, b)
+    return Decomposition(PairField(fa, fa), PairField(fb, -fb))
+
+
+def phi_prime_pairing(w: PairField, fam: NonlinearityFamily) -> float:
+    """<Phi'(w), w> = integral(f(u)u + g(v)v)."""
+    fam.guard_amplitude(w.u.values, "u")
+    fam.guard_amplitude(w.v.values, "v")
+    dens = fam.f(w.u.values) * w.u.values + fam.g(w.v.values) * w.v.values
+    return float(w.grid.spacing * np.sum(dens))
 
 
 def antiderivative(f, t, **kw):

@@ -353,3 +353,12 @@ class TestSweepCommand:
         )
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sw2")])
         assert code == 1
+
+    def test_repeated_theta_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "s3.yaml"
+        write_yaml(cfg, {"theta": {"theta_list": [1.0, 1.0, 2.0]}})
+        out = tmp_path / "sw3"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error: theta: theta list must be positive and strictly ascending" in (
+            capsys.readouterr().err)
+        assert not out.exists()

@@ -173,12 +173,10 @@ class TestDecayAndRecenter:
 
     def test_ground_state_tail_and_exponent(self, ground):
         # algebraic far-field of the half-Laplacian soliton: measured
-        # tail/amplitude ratio ~4e-3 at L=40, envelope exponent ~1.6
-        # (periodic images flatten the pure inverse-square tail)
+        # tail/amplitude ratio ~4e-3 at L=40
         metrics = decay_profile(ground.w)
         amp = max(metrics.linf_u, metrics.linf_v)
         assert metrics.tail_sup <= 1e-2 * amp
-        assert 1.0 <= metrics.envelope_exponent <= 2.5
 
     def test_report_assembly(self, fam, ground):
         report = build_report(ground.w, fam, 1.0)

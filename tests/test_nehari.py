@@ -26,6 +26,8 @@ from halfwave.families import builtin_family
 from halfwave import nehari
 from halfwave.grids import Field, Grid, halflap, inv_multiplier, l2_norm, translate
 from halfwave.nehari import (
+    INNER_MAX_ITERS,
+    INNER_TOL,
     POLISH_HANDOFF_CONSTANT_V,
     POLISH_HANDOFF_VARYING_V,
     GroundStateResult,
@@ -59,14 +61,19 @@ def ground(fam, grid):
     return solve_ground_state(fam, 1.0, grid, SolverConfig(restarts=1, seed=0))
 
 
-def _inner(d: PairField, fam, V, **kw):
+def _inner(d: PairField, fam, V, inner_tol=INNER_TOL, warm=None):
     """inner_maximize on the diagonal part of d, normalized as the descent
-    normalizes it."""
+    normalizes it; without ``warm``, from the cold point."""
     grid = d.grid
     Va = potential_array(V, grid)
     a = 0.5 * (d.u.values + d.v.values)
     ahat, _ = nehari._diag_normalize(a, _fresh_k(a, Va, grid), grid.spacing)
-    return inner_maximize(ahat, fam, Va, grid, **kw)
+    return inner_maximize(ahat, fam, Va, grid, inner_tol, _cold(grid) if warm is None else warm)
+
+
+def _cold(grid):
+    """The warm start t = 1, q = 0."""
+    return NehariPoint(1.0, np.zeros(grid.n_points), np.zeros(grid.n_points))
 
 
 def _warm(t, q, V, grid):
@@ -197,26 +204,24 @@ class TestInnerMaximize:
         assert max(warm.ray_residual, warm.minus_residual) <= 1e-10
         assert warm.inner_iters <= 6
 
-    def test_budget_exhaustion_carries_best(self, grid):
+    def test_budget_exhaustion_carries_best(self, grid, monkeypatch):
         # asymmetric coupling needs several antidiagonal sweeps; the point
         # reached is returned, and its residuals show the miss
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         b = gaussian_bump(grid)
-        best = _inner(PairField(b, b), asym, 1.0, inner_tol=1e-14, max_inner=2)
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 2)
+        best = _inner(PairField(b, b), asym, 1.0, inner_tol=1e-14)
         assert best.inner_iters == 2
         assert max(best.ray_residual, best.minus_residual) > 1e-14
         assert best.t > 0
-
-    def test_zero_budget_raises_value_error(self, fam):
-        b = gaussian_bump(Grid(40.0, 256))
-        with pytest.raises(ValueError, match="max_inner must be >= 1"):
-            _inner(PairField(b, b), fam, 1.0, max_inner=0)
 
     def test_budget_message_gives_count_and_reason(self, grid, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         b = gaussian_bump(grid)
-        _inner(PairField(b, b), asym, 1.0, inner_tol=1e-14, max_inner=2)
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 2)
+        _inner(PairField(b, b), asym, 1.0, inner_tol=1e-14)
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", INNER_MAX_ITERS)
         # a step that only descends: the line search stalls on the first
         # iteration, and the point returned is the one its residuals describe
         real = nehari._slice_pcg
@@ -290,7 +295,7 @@ class TestRaySearch:
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_returns_j_at_maximizer(self, grid, warm):
-        # cold: from the default t0 = 1; warm: from the maximizer of the
+        # cold: from t0 = 1; warm: from the maximizer of the
         # unperturbed slice q = 0, as inner_maximize restarts from warm_t
         asym = builtin_family("cubic_quintic_exp", beta0=1.0)
         sl = _RaySlice(_bump_ray(grid), asym, grid.spacing)
@@ -377,8 +382,10 @@ class TestSymmetricSlice:
 
     # the default call, a warm ray start, and slice Newton steps below round-off
     @pytest.mark.parametrize("kw", [{}, {"warm_t": 3.0}, {"inner_tol": 1e-17, "max_inner": 4}])
-    def test_inner_point_is_bitwise_the_general_one(self, sym, V, grid, kw):
+    def test_inner_point_is_bitwise_the_general_one(self, sym, V, grid, kw, monkeypatch):
         kw = dict(kw)
+        if "max_inner" in kw:
+            monkeypatch.setattr(nehari, "INNER_MAX_ITERS", kw.pop("max_inner"))
         if "warm_t" in kw:  # from a previous point with q = 0
             kw["warm"] = _warm(kw.pop("warm_t"), np.zeros(grid.n_points), V, grid)
         b = gaussian_bump(grid)
@@ -439,7 +446,8 @@ class TestSymmetricSlice:
                           "slopes": counts["slopes"], "f": counts["slopes"] + 1, "g": 0,
                           "F": 1, "G": 0, "fp": counts["slopes"], "gp": 0}
         # slice Newton steps on the diagonal use f and fp alone too
-        _inner(PairField(b, b), sym, 1.0, inner_tol=1e-17, max_inner=4)
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 4)
+        _inner(PairField(b, b), sym, 1.0, inner_tol=1e-17)
         assert counts["g"] == counts["G"] == counts["gp"] == 0
 
     def test_diagonal_gradient_runs_f_once(self, grid):
@@ -468,7 +476,8 @@ class TestSymmetricSlice:
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         b = gaussian_bump(grid)
         fam = builtin_family("cubic_exp", beta0=1.0)
-        pt = _inner(PairField(b, b), fam, 1.0, inner_tol=1e-17, max_inner=4)
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 4)
+        pt = _inner(PairField(b, b), fam, 1.0, inner_tol=1e-17)
         assert pt.inner_iters == 4
         assert counts == {"halflap": 0, "inv_multiplier": 0, "_slice_pcg": 3}
 
@@ -883,9 +892,9 @@ def _translated(w, s):
 
 class TestNewtonHandoff:
     def test_every_start_reaches_on_grid_minimizer(self, default_starts):
-        # a constant-V descent hands over at gradient 1e-2; without centring
-        # the handoff state on a grid point, Newton lands on the mid-cell
-        # saddle from starts 1 and 3
+        # a constant-V descent hands over at gradient POLISH_HANDOFF_CONSTANT_V;
+        # without centring the handoff state on a grid point, Newton lands on
+        # the mid-cell saddle (peak offset +-0.5 cell) from starts 1 and 3
         for res in default_starts:
             assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
             assert res.converged
@@ -1330,7 +1339,7 @@ class TestKImages:
         a = gaussian_bump(grid).values
         ahat, _ = nehari._diag_normalize(a, _fresh_k(a, Va, grid), grid.spacing)
         phi = 1e-2 * smooth_random(grid, np.random.default_rng(2)).values
-        start = _warm(1.0, phi, Va, grid) if warm else None
+        start = _warm(1.0, phi, Va, grid) if warm else _cold(grid)
         counts = _Counts()
         for name in ("halflap", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
@@ -1760,14 +1769,14 @@ def test_restarts_run_in_one_loop():
 def test_coupled_system_is_written_once():
     # the residual the polish drives to zero and the one the certificates
     # report come from energy.strong_residual; f and g are called elsewhere
-    # only in the pairings and in the descent's own slice coordinates
+    # only in the descent's own slice coordinates
     callers = set()
     for stem in ("energy", "nehari"):
         path = Path(__file__).resolve().parents[1] / "src" / "halfwave" / f"{stem}.py"
         for scopes in top_level_callers(path.read_text(), ("f", "g")).values():
             callers |= {f"{stem}.{scope}" for scope in scopes}
     assert callers <= {
-        "energy.strong_residual", "energy.phi_prime_pairing", "nehari.make_diagonal_gradient",
+        "energy.strong_residual", "nehari.make_diagonal_gradient",
         "nehari._RaySlice.ray_slope", "nehari.inner_maximize",
     }, callers
 

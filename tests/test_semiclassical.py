@@ -126,6 +126,10 @@ class TestThetaScan:
             autonomous_level_vs_theta([2.0, 1.0], fam, grid, cfg)
         with pytest.raises(InvalidField):
             autonomous_level_vs_theta([-1.0, 1.0], fam, grid, cfg)
+        # a repeated theta would read as a monotonicity violation of a level
+        # that increases
+        with pytest.raises(InvalidField, match="strictly ascending"):
+            autonomous_level_vs_theta([1.0, 1.0, 2.0], fam, grid, cfg)
 
 
 class TestConcentrationSweep:
@@ -137,6 +141,8 @@ class TestConcentrationSweep:
             concentration_sweep([0.25, 0.5, 1.0, 2.0], pot, fam, sweep_grid, cfg)
         with pytest.raises(InvalidField):
             concentration_sweep([1.0, 0.9, 0.8, 0.7], pot, fam, sweep_grid, cfg)
+        with pytest.raises(InvalidField, match="strictly descending"):
+            concentration_sweep([1.0, 0.5, 0.5, 0.25], pot, fam, sweep_grid, cfg)
 
     def test_zero_epsilon_is_invalid_field(self, fam, cfg, sweep_grid):
         # the extremes' ratio divides by the last rung
