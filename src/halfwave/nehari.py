@@ -22,7 +22,10 @@ K-image without another FFT; the descent, the slice CG and the polish take
 K-images that way and carry them forward, while the certificates
 (``build_report``) apply K afresh.
 
-All randomness is seeded; restarts run one after another and are merged
+All randomness is seeded: start 0 is a centred bump, and start r >= 1 a
+bump whose centre, width and wiggle wavenumber are three .random() draws,
+in that order, from the standard-library ``random.Random(seed + 1000 r)``
+(``initial_directions``).  Restarts run one after another and are merged
 deterministically, so runs are reproducible bit-for-bit.  For a constant
 potential the restarts stop once two converged ones tie in level, since
 every start then reaches the same state up to translation.  On a grid of
@@ -33,6 +36,7 @@ winner's own start runs on the full grid.
 from __future__ import annotations
 
 import logging
+import random
 from dataclasses import InitVar, dataclass, field, replace
 from typing import List, Optional
 
@@ -106,7 +110,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SolverConfig:
     """Settings of one solve, each checked here (ValueError): el_tol is a
-    positive number, the rest integers, with max_outer, restarts >= 1 and
+    finite positive number, the rest integers, with max_outer, restarts >= 1 and
     seed >= 0.  The descent has no tolerance: it ends at the Newton handoff.
     ``restarts`` is the number of starts; for a constant V it is an upper
     bound, as ``solve_ground_state`` stops once two converged starts tie.
@@ -126,8 +130,8 @@ class SolverConfig:
         if threads != 1:
             raise ValueError(f"threads must be 1 (restarts run in sequence), got {threads!r}")
         tol = self.el_tol
-        if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and tol > 0):
-            raise ValueError(f"el_tol must be a positive number, got {tol!r}")
+        if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and 0 < tol < np.inf):
+            raise ValueError(f"el_tol must be a finite positive number, got {tol!r}")
         for name, least in (("max_outer", 1), ("restarts", 1), ("seed", 0)):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
@@ -921,20 +925,28 @@ def _finalize(w, fam, V, trace, restart_index, cfg, message, newton_steps=0):
 
 
 def initial_directions(grid: Grid, cfg: SolverConfig, V) -> List[PairField]:
-    """Deterministic family of diagonal bump starts (centered + perturbed)."""
+    """Deterministic family of diagonal bump starts (centered + perturbed).
+
+    Start 0 is the Gaussian bump of width width0 = (mean V)^{-1/2} centred
+    at 0.  Start r >= 1 draws x1, x2, x3 in that order from the .random()
+    method of the standard-library ``random.Random(seed + 1000 r)``, the one
+    method Python reproduces across versions for an int seed: centre
+    L (x1 - 1/2) / 4, width width0 (0.6 + 1.2 x2), and a 20% cosine wiggle
+    of wavenumber 1 + int(3 x3) in {1, 2, 3}.  No numpy.random is loaded.
+    """
     width0 = 1.0 / np.sqrt(float(np.mean(V)))
     outs = []
     for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + 1000 * r)
         if r == 0:
-            center, width, wiggle = 0.0, width0, 0.0
+            center, width, wavenumber = 0.0, width0, 0
         else:
-            center = rng.uniform(-grid.length / 8.0, grid.length / 8.0)
-            width = width0 * rng.uniform(0.6, 1.8)
-            wiggle = 0.2
+            draw = random.Random(int(cfg.seed) + 1000 * r).random
+            center = grid.length * (draw() - 0.5) / 4.0
+            width = width0 * (0.6 + 1.2 * draw())
+            wavenumber = 1 + int(3 * draw())
         vals = np.exp(-((grid.x - center) ** 2) / (2.0 * width**2))
-        if wiggle:
-            vals = vals * (1.0 + wiggle * np.cos(2.0 * np.pi * rng.integers(1, 4) * grid.x / grid.length))
+        if wavenumber:
+            vals = vals * (1.0 + 0.2 * np.cos(2.0 * np.pi * wavenumber * grid.x / grid.length))
         f = Field(grid, vals)
         outs.append(PairField(f, f))
     return outs

@@ -61,19 +61,22 @@ class Potential:
 
     def values(self, grid: Grid, epsilon: float):
         """V(eps x) as the solver takes it: the float V0 if constant, else the
-        samples on ``grid``.  InvalidField unless eps > 0, V(eps L/2) is within
-        BOX_SLACK of Vinf (relative) and no sample dips below V0."""
+        samples on ``grid``.  InvalidField unless eps > 0, V(eps L/2) and
+        every sample are finite, V(eps L/2) is within BOX_SLACK of Vinf
+        (relative) and no sample dips below V0."""
         if not epsilon > 0:
             raise InvalidField(f"epsilon must be positive, got {epsilon}")
         if self.is_constant:
             return self.V0
         edge = float(self.evaluate(np.array([epsilon * grid.length / 2.0]))[0])
+        vals = np.asarray(self.evaluate(epsilon * grid.x), dtype=float)
+        if not (np.isfinite(edge) and np.all(np.isfinite(vals))):
+            raise InvalidField(f"potential {self.name} has NaN/Inf samples at epsilon={epsilon}")
         if abs(edge - self.Vinf) > BOX_SLACK * self.Vinf:
             raise InvalidField(
                 f"box too small for epsilon={epsilon}: V(eps*L/2)={edge:.4g} is "
                 f"more than {100 * BOX_SLACK:.0f}% away from Vinf={self.Vinf}"
             )
-        vals = np.asarray(self.evaluate(epsilon * grid.x), dtype=float)
         if np.min(vals) < self.V0 - 1e-12:
             raise InvalidField(
                 f"potential dips below its declared infimum: min={np.min(vals)}"
@@ -98,10 +101,11 @@ def single_well(V0: float = 1.0, Vinf: float = 2.0) -> Potential:
 def double_well(V0: float = 1.0, Vinf: float = 2.0, separation: float = 2.0) -> Potential:
     """Two symmetric minima at +-separation, hump at 0, limit Vinf.
 
-    Raises InvalidField unless separation > 0 (at 0 the formula is 0/0).
+    Raises InvalidField unless 0 < separation < inf (at 0 the formula is
+    0/0, at inf every sample is inf/inf).
     """
-    if not separation > 0:
-        raise InvalidField(f"separation must be positive, got {separation}")
+    if not 0 < separation < np.inf:
+        raise InvalidField(f"separation must be finite and positive, got {separation}")
     a = separation
 
     def ev(x):

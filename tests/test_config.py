@@ -90,8 +90,9 @@ class TestResolve:
         assert SolverConfig(threads=1) == SolverConfig()
         with pytest.raises(ValueError, match="threads must be 1"):
             SolverConfig(threads=3)
-        with pytest.raises(ValueError, match="el_tol must be a positive number"):
-            SolverConfig(el_tol="1e-6")
+        for tol in ("1e-6", float("inf")):
+            with pytest.raises(ValueError, match="el_tol must be a finite positive number"):
+                SolverConfig(el_tol=tol)
 
     # a value of the wrong type is a ConfigError that names its section,
     # never a raw exception from the conversion or a later crash
@@ -134,9 +135,11 @@ class TestResolve:
     def test_wrongly_typed_value_in_a_well_potential(self):
         with pytest.raises(ConfigError, match="^potential"):
             resolve({"potential": {"type": "single_well", "Vinf": "z"}})
-        # at separation 0 the double well is 0/0 at the origin
-        with pytest.raises(ConfigError, match="^potential: separation"):
-            resolve({"potential": {"type": "double_well", "separation": 0.0}})
+        # at separation 0 the double well is 0/0 at the origin, at inf
+        # inf/inf everywhere
+        for separation in (0.0, float("inf")):
+            with pytest.raises(ConfigError, match="^potential: separation"):
+                resolve({"potential": {"type": "double_well", "separation": separation}})
 
     def test_bad_sweep_lists(self):
         with pytest.raises(ConfigError):

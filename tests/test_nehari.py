@@ -894,7 +894,9 @@ class TestNewtonHandoff:
     def test_every_start_reaches_on_grid_minimizer(self, default_starts):
         # a constant-V descent hands over at gradient POLISH_HANDOFF_CONSTANT_V;
         # without centring the handoff state on a grid point, Newton lands on
-        # the mid-cell saddle (peak offset +-0.5 cell) from starts 1 and 3
+        # the mid-cell saddle (peak offset +-0.5 cell) from start 3 of seed 1
+        # and start 1 of seed 2 (test_no_early_polish_is_rejected), though
+        # from none of these seed-0 starts
         for res in default_starts:
             assert res.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
             assert res.converged

@@ -69,6 +69,18 @@ class TestPotentials:
         with pytest.raises(InvalidField):
             pot.values(sweep_grid, 0.005)
 
+    def test_non_finite_samples_are_invalid(self, sweep_grid):
+        # NaN fails every comparison, so the box and infimum checks alone
+        # would pass it: all-NaN, and NaN at the origin only (finite edge)
+        well = single_well(1.0, 2.0).evaluate
+        for evaluate in (
+            lambda x: np.full_like(x, np.nan),
+            lambda x: np.where(x == 0.0, np.nan, well(x)),
+        ):
+            pot = Potential("nan", evaluate, V0=1.0, Vinf=2.0, minima=(0.0,))
+            with pytest.raises(InvalidField, match="NaN/Inf samples"):
+                pot.values(sweep_grid, 0.5)
+
     def test_constant_values_are_the_scalar(self):
         # the multiplier path, on any box; eps is still checked
         pot = constant_potential(1.5)
