@@ -9,6 +9,7 @@ directory alone.
 
 from __future__ import annotations
 
+import inspect
 import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -124,7 +125,8 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
     """Validate a raw mapping and materialize every default.
 
     Raises ConfigError, naming the section, for an unknown section or key, a
-    value of the wrong type, or a value its object rejects.
+    potential key the chosen type does not read set to other than its
+    default, a value of the wrong type, or a value its object rejects.
     """
     raw = dict(raw or {})
     for section in raw:
@@ -141,13 +143,14 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
     with section_guard("potential"):
         kind = pot_sec["type"]
         _require(isinstance(kind, str) and kind in POTENTIALS, f"potential.type: unknown type {kind!r}")
-        V0, Vinf, separation = (float(pot_sec[k]) for k in ("V0", "Vinf", "separation"))
-        if kind == "constant":
-            potential = POTENTIALS["constant"](V0)
-        elif kind == "single_well":
-            potential = POTENTIALS["single_well"](V0, Vinf)
-        else:
-            potential = POTENTIALS["double_well"](V0, Vinf, separation)
+        # the keys a type reads are its constructor's parameters; one it does
+        # not read may hold only its default, as every resolved config writes it
+        reads = inspect.signature(POTENTIALS[kind]).parameters
+        unread = [k for k in _DEFAULTS["potential"]
+                  if k != "type" and k not in reads and pot_sec[k] != _DEFAULTS["potential"][k]]
+        _require(not unread, f"potential: type {kind!r} does not read {', '.join(unread)}")
+        potential = POTENTIALS[kind](**{k: float(pot_sec[k]) for k in reads})
+        V0 = float(pot_sec["V0"])
 
     grid_sec = sections["grid"]
     if grid_sec["length"] is None:

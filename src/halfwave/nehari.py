@@ -64,7 +64,6 @@ from .krylov import Operator, gmres
 INNER_TOL = 1e-9
 INNER_MAX_ITERS = 300
 NEWTON_MAX_STEPS = 25  # iteration budget of _newton_polish
-NEWTON_GIVE_UP = 2  # steps in a row that do not halve the residual end newton_first
 POLISH_TARGET = 0.05  # the polish targets this fraction of el_tol
 # ulps of |J| within which J is flat to round-off: a slice Newton step that
 # predicts less increase is taken whole
@@ -513,11 +512,11 @@ def inner_maximize(
 # -- Newton polish ------------------------------------------------------------
 
 
-def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give_up=False):
+def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
     """Matrix-free Newton refinement of the coupled strong system.
 
     The linear solves are GMRES preconditioned on the right by the inverse
-    multiplier P, as GMRES on J P y = y + (V - vbar + lam) z - coupling z
+    multiplier P, as GMRES on J P y = y + (V - vbar) z - coupling z
     swapped, z = P y (one inv_multiplier, no halflap), with step P y.  The
     true linear residual meets the Eisenstat-Walker
     choice-2 forcing term (SIAM J. Sci. Comput. 17, 1996),
@@ -529,15 +528,16 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     and is measured pointwise; scaled by the squared residual contraction,
     it must be within the other half of the target.  A varying potential
     pins the profile only weakly; Newton-GMRES takes full steps along that
-    translation mode too, with a Levenberg-Marquardt shift (on a GMRES
-    failure or an overlong step) and step halving as safeguards.
+    translation mode too, with step halving as the one safeguard.  Each
+    step runs one GMRES solve, and the polish stops at the first step it
+    cannot take: a GMRES failure, a step longer than max(||start||, 1)/2,
+    or 6 halvings that all fail to lower the residual.
     Every accepted step lowers the residual, so the last iterate is the best.
     For f = g (``fam.symmetric``) from u == v, the residual is (r, r) and the
     Jacobian maps (x, x) to (K x - f'(u) x) twice, so Newton keeps u = v and
     runs on the one row u (residual K u - f(u), Jacobian K - f'(u), no g),
     with norms that weigh the row twice: the target, the forcing terms and
-    the step guards mean what they mean for the pair.  With ``give_up`` it
-    stops after NEWTON_GIVE_UP steps in a row that do not halve the residual.
+    the step guards mean what they mean for the pair.
 
     K is applied once, to the start (``energy.apply_k``).  The step
     delta = P y is the z of GMRES's last product, the one that checked its
@@ -560,15 +560,14 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
         return weight * np.linalg.norm(r)
 
     # Jacobian at the current iterate times P, whose u-row couples to v and
-    # v-row to u through ``coupling`` = (g'(v), f'(u)), with the
-    # Levenberg-Marquardt shift lam; matvecs counts it for the step log, and
-    # ``last`` keeps the newest product's (y, P y)
+    # v-row to u through ``coupling`` = (g'(v), f'(u)); matvecs counts it for
+    # the step log, and ``last`` keeps the newest product's (y, P y)
     def jac_prec(y):
         nonlocal matvecs, last
         matvecs += 1
         z = inv_multiplier(y.reshape(rows, n), grid, vbar)
         last = y, z
-        return (y.reshape(rows, n) + (dv + lam) * z - coupling * z[::-1]).ravel()
+        return (y.reshape(rows, n) + dv * z - coupling * z[::-1]).ravel()
 
     op = Operator((rows * n, rows * n), float, jac_prec)
 
@@ -576,13 +575,12 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
     r, nl = strong_residual(uv, fam, Va, grid, kuv)
     r_norm = res_norm(r)
     scale = max(res_norm(uv), 1.0)
-    lam = 0.0
     last = None, None
-    steps = slow = 0
+    steps = 0
     eta, prev_norm = EW_ETA_MAX, None
     remainder = np.inf  # Taylor remainder of the last step, per unit damping^2
     for _ in range(NEWTON_MAX_STEPS):
-        if r_norm <= target or (give_up and slow == NEWTON_GIVE_UP):
+        if r_norm <= target:
             break
         # forcing term: solve as accurately as the last step's contraction
         # warrants, never more than the target itself needs
@@ -596,20 +594,15 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
         prev_norm = r_norm
         coupling = fam.fp(uv) if rows == 1 else np.stack([fam.gp(uv[1]), fam.fp(uv[0])])
         matvecs = 0
+        y, info = gmres(op, r.ravel(), rtol=eta)
+        # GMRES took its last product at the y it returns, to check the
+        # true residual there (unless r = 0 needed none): delta = P y is its z
+        delta = last[1] if last[0] is y else inv_multiplier(y.reshape(rows, n), grid, vbar)
+        y = y.reshape(rows, n)
         improved = False
-        damp = 0.0
-        for _ in range(6):
-            y, info = gmres(op, r.ravel(), rtol=eta)
-            # GMRES took its last product at the y it returns, to check the
-            # true residual there (unless r = 0 needed none): delta = P y is its z
-            delta = last[1] if last[0] is y else inv_multiplier(y.reshape(rows, n), grid, vbar)
-            y = y.reshape(rows, n)
-            step_size = res_norm(delta)
-            if info != 0 or step_size > 0.5 * scale:
-                lam = max(4.0 * lam, 1e-3)
-                continue
+        damp = 1.0
+        if info == 0 and res_norm(delta) <= 0.5 * scale:
             k_delta = y + dv * delta
-            damp = 1.0
             for _ in range(6):
                 trial, k_trial = uv - damp * delta, kuv - damp * k_delta
                 rt, nlt = strong_residual(trial, fam, Va, grid, k_trial)
@@ -622,17 +615,12 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float, give
                     steps += 1
                     break
                 damp *= 0.5
-            if improved:
-                break
-            lam = max(4.0 * lam, 1e-3)
         log.debug(
-            "newton step: residual %.3e, lambda %.1e, eta %.2e, gmres matvecs %d, damping %g",
-            r_norm, lam, eta, matvecs, damp if improved else 0.0,
+            "newton step: residual %.3e, eta %.2e, gmres matvecs %d, damping %g",
+            r_norm, eta, matvecs, damp if improved else 0.0,
         )
         if not improved:
             break
-        slow = slow + 1 if r_norm > 0.5 * prev_norm else 0
-        lam = lam / 4.0 if lam > 1e-10 else 0.0
     return PairField(Field(grid, uv[0]), Field(grid, uv[-1])), r_norm, steps
 
 
@@ -866,11 +854,11 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
 
 
 def newton_first(w: PairField, fam: NonlinearityFamily, V, cfg: SolverConfig):
-    """Newton polish of a warm start, before any descent, that gives up
-    after NEWTON_GIVE_UP steps in a row that do not halve the residual:
-    (the polished state, or None above the polish target; steps; residual)."""
+    """Newton polish of a warm start, before any descent (``_newton_polish``,
+    which stops at the first step it cannot take): (the polished state, or
+    None above the polish target; steps; residual)."""
     target = POLISH_TARGET * cfg.el_tol
-    out, res, steps = _newton_polish(w, fam, V, target, give_up=True)
+    out, res, steps = _newton_polish(w, fam, V, target)
     return (out if res <= target else None), steps, res
 
 

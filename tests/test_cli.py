@@ -108,6 +108,15 @@ class TestSolveCommand:
         assert main(["solve", "--seed", "-1", "--out", str(tmp_path / "o_neg")]) == 2
         assert "config error: solver: seed must be >= 0" in capsys.readouterr().err
 
+    def test_potential_key_the_type_does_not_read_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "unread.yaml"
+        cfg.write_text("potential: {Vinf: 5.0, separation: .inf}\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: potential: type 'constant' does not read Vinf, separation" in err
+        assert not out.exists()
+
     def test_forced_failure_keeps_artifacts(self, tmp_path):
         cfg = tmp_path / "force.yaml"
         write_yaml(

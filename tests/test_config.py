@@ -161,6 +161,22 @@ class TestResolve:
         with pytest.raises(ConfigError):
             resolve({"potential": {"type": "triple_well"}})
 
+    def test_potential_key_the_type_does_not_read_is_refused(self):
+        # constant reads V0, single_well V0 and Vinf, double_well all three
+        for kind, given in (("constant", {"Vinf": 5.0}),
+                            ("constant", {"separation": float("inf")}),
+                            ("single_well", {"separation": 1.5})):
+            with pytest.raises(ConfigError, match=f"^potential: type '{kind}' does not read"):
+                resolve({"potential": {"type": kind, **given}})
+        cfg = resolve({"potential": {"type": "double_well", "V0": 0.5, "Vinf": 3.0,
+                                     "separation": 1.5}})
+        assert (cfg.potential.V0, cfg.potential.Vinf, cfg.potential.minima) == (0.5, 3.0,
+                                                                                (-1.5, 1.5))
+        # a resolved config writes every key, each unread one at its default
+        for kind in ("constant", "single_well", "double_well"):
+            resolved = resolve({"potential": {"type": kind}}).resolved
+            assert resolve(resolved).potential.name == kind
+
     def test_family_constants_track_v0(self):
         cfg = resolve({"potential": {"V0": 2.0}})
         expected = max(8.0 * np.sqrt(np.e) * 2.0, np.pi / 2.0) + 1.0

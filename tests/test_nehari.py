@@ -204,6 +204,29 @@ class TestInnerMaximize:
         assert max(warm.ray_residual, warm.minus_residual) <= 1e-10
         assert warm.inner_iters <= 6
 
+    def test_non_concave_ray_takes_a_ray_search(self, grid, monkeypatch):
+        # at small t the ray is convex (-J_tt < 0): the iteration runs a ray
+        # search from t instead of a slice Newton step, and reaches the point
+        # the unperturbed solve reaches
+        asym = builtin_family("cubic_quintic_exp", beta0=1.0)
+        b = gaussian_bump(grid)
+        clean = _inner(PairField(b, b), asym, 1.0, inner_tol=1e-12)
+        real, starts = nehari._maximize_along_ray, []
+
+        def low_first(sl, t0, q, q_norm_sq, tol):
+            starts.append(t0)
+            if len(starts) == 1:
+                assert -sl.ray_slope(0.1, q)[1] < 0.0
+                return 0.1, sl.j_value(0.1, q, q_norm_sq)
+            return real(sl, t0, q, q_norm_sq, tol)
+
+        monkeypatch.setattr(nehari, "_maximize_along_ray", low_first)
+        res = _inner(PairField(b, b), asym, 1.0, inner_tol=1e-12)
+        assert starts == [1.0, 0.1]
+        assert max(res.ray_residual, res.minus_residual) <= 1e-12
+        assert res.t == pytest.approx(clean.t, rel=1e-10)
+        assert res.level == pytest.approx(clean.level, rel=1e-12)
+
     def test_budget_exhaustion_carries_best(self, grid, monkeypatch):
         # asymmetric coupling needs several antidiagonal sweeps; the point
         # reached is returned, and its residuals show the miss
@@ -992,8 +1015,8 @@ class TestNewtonHandoff:
         assert len(steps) >= 5
         for rec in steps:
             assert rec.levelno == logging.DEBUG
-            residual, lam, eta, matvecs, damping = rec.args
-            assert residual > 0.0 and lam >= 0.0 and 0.0 < eta <= nehari.EW_ETA_MAX
+            residual, eta, matvecs, damping = rec.args
+            assert residual > 0.0 and 0.0 < eta <= nehari.EW_ETA_MAX
             assert matvecs >= 1 and 0.0 <= damping <= 1.0
         # the solve stops after the first two, which tie
         caplog.clear()
@@ -1243,7 +1266,7 @@ class TestKImages:
     @pytest.mark.parametrize("symmetric", [True, False], ids=["one_row", "stacked"])
     def test_polish_matvec_takes_one_multiplier(self, fam, grid, ground, monkeypatch, symmetric):
         # the fused product J P y against J applied afresh to P y, with the
-        # Jacobian's coupling and shift read off the operator's closure
+        # Jacobian's coupling read off the operator's closure
         V = _sampled("single_well", grid)
         ops = []
         real = nehari.gmres
@@ -1262,7 +1285,7 @@ class TestKImages:
         assert op.shape[0] == rows * grid.n_points
         jacobian = inspect.getclosurevars(op.matvec).nonlocals
         z = inv_multiplier(b.reshape(rows, -1), grid, float(np.mean(V)))
-        fresh = _fresh_k(z, V, grid) + jacobian["lam"] * z - jacobian["coupling"] * z[::-1]
+        fresh = _fresh_k(z, V, grid) - jacobian["coupling"] * z[::-1]
         counts = _Counts()
         for name in ("halflap", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
@@ -1331,6 +1354,36 @@ class TestKImages:
         assert counts["iterations"] >= 5
         assert counts == {"halflap": 0, "inv_multiplier": counts["iterations"],
                           "iterations": counts["iterations"]}
+        fresh = _fresh_k(dq, V, grid)
+        assert np.max(np.abs(kdq - fresh)) <= 1e-13 * np.max(np.abs(fresh))
+
+    def test_slice_cg_takes_the_preconditioned_gradient_on_first_negative_curvature(self, grid):
+        # Steihaug's exit at the first direction: where -H curves down along
+        # the preconditioned gradient (here -H flipped), that gradient is the
+        # step, with its K-image carried
+        V = _sampled("single_well", grid)
+        vbar = float(np.mean(V))
+        h = grid.spacing
+        b = gaussian_bump(grid).values
+        sl = _RaySlice(b / (np.sqrt(2.0) * weighted_norm(Field(grid, b), V)), self.ASYM, h)
+        q = smooth_random(grid, np.random.default_rng(4), amplitude=0.1).values
+        t, _ = _maximize_along_ray(sl, 1.0, q, weighted_inner(Field(grid, q), Field(grid, q), V), 0.0)
+        u, v = sl.components(t, q)
+        r = -2.0 * _fresh_k(q, V, grid) - self.ASYM.f(u) + self.ASYM.g(v)
+        jt = t - h * float((self.ASYM.f(u) + self.ASYM.g(v)) @ sl.ahat)
+        m_tt, neg_hess = nehari._slice_hessian(sl, u, v)
+        assert m_tt > 0.0
+        rho = inv_multiplier(r, grid, vbar)
+        calls = []
+
+        def flipped(dt, dq, kdq):
+            calls.append(None)
+            at, aq = neg_hess(dt, dq, kdq)
+            return -at, -aq
+
+        dt, dq, kdq = nehari._slice_pcg(flipped, m_tt, jt, r, rho, V - vbar, grid, vbar, 1e-12)
+        assert len(calls) == 1
+        assert dt == jt / m_tt and np.array_equal(dq, 0.5 * rho)
         fresh = _fresh_k(dq, V, grid)
         assert np.max(np.abs(kdq - fresh)) <= 1e-13 * np.max(np.abs(fresh))
 
@@ -1574,6 +1627,31 @@ class TestOuterDescent:
         won = solve_ground_state(fam, 1.0, DEFAULT_GRID, cfg)
         assert won.restarts_run == 2
         assert won.level == pytest.approx(DEFAULT_GROUND_LEVEL, rel=1e-10, abs=0)
+
+    def test_trials_without_ascent_exhaust_the_line_search(self, fam, caplog, monkeypatch):
+        # every trial slice has no maximum (NoAscent): the step shrinks through
+        # all MAX_LINESEARCH trials, and the descent is polished where it stopped
+        caplog.set_level(logging.DEBUG, logger="halfwave.nehari")
+        real, calls = nehari.inner_maximize, []
+
+        def start_only(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise NoAscent("no ascent on this trial")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nehari, "inner_maximize", start_only)
+        cfg = SolverConfig(restarts=1, seed=0)
+        res = outer_minimize(initial_directions(DEFAULT_GRID, cfg, 1.0)[0], fam, 1.0, cfg)
+        assert len(calls) == 1 + nehari.MAX_LINESEARCH
+        assert len(res.trace) == 1
+        start = res.trace[0]
+        assert _outer_steps(caplog.records) == [
+            (start.level, start.grad_norm, 0.0, nehari.MAX_LINESEARCH, 0, False)
+        ]
+        assert res.message == f"line search exhausted + newton polish ({res.newton_steps} steps)"
+        handoffs = [r.args for r in caplog.records if r.getMessage().startswith("newton handoff")]
+        assert len(handoffs) == 1 and handoffs[0][0] == "line search exhausted"
 
     def test_outer_steps_are_logged(self, fam, caplog):
         caplog.set_level(logging.DEBUG, logger="halfwave.nehari")

@@ -330,8 +330,8 @@ class TestNewtonFirst:
 
     def test_double_well_rungs_fall_back(self, fam, cfg, monkeypatch, caplog):
         # the soft translation mode stalls Newton from the warm start on the
-        # resolved grid: it gives up within a few steps, and the rung runs the
-        # warm descent from the unpolished start
+        # resolved grid: it stops within 4 steps (4, 2 and 2), and the rung
+        # runs the warm descent from the unpolished start
         grid = Grid(80.0, 8192)
         tried, solved = _record_rungs(monkeypatch)
         caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
@@ -342,7 +342,7 @@ class TestNewtonFirst:
         for (start, (out, steps, _)), (init, rung), rec, log_rec in zip(
                 tried, solved[1:], sweep.records[1:], logged):
             assert out is None and init is start
-            assert steps <= 10
+            assert steps <= 4
             assert log_rec.args[1:3] == ("fell back", steps)
             assert rec.message.startswith(f"newton first fell back ({steps} steps); ")
             assert rung.converged
