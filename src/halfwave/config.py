@@ -125,8 +125,9 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
     """Validate a raw mapping and materialize every default.
 
     Raises ConfigError, naming the section, for an unknown section or key, a
-    potential key the chosen type does not read set to other than its
-    default, a value of the wrong type, or a value its object rejects.
+    potential key the chosen type does not read, a value of the wrong type,
+    or a value its object rejects.  The resolved ``potential`` section holds
+    ``type`` and the keys that type reads.
     """
     raw = dict(raw or {})
     for section in raw:
@@ -143,12 +144,13 @@ def resolve(raw: Optional[Dict[str, Any]] = None) -> RunConfig:
     with section_guard("potential"):
         kind = pot_sec["type"]
         _require(isinstance(kind, str) and kind in POTENTIALS, f"potential.type: unknown type {kind!r}")
-        # the keys a type reads are its constructor's parameters; one it does
-        # not read may hold only its default, as every resolved config writes it
+        # the keys a type reads are its constructor's parameters, and the
+        # resolved config keeps only those
         reads = inspect.signature(POTENTIALS[kind]).parameters
-        unread = [k for k in _DEFAULTS["potential"]
-                  if k != "type" and k not in reads and pot_sec[k] != _DEFAULTS["potential"][k]]
+        unread = [k for k in raw.get("potential", {}) if k != "type" and k not in reads]
         _require(not unread, f"potential: type {kind!r} does not read {', '.join(unread)}")
+        pot_sec = {k: v for k, v in pot_sec.items() if k == "type" or k in reads}
+        sections["potential"] = pot_sec
         potential = POTENTIALS[kind](**{k: float(pot_sec[k]) for k in reads})
         V0 = float(pot_sec["V0"])
 

@@ -10,7 +10,7 @@ log-refined grid and reports margins; it never attempts symbolic reasoning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict
 
 import numpy as np
@@ -19,6 +19,9 @@ from .errors import OverflowGuard, UnknownFamily
 from .grids import Field, integrate
 
 EXP_ARG_LIMIT = 700.0  # exp() ceiling in double precision
+# the audit and the M witness sample |t| up to this fraction of
+# max_safe_amplitude(), where exp(beta0 t^2) <= exp(0.81 EXP_ARG_LIMIT)
+SAFE_SAMPLE_FRACTION = 0.9
 F_SERIES_RTOL = 1e-13  # cancellation allowed in F, G before the series takes over
 
 
@@ -172,13 +175,7 @@ def builtin_family(
         f, F, fp = _restrict(f), _restrict(F), _restrict(fp)
         g, G, gp = (f, F, fp) if symmetric else (_restrict(g), _restrict(G), _restrict(gp))
 
-    # M witness for (H4): slightly above the sampled max of F/|f|
-    ts = np.linspace(0.05, 10.0, 400)
-    with np.errstate(over="ignore"):
-        ratio = np.max(F(ts) / np.abs(f(ts)))
-    M = float(1.05 * ratio)
-
-    return NonlinearityFamily(
+    fam = NonlinearityFamily(
         name=name,
         f=f,
         g=g,
@@ -186,7 +183,7 @@ def builtin_family(
         G=G,
         beta0=b,
         mu=4.0,
-        M=M,
+        M=np.nan,
         kappa0=float(kappa0),
         r1=float(r1),
         sign_restricted=sign_restricted,
@@ -195,6 +192,10 @@ def builtin_family(
         fp=fp,
         gp=gp,
     )
+    # M witness for (H4): slightly above the sampled max of F/|f| on
+    # [0.05, 10], cut at SAFE_SAMPLE_FRACTION of the exp-safe amplitude
+    ts = np.linspace(0.05, min(10.0, SAFE_SAMPLE_FRACTION * fam.max_safe_amplitude()), 400)
+    return replace(fam, M=float(1.05 * np.max(F(ts) / np.abs(f(ts)))))
 
 
 def trudinger_moser_functional(u: Field, beta: float) -> float:
@@ -216,8 +217,9 @@ def trudinger_moser_functional(u: Field, beta: float) -> float:
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 MARGIN_FLOOR = 1e-12
-# default audit samples: [-AUDIT_T, AUDIT_T], AUDIT_PER_DECADE log-spaced
-# points per decade from 1e-8 up
+# audit samples: [-T, T] for T = min(AUDIT_T, SAFE_SAMPLE_FRACTION *
+# max_safe_amplitude()), AUDIT_PER_DECADE log-spaced points per decade from
+# 1e-8 up
 AUDIT_T = 12.0
 AUDIT_PER_DECADE = 60
 
@@ -248,10 +250,16 @@ class HypothesisAudit:
             yield key, c.status, c.margin, c.worst_point, c.n_samples, c.note
 
 
-def default_audit_grid() -> np.ndarray:
-    """Samples of [-AUDIT_T, AUDIT_T] with log-spaced refinement near 0."""
-    decades = int(np.ceil((np.log10(AUDIT_T) + 8.0) * AUDIT_PER_DECADE))
-    pos = np.logspace(-8.0, np.log10(AUDIT_T), decades)
+def audit_grid(fam: NonlinearityFamily) -> np.ndarray:
+    """The audit's samples of [-T, T], T = min(AUDIT_T, SAFE_SAMPLE_FRACTION
+    * ``max_safe_amplitude()``), with log-spaced refinement near 0; only
+    t >= 0 for a sign-restricted family, the domain the restriction trick
+    targets."""
+    t_max = min(AUDIT_T, SAFE_SAMPLE_FRACTION * fam.max_safe_amplitude())
+    decades = int(np.ceil((np.log10(t_max) + 8.0) * AUDIT_PER_DECADE))
+    pos = np.logspace(-8.0, np.log10(t_max), decades)
+    if fam.sign_restricted:
+        return np.concatenate([[0.0], pos])
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
@@ -260,23 +268,15 @@ def _rel_margin(num, scale):
 
 
 def audit_hypotheses(fam: NonlinearityFamily) -> HypothesisAudit:
-    """Sample every admissibility condition on ``default_audit_grid()`` and
-    record worst-case margins.
-
-    Sign-restricted families are audited on the positive half-line, which is
-    the domain the restriction trick targets.
-    """
-    t_grid = default_audit_grid()
-    if fam.sign_restricted:
-        t_grid = t_grid[t_grid >= 0.0]
+    """Sample every admissibility condition on ``audit_grid(fam)`` and
+    record worst-case margins."""
+    t_grid = audit_grid(fam)
     T = float(np.max(np.abs(t_grid)))
 
     audit = HypothesisAudit(family=fam.name, t_min=float(np.min(t_grid)), t_max=T)
     nz = t_grid[t_grid != 0.0]
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        fv, gv = fam.f(nz), fam.g(nz)
-        Fv, Gv = fam.F(nz), fam.G(nz)
+    fv, gv = fam.f(nz), fam.g(nz)
+    Fv, Gv = fam.F(nz), fam.G(nz)
 
     def add(key, status, margin, worst, n, note=""):
         audit.checks[key] = HypothesisCheck(status, float(margin), float(worst), n, note)

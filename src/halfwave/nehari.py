@@ -42,7 +42,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .diagnostics import ResidualReport, decay_profile, pohozaev_residual, recenter_pair
+from .diagnostics import ResidualReport, decay_profile, peak, pohozaev_residual, recenter_pair
 from .energy import (
     PairField,
     apply_k,
@@ -627,30 +627,6 @@ def _newton_polish(w: PairField, fam: NonlinearityFamily, V, target: float):
 # -- outer level ----------------------------------------------------------------
 
 
-def _peak_offset(w: PairField) -> float:
-    """Offset, in cells, of the peak of |u|+|v| from its largest sample
-    (3-point parabolic fit); 0 where the samples do not curve down.
-
-    On a grid a constant-V ground state has an on-grid minimizer and a
-    mid-cell saddle, the same profile moved by h/2: the fit reads ~1e-15
-    on the first and +-1/2 on the second.
-    """
-    p = np.abs(w.u.values) + np.abs(w.v.values)
-    j = int(np.argmax(p))
-    pm, p0, pp = p[j - 1], p[j], p[(j + 1) % p.size]
-    curv = pm - 2.0 * p0 + pp
-    return 0.5 * (pm - pp) / curv if curv < 0.0 else 0.0
-
-
-def _centre_on_grid_point(w: PairField) -> PairField:
-    """Translate w so its peak (``_peak_offset``) sits on a grid point, where
-    Newton converges to the minimizer, not to the saddle nearer a start
-    centred mid-cell."""
-    grid = w.grid
-    uv = translate(np.stack([w.u.values, w.v.values]), grid, -_peak_offset(w) * grid.spacing)
-    return PairField(Field(grid, uv[0]), Field(grid, uv[1]))
-
-
 def _diag_normalize(a_vals: np.ndarray, ka_vals: np.ndarray, h: float):
     """The diagonal direction ahat = a / (sqrt(2) ||a||_W) that
     ``inner_maximize`` takes, so ||(ahat, ahat)||_W = 1, and K ahat, given
@@ -823,17 +799,24 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     The polished state (the start itself after 0 steps; every accepted step
     lowers the strong residual) is certified and returned, with "+ newton
     polish (n steps)" added to ``message``.  An early handoff starts from
-    the state centred on a grid point (``_centre_on_grid_point``) and
-    returns None, so the descent can resume, unless the polish keeps the
-    level (up to LEVEL_TIE_RTOL), meets the Nehari constraints to
-    ``el_tol`` and keeps its peak within PEAK_OFFSET_MAX cells of a grid
-    point (``_peak_offset``); the state it rejects is certified too, since
-    those certificates decide.  The peak check does not depend on the
-    handoff level: the mid-cell saddle sits below every handoff level
-    that gradient 5e-2 leaves on Grid(40, 2048) (and 4e-7 above the
-    minimizer on Grid(40, 4096)), so the level check alone keeps it.
+    the state translated so its peak (``diagnostics.peak``) sits on a grid
+    point, where Newton converges to the minimizer, not to the saddle nearer
+    a start centred mid-cell.  It returns None, so the descent can resume,
+    unless the polish keeps the level (up to LEVEL_TIE_RTOL), meets the
+    Nehari constraints to ``el_tol`` and keeps its peak within
+    PEAK_OFFSET_MAX cells of a grid point; the state it rejects is
+    certified too, since those certificates decide.  The peak check does
+    not depend on the handoff level: the mid-cell saddle sits below every
+    handoff level that gradient 5e-2 leaves on Grid(40, 2048) (and 4e-7
+    above the minimizer on Grid(40, 4096)), so the level check alone keeps
+    it.
     """
-    start = _centre_on_grid_point(point.w) if early else point.w
+    start = point.w
+    if early:
+        grid = start.grid
+        uv = translate(np.stack([start.u.values, start.v.values]), grid,
+                       -peak(start)[1] * grid.spacing)
+        start = PairField(Field(grid, uv[0]), Field(grid, uv[1]))
     polished, _, steps = _newton_polish(start, fam, V, target=POLISH_TARGET * cfg.el_tol)
     out = _finalize(
         polished, fam, V, trace, restart_index, cfg,
@@ -843,7 +826,7 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
     accepted = not early or (
         out.level <= point.level + LEVEL_TIE_RTOL * abs(point.level)
         and out.nehari_residual <= cfg.el_tol
-        and abs(_peak_offset(polished)) <= PEAK_OFFSET_MAX
+        and abs(peak(polished)[1]) <= PEAK_OFFSET_MAX
     )
     log.info(
         "newton handoff (%s, threshold %.0e): level %.15g -> %.15g, %s",
@@ -866,16 +849,15 @@ def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:
     """The certificate set of a candidate pair, the one place each is taken.
 
     The Pohozaev identity holds for a constant potential only: a scalar V
-    is its V0, and for a sampled V the entry is None.  Decay and amplitude
-    are measured on the pair recentred at x = 0.  The strong residual is
-    evaluated once and serves the Euler-Lagrange and Nehari certificates.
+    is its V0, and for a sampled V the entry is None.  The decay tail is
+    measured about the pair's peak (``decay_profile``).  The strong residual
+    is evaluated once and serves the Euler-Lagrange and Nehari certificates.
     """
     r = pair_residual(w, fam, V)
     res_u, res_v = el_residual_norms(w, fam, V, r)
     ray, minus = nehari_residuals(w, fam, V, r)
     poh = pohozaev_residual(w, fam, float(V)) if np.ndim(V) == 0 else None
-    centered, _ = recenter_pair(w)
-    decay = decay_profile(centered)
+    decay = decay_profile(w)
     return ResidualReport(
         pohozaev=poh,
         euler_lagrange_u=res_u,

@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import level_bound_check, recenter_pair
+from .diagnostics import level_bound_check, peak, recenter_pair
 from .energy import PairField, pair_norm
 from .errors import HalfwaveError, InvalidField
 from .families import NonlinearityFamily
@@ -220,10 +220,6 @@ class SweepResult:
         return all(level_bound_check(r.level, beta0).passed for r in self.records if r.converged)
 
 
-def _argmax_location(grid: Grid, vals: np.ndarray) -> float:
-    return float(grid.x[int(np.argmax(np.abs(vals)))])
-
-
 def check_theta_ladder(theta_list) -> List[float]:
     """The theta values as floats; InvalidField unless all are positive,
     finite and strictly ascending."""
@@ -277,16 +273,12 @@ def concentration_sweep(
     auto = solve_ground_state(fam, potential.V0, grid, cfg)
 
     def make_record(e: float, res: GroundStateResult, note: str) -> SweepRecord:
-        prof_u = res.w.u.values
-        prof_v = res.w.v.values
-        y_eps = _argmax_location(grid, np.abs(prof_u) + np.abs(prof_v))
-        y_u = _argmax_location(grid, prof_u)
-        y_v = _argmax_location(grid, prof_v)
+        y_eps = float(grid.x[peak(res.w)[0]])
+        y_u = float(grid.x[int(np.argmax(np.abs(res.w.u.values)))])
+        y_v = float(grid.x[int(np.argmax(np.abs(res.w.v.values)))])
         x_eps = e * y_eps
         dist = min(abs(x_eps - m) for m in potential.minima)
-        gap_cells = int(
-            round(abs(y_u - y_v) / grid.spacing)
-        )
+        gap_cells = int(round(abs(y_u - y_v) / grid.spacing))
         centered, _ = recenter_pair(res.w)
         drift = pair_norm(centered - auto.w, potential.V0) / pair_norm(auto.w, potential.V0)
         return SweepRecord(
@@ -313,7 +305,7 @@ def concentration_sweep(
         try:
             if prev is not None:
                 e_prev, w_prev, prev_converged = prev
-                j = int(np.argmax(np.abs(w_prev.u.values) + np.abs(w_prev.v.values)))
+                j = peak(w_prev)[0]
                 warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
                 if prev_converged:
                     polished, steps, resid = newton_first(warm, fam, potential.values(grid, e), cfg)

@@ -116,6 +116,12 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert "config error: potential: type 'constant' does not read Vinf, separation" in err
         assert not out.exists()
+        # a key at its default value is refused too
+        cfg.write_text("potential: {type: constant, separation: 2.0}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: potential: type 'constant' does not read separation" in err
+        assert not out.exists()
 
     def test_forced_failure_keeps_artifacts(self, tmp_path):
         cfg = tmp_path / "force.yaml"

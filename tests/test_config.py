@@ -165,6 +165,7 @@ class TestResolve:
         # constant reads V0, single_well V0 and Vinf, double_well all three
         for kind, given in (("constant", {"Vinf": 5.0}),
                             ("constant", {"separation": float("inf")}),
+                            ("constant", {"separation": 2.0}),  # its default, refused too
                             ("single_well", {"separation": 1.5})):
             with pytest.raises(ConfigError, match=f"^potential: type '{kind}' does not read"):
                 resolve({"potential": {"type": kind, **given}})
@@ -172,9 +173,12 @@ class TestResolve:
                                      "separation": 1.5}})
         assert (cfg.potential.V0, cfg.potential.Vinf, cfg.potential.minima) == (0.5, 3.0,
                                                                                 (-1.5, 1.5))
-        # a resolved config writes every key, each unread one at its default
-        for kind in ("constant", "single_well", "double_well"):
+        # a resolved config writes the keys its type reads, and resolves again
+        for kind, keys in (("constant", ["type", "V0"]),
+                           ("single_well", ["type", "V0", "Vinf"]),
+                           ("double_well", ["type", "V0", "Vinf", "separation"])):
             resolved = resolve({"potential": {"type": kind}}).resolved
+            assert list(resolved["potential"]) == keys
             assert resolve(resolved).potential.name == kind
 
     def test_family_constants_track_v0(self):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from halfwave.diagnostics import (
+    TAIL_BAND,
     ResidualReport,
     decay_profile,
     level_bound_check,
     moser_field,
     moser_l2sq_exact,
     moser_table,
+    peak,
     pohozaev_residual,
     recenter_pair,
 )
@@ -170,6 +172,36 @@ class TestDecayAndRecenter:
         w, shift = recenter_pair(PairField(b, b))
         prof = np.abs(w.u.values) + np.abs(w.v.values)
         assert int(np.argmax(prof)) == g.index_of(0.0)
+
+    def test_peak_on_a_grid_point(self):
+        g = Grid(40.0, 2048)
+        b = gaussian_bump(g, center=g.x[1300], width=0.3)
+        j, offset = peak(PairField(b, 0.5 * b))
+        assert j == 1300
+        assert abs(offset) <= 1e-12
+
+    def test_peak_half_a_cell_off(self):
+        # samples at +-h/2 tie: the fit puts the peak between them
+        g = Grid(40.0, 2048)
+        b = gaussian_bump(g, center=g.x[1300] + 0.5 * g.spacing, width=0.3)
+        j, offset = peak(PairField(b, b))
+        assert j in (1300, 1301)
+        assert abs(offset) == pytest.approx(0.5, abs=1e-9)
+        assert j + offset == pytest.approx(1300.5, abs=1e-9)
+
+    def test_decay_is_measured_about_the_peak(self, ground):
+        # a pair whose peak lies in the outer band of the box: the tail band
+        # about the peak wraps around the box edge, and the metrics equal
+        # those of the recentred pair bit for bit
+        g = ground.w.grid
+        n = g.n_points
+        w = PairField(ground.w.u, ground.w.v.shift(3) * 0.7)
+        j_edge = n - 1 - int(0.25 * TAIL_BAND * n)
+        moved = w.shift(j_edge - peak(w)[0])
+        assert np.abs(g.x[peak(moved)[0]]) >= 0.5 * (1.0 - TAIL_BAND) * g.length
+        metrics = decay_profile(moved)
+        assert repr(metrics) == repr(decay_profile(recenter_pair(moved)[0]))
+        assert 0.0 < metrics.tail_sup <= 1e-2 * metrics.linf_u
 
     def test_ground_state_tail_and_exponent(self, ground):
         # algebraic far-field of the half-Laplacian soliton: measured

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -12,9 +13,9 @@ from halfwave.families import (
     F_SERIES_RTOL,
     NonlinearityFamily,
     _horner,
+    audit_grid,
     audit_hypotheses,
     builtin_family,
-    default_audit_grid,
     trudinger_moser_functional,
 )
 from halfwave.grids import Field, Grid, integrate, l2_norm, seminorm_sq
@@ -315,10 +316,30 @@ class TestAudit:
         assert audit.checks["H7_f"].status == "pass"
         assert audit.checks["H7_f"].margin > 0
 
-    def test_default_grid_shape(self):
-        grid = default_audit_grid()
+    def test_default_grid_shape(self, cubic_exp):
+        grid = audit_grid(cubic_exp)
         assert np.max(grid) >= 10.0
+        assert np.min(grid) == -np.max(grid)
         assert np.min(np.abs(grid[grid != 0])) <= 1e-7
+        # the positive half-line for a sign-restricted family
+        assert np.min(audit_grid(builtin_family("cubic_exp", 1.0, sign_restricted=True))) == 0.0
+        # above beta0 ~ 3.9 the range is cut at 0.9 of the exp-safe amplitude
+        big = builtin_family("cubic_exp", beta0=16.0)
+        assert np.max(audit_grid(big)) == pytest.approx(0.9 * big.max_safe_amplitude(), rel=1e-14)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp"])
+    @pytest.mark.parametrize("beta0, M", [(16.0, 0.052719), (64.0, 0.026363)])
+    def test_large_beta0_is_sampled_where_exp_is_finite(self, beta0, M, name, restricted):
+        # on |t| <= 12, exp(beta0 t^2) overflows from beta0 ~ 4.9, and F/|f|
+        # on [0.05, 10] is inf/inf from ~7.1: both samplings must stay in
+        # the exp-safe range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fam = builtin_family(name, beta0, sign_restricted=restricted)
+            audit = audit_hypotheses(fam)
+        assert fam.M == pytest.approx(M, rel=1e-4)
+        assert audit.all_pass, [k for k, c in audit.checks.items() if c.status != "pass"]
 
 
 class TestTrudingerMoser:

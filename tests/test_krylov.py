@@ -59,8 +59,7 @@ def test_gmres_starved_budget_reports_failure(monkeypatch):
     a = np.diag(np.logspace(0.0, 6.0, n)) + np.triu(np.ones((n, n)), 1)
     b = np.ones(n)
     op, calls = counted(a)
-    monkeypatch.setattr(krylov, "GMRES_RESTART", 2)
-    monkeypatch.setattr(krylov, "GMRES_MAX_CYCLES", 1)
+    monkeypatch.setattr(krylov, "GMRES_MAX_ITERS", 2)
     x, info = gmres(op, b, rtol=1e-10)
     assert info != 0
     assert np.all(np.isfinite(x))
@@ -71,7 +70,7 @@ def test_gmres_stops_on_a_nan_operator():
     op, calls = counted(np.full((8, 8), np.nan))
     x, info = gmres(op, np.ones(8), rtol=1e-8)
     assert info != 0
-    assert len(calls) == 2  # one Arnoldi product, one residual, no second cycle
+    assert len(calls) == 2  # one Arnoldi product, one residual
 
 
 @pytest.mark.parametrize("solve, start", [(gmres, {}), (cg, {})])
@@ -98,9 +97,10 @@ def test_scipy_linear_operator_is_accepted(solve, a):
 
 
 def test_fused_right_preconditioning_matches_a_dense_solve():
-    # the Newton polish's Jacobian A = K + lam - C swap on two stacked rows,
-    # with K = (-Delta)^{1/2} + V and P = (|k| + mean V)^{-1}: P applied to
-    # the GMRES solution of the fused product A P, against A x = b solved
+    # the Newton polish's Jacobian K - C swap on two stacked rows, shifted
+    # here by lam (the polish takes no shift), A = K + lam - C swap with
+    # K = (-Delta)^{1/2} + V and P = (|k| + mean V)^{-1}: P applied to the
+    # GMRES solution of the fused product A P, against A x = b solved
     # densely, A assembled column by column
     grid = Grid(40.0, 256)
     n = grid.n_points

@@ -974,8 +974,8 @@ class TestNewtonHandoff:
         target = nehari.POLISH_TARGET * cfg.el_tol
         saddle, _, _ = nehari._newton_polish(_translated(res.w, 0.5 * grid.spacing), fam, 1.0,
                                              target)
-        assert abs(nehari._peak_offset(res.w)) <= 1e-12
-        assert abs(nehari._peak_offset(saddle)) == pytest.approx(0.5, abs=1e-3)
+        assert abs(nehari.peak(res.w)[1]) <= 1e-12
+        assert abs(nehari.peak(saddle)[1]) == pytest.approx(0.5, abs=1e-3)
         certified = nehari._finalize(saddle, fam, 1.0, [], 0, cfg, "saddle")
         assert res.level < certified.level <= point.level
         assert certified.nehari_residual <= cfg.el_tol
