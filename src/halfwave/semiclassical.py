@@ -13,7 +13,7 @@ from the autonomous ground state.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -265,27 +265,26 @@ def concentration_sweep(
     give the outcome, or that Newton was skipped.  A rung that runs out of
     budget is recorded with ``converged`` false; a rung that raises is
     recorded in ``errors``, the next rung starts cold again, and the sweep
-    continues.  The result keeps the autonomous solve, which
-    ``profile_drift`` is measured against.
+    continues.  The autonomous solve (V0), kept for ``profile_drift``, runs
+    last from the smallest-eps converged rung, recentred and cut to its even
+    part about x = 0 (j <-> N - j), as a lopsided rung sends the polish along
+    the nearly free translation mode; cold if no rung converged or the warm
+    solve raises or ends unconverged.  ``message`` and an INFO record say which.
     """
     eps = check_eps_ladder(eps_list)
-
-    auto = solve_ground_state(fam, potential.V0, grid, cfg)
 
     def make_record(e: float, res: GroundStateResult, note: str) -> SweepRecord:
         y_eps = float(grid.x[peak(res.w)[0]])
         y_u = float(grid.x[int(np.argmax(np.abs(res.w.u.values)))])
         y_v = float(grid.x[int(np.argmax(np.abs(res.w.v.values)))])
-        x_eps = e * y_eps
-        dist = min(abs(x_eps - m) for m in potential.minima)
+        dist = min(abs(e * y_eps - m) for m in potential.minima)
         gap_cells = int(round(abs(y_u - y_v) / grid.spacing))
-        centered, _ = recenter_pair(res.w)
-        drift = pair_norm(centered - auto.w, potential.V0) / pair_norm(auto.w, potential.V0)
+        drift = pair_norm(recenter_pair(res.w)[0] - auto.w, potential.V0) / auto_norm
         return SweepRecord(
             epsilon=e,
             level=res.level,
             y_eps=y_eps,
-            x_eps=x_eps,
+            x_eps=e * y_eps,
             dist_to_minima=dist,
             gap12=abs(e * y_u - e * y_v),
             gap12_cells=gap_cells,
@@ -296,7 +295,7 @@ def concentration_sweep(
             solution=res.w if keep_solutions else None,
         )
 
-    records: List[SweepRecord] = []
+    solved: List[Tuple[float, GroundStateResult, str]] = []
     errors: dict = {}
 
     prev = None  # (eps, solution, converged) of the last rung solved
@@ -318,10 +317,26 @@ def concentration_sweep(
                     log.info("eps=%g: newton first skipped, the previous rung is unconverged", e)
                     note = "newton first skipped; "
             res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
-            records.append(make_record(e, res, note))
+            solved.append((e, res, note))
             prev = (e, res.w, res.converged)
         except HalfwaveError as err:
             errors[e] = str(err)
             prev = None
 
-    return SweepResult(records=records, autonomous=auto, errors=errors)
+    auto, start = None, "cold start, no rung converged"
+    converged = [(e, res.w) for e, res, _ in solved if res.converged]
+    if converged:
+        w = recenter_pair(converged[-1][1])[0]
+        even = [Field(grid, 0.5 * (a + np.roll(a[::-1], 1))) for a in (w.u.values, w.v.values)]
+        try:
+            auto = solve_ground_state(fam, potential.V0, grid, cfg, inits=[PairField(*even)])
+            start = (f"warm start from the eps={converged[-1][0]:g} rung" if auto.converged
+                     else "cold start, the warm start ended unconverged")
+        except HalfwaveError as err:
+            start = f"cold start, the warm start raised {type(err).__name__}"
+    if auto is None or not auto.converged:
+        auto = solve_ground_state(fam, potential.V0, grid, cfg)
+    log.info("autonomous solve: %s", start)
+    auto = replace(auto, message=f"{start}; {auto.message}")
+    auto_norm = pair_norm(auto.w, potential.V0)
+    return SweepResult([make_record(*rung) for rung in solved], auto, errors)

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from halfwave.energy import PairField
-from halfwave.errors import InvalidField
+from halfwave.errors import InvalidField, NoAscent
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid
 from halfwave import semiclassical
-from halfwave.nehari import POLISH_TARGET, SolverConfig, outer_minimize, solve_ground_state
+from halfwave.nehari import (
+    LEVEL_TIE_RTOL,
+    POLISH_TARGET,
+    SolverConfig,
+    outer_minimize,
+    solve_ground_state,
+)
 from halfwave.semiclassical import (
     POTENTIALS,
     Potential,
@@ -309,8 +315,9 @@ class TestNewtonFirst:
         caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
         sweep = concentration_sweep(self.EPS, pot, fam, sweep_grid, cfg)
         assert not sweep.errors and len(tried) == 3
-        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        *logged, auto_logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
         assert [r.args[0] for r in logged] == self.EPS[1:]
+        assert auto_logged.getMessage() == "autonomous solve: warm start from the eps=0.125 rung"
         assert not sweep.records[0].message.startswith("newton first")
         for (start, (out, steps, res)), (init, rung), rec, log_rec in zip(
                 tried, solved[1:], sweep.records[1:], logged):
@@ -360,4 +367,63 @@ class TestNewtonFirst:
         assert all(m.startswith("newton first accepted") for m in messages[2:])
         logged = [r.getMessage() for r in caplog.records if r.name == "halfwave.semiclassical"]
         assert logged[0] == "eps=0.5: newton first skipped, the previous rung is unconverged"
-        assert len(logged) == 3
+        assert len(logged) == 4
+        assert logged[3] == "autonomous solve: warm start from the eps=0.125 rung"
+
+
+class TestAutonomousWarmStart:
+    """The sweep solves the autonomous problem last, from the even part of
+    its smallest-eps converged rung, and cold when that start fails."""
+
+    CFG = SolverConfig(restarts=2, seed=0)
+    SINGLE = (single_well(1.0, 2.0), Grid(80.0, 4096), [1.0, 0.5, 0.25, 0.125])
+    DOUBLE = (double_well(1.0, 2.0, 2.0), Grid(80.0, 8192), [1.0, 0.5, 0.35, 0.25])
+
+    @pytest.mark.parametrize("case", [SINGLE, DOUBLE], ids=["single_well", "double_well"])
+    def test_one_start_reaches_the_cold_level(self, fam, case, caplog):
+        pot, grid, eps = case
+        caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
+        auto = concentration_sweep(eps, pot, fam, grid, self.CFG).autonomous
+        cold = solve_ground_state(fam, 1.0, grid, self.CFG)
+        start = f"warm start from the eps={eps[-1]:g} rung"
+        assert auto.converged and auto.restarts_run == 1 and cold.restarts_run == 2
+        assert auto.level == pytest.approx(cold.level, rel=LEVEL_TIE_RTOL, abs=0)
+        assert auto.message.startswith(start + "; ")
+        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        assert logged[-1].getMessage() == "autonomous solve: " + start
+        # from the double-well rung without its even part, the polish took
+        # 20 Newton steps along the nearly free translation mode
+        assert auto.newton_steps <= 5
+
+    @pytest.mark.parametrize("fault, start", [
+        ("unconverged", "cold start, the warm start ended unconverged"),
+        ("raises", "cold start, the warm start raised NoAscent"),
+        ("no rung", "cold start, no rung converged"),
+    ])
+    def test_failed_warm_start_falls_back_to_cold(self, fam, monkeypatch, caplog, fault, start):
+        pot, grid, eps = self.SINGLE
+        real = semiclassical.solve_ground_state
+        warm_calls = []
+
+        def solve(fam_, V, grid_, cfg_, inits=None):
+            # the rungs pass sampled V; only the autonomous warm start passes
+            # the scalar V0 with a start
+            if np.ndim(V) == 0 and inits is not None:
+                warm_calls.append(inits)
+                if fault == "raises":
+                    raise NoAscent("injected")
+                return dataclasses.replace(real(fam_, V, grid_, cfg_, inits), converged=False)
+            return real(fam_, V, grid_, cfg_, inits)
+
+        monkeypatch.setattr(semiclassical, "solve_ground_state", solve)
+        if fault == "no rung":
+            _record_rungs(monkeypatch, mark_unconverged=eps)
+        caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
+        auto = concentration_sweep(eps, pot, fam, grid, self.CFG).autonomous
+        cold = real(fam, 1.0, grid, self.CFG)
+        assert len(warm_calls) == (0 if fault == "no rung" else 1)
+        assert auto.converged and auto.restarts_run == cold.restarts_run == 2
+        assert auto.level == cold.level
+        assert auto.message == f"{start}; {cold.message}"
+        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        assert logged[-1].getMessage() == "autonomous solve: " + start
