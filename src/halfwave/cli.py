@@ -23,7 +23,8 @@ from .errors import ConfigError, HalfwaveError
 from .families import audit_hypotheses
 from .grids import read_field_binary, write_field_binary, write_field_csv
 from .nehari import build_report
-from .semiclassical import autonomous_level_vs_theta, concentration_sweep, solve_rescaled
+from .semiclassical import (ThetaLevel, autonomous_level_vs_theta, concentration_sweep,
+                            solve_rescaled)
 
 POHOZAEV_TOL = 1e-3
 
@@ -191,7 +192,12 @@ def cmd_sweep(args) -> int:
             for r in sweep.records
         ],
     )
-    theta_scan = autonomous_level_vs_theta(cfg.theta_list, cfg.family, cfg.grid, cfg.solver)
+    V0, auto = cfg.potential.V0, sweep.autonomous  # the theta = V0 row is this solve
+    others = [t for t in cfg.theta_list if t != V0]
+    theta_scan = autonomous_level_vs_theta(others, cfg.family, cfg.grid, cfg.solver)
+    if len(others) < len(cfg.theta_list):
+        theta_scan.records.append(ThetaLevel(V0, auto.level, auto.el_residual, auto.converged))
+        theta_scan.records.sort(key=lambda r: r.theta)
     _write_csv(
         out / "theta.csv",
         ["theta", "level", "el_residual"],

@@ -13,7 +13,7 @@ J(t, -q), so the maximizer has q = 0, and from a diagonal start the inner
 level skips the work on q, which is exactly 0.  A matrix-free Newton polish
 then drives the strong-form residual of the coupled system to the requested
 tolerance once the descent has localized the candidate (for f = g and u = v,
-on the one row u); ``newton_first`` runs it alone from a warm start.
+on the one row u); from a warm start ``newton_first`` runs it with no descent.
 
 Every level applies K = (-Delta)^{1/2} + V and the preconditioner
 P = (|k| + vbar)^{-1}, vbar = mean V.  For the discrete multipliers
@@ -57,7 +57,7 @@ from .energy import (
 )
 from .errors import InvalidField, NoAscent, OverflowGuard
 from .families import NonlinearityFamily
-from .grids import Field, Grid, halflap, inv_multiplier, translate
+from .grids import Field, Grid, inv_multiplier, translate
 from .krylov import Operator, gmres
 
 # floor of the inner residual target, and the iteration budget of inner_maximize
@@ -716,12 +716,12 @@ def outer_minimize(
     Va = potential_array(V, grid)
     u0, v0 = init_direction.u.values, init_direction.v.values
     a0 = 0.5 * (u0 + v0)
-    ka0 = halflap(a0, grid) + Va * a0
+    ka0 = apply_k(a0, Va, grid)
     a, ka = _diag_normalize(a0, ka0, h)
     # the start is t0 (a, a) + (q0, -q0), with t0 = ||(a0, a0)||_W
     t0 = np.sqrt(2.0 * h * float(a0 @ ka0))
     q0 = 0.5 * (u0 - v0)
-    start = NehariPoint(t0, q0, halflap(q0, grid) + Va * q0 if np.any(q0) else np.zeros_like(q0))
+    start = NehariPoint(t0, q0, apply_k(q0, Va, grid) if np.any(q0) else np.zeros_like(q0))
     trace: List[IterationRecord] = []
     memory: List[tuple] = []
     last = None  # (a, K a, g, K g) where the last step was accepted
@@ -837,12 +837,15 @@ def _polish(point, fam, V, trace, cfg, restart_index, message, early):
 
 
 def newton_first(w: PairField, fam: NonlinearityFamily, V, cfg: SolverConfig):
-    """Newton polish of a warm start, before any descent (``_newton_polish``,
-    which stops at the first step it cannot take): (the polished state, or
-    None above the polish target; steps; residual)."""
+    """Newton polish of a warm start, no descent (``_newton_polish``, which
+    stops at the first step it cannot take): (the polished state certified
+    once, or None above the polish target; steps; residual)."""
     target = POLISH_TARGET * cfg.el_tol
     out, res, steps = _newton_polish(w, fam, V, target)
-    return (out if res <= target else None), steps, res
+    if res > target:
+        return None, steps, res
+    message = f"newton first accepted ({steps} steps)"
+    return _finalize(out, fam, V, [], 0, cfg, message, newton_steps=steps), steps, res
 
 
 def build_report(w: PairField, fam: NonlinearityFamily, V) -> ResidualReport:

@@ -133,13 +133,21 @@ def solve_rescaled(
     """Ground-state solve of the rescaled system with V(eps x) on the grid.
 
     V is ``potential.values``, so a constant potential is exactly the
-    autonomous solve.  An explicit init is the only start; else a varying V
+    autonomous solve.  An init goes to ``newton_first`` (outcome logged at
+    INFO), and short of the polish target is the descent's one start
+    ("newton first fell back (k steps); " heads the message); else a varying V
     adds to the generic starts a bump at each minimum (in grid coordinates),
     so wells away from the origin get their own basin start.
     """
     V = potential.values(grid, epsilon)
     if init is not None:
-        return solve_ground_state(fam, V, grid, cfg, inits=[init])
+        res, steps, resid = newton_first(init, fam, V, cfg)
+        log.info("eps=%g: newton first %s after %d steps, residual %.2e",
+                 epsilon, "fell back" if res is None else "accepted", steps, resid)
+        if res is None:
+            res = solve_ground_state(fam, V, grid, cfg, inits=[init])
+            res = replace(res, message=f"newton first fell back ({steps} steps); {res.message}")
+        return res
     inits = initial_directions(grid, cfg, V)
     width = 1.0 / np.sqrt(potential.V0)
     for m in potential.minima if np.ndim(V) else ():
@@ -161,11 +169,11 @@ class ThetaLevel:
 @dataclass
 class ThetaScan:
     records: List[ThetaLevel]
-    monotone_violations: List[Tuple[float, float]]
 
     @property
     def strictly_increasing(self) -> bool:
-        return not self.monotone_violations
+        return all(b.level - a.level > LEVEL_TIE_RTOL * abs(a.level)
+                   for a, b in zip(self.records, self.records[1:]))
 
 
 def autonomous_level_vs_theta(
@@ -174,20 +182,15 @@ def autonomous_level_vs_theta(
     """Ground-state level of the constant-potential problem across theta.
 
     Uses the same code path as the autonomous solve with V0 replaced by
-    theta; an increase of at most LEVEL_TIE_RTOL (relative), the rule by
-    which restart levels are one state, is flagged as a violation.
-    The list is checked by ``check_theta_ladder``.
+    theta.  The list is checked by ``check_theta_ladder``; a rise of at most
+    LEVEL_TIE_RTOL (relative), a tie for restarts, is not strictly increasing.
     """
     thetas = check_theta_ladder(theta_list)
     records = []
     for theta in thetas:
         res = solve_ground_state(fam, theta, grid, cfg)
         records.append(ThetaLevel(theta, res.level, res.el_residual, res.converged))
-    violations = []
-    for a, b in zip(records, records[1:]):
-        if b.level - a.level <= LEVEL_TIE_RTOL * abs(a.level):
-            violations.append((a.theta, b.theta))
-    return ThetaScan(records=records, monotone_violations=violations)
+    return ThetaScan(records)
 
 
 @dataclass
@@ -255,25 +258,21 @@ def concentration_sweep(
     """Solve across a descending epsilon ladder and track concentration.
 
     The ladder is checked by ``check_eps_ladder``.  The first rung
-    multi-starts (``solve_rescaled``); every later rung warm-starts from the
-    previous solution (continuation), moved so that a peak at y on rung eps
+    multi-starts (``solve_rescaled``); a rung after a converged rung warm-starts
+    from it (``solve_rescaled``'s init), moved so that a peak at y on rung eps
     sits at y * eps / eps' on rung eps' (the same physical point, so the
-    profile stays in its well).  After a converged rung, Newton polishes the
-    warm start first (``newton_first``): the descent then only confirms the
-    polished state, or, where Newton gave up, runs from the unpolished start.
-    An INFO record on ``halfwave.semiclassical`` and the rung's ``message``
-    give the outcome, or that Newton was skipped.  A rung that runs out of
-    budget is recorded with ``converged`` false; a rung that raises is
-    recorded in ``errors``, the next rung starts cold again, and the sweep
-    continues.  The autonomous solve (V0), kept for ``profile_drift``, runs
-    last from the smallest-eps converged rung, recentred and cut to its even
-    part about x = 0 (j <-> N - j), as a lopsided rung sends the polish along
-    the nearly free translation mode; cold if no rung converged or the warm
-    solve raises or ends unconverged.  ``message`` and an INFO record say which.
+    profile stays in its well).  A rung that runs out of budget is recorded
+    with ``converged`` false; a rung that raises is recorded in ``errors``; the
+    rung after either starts cold, and the sweep continues.  The autonomous
+    solve (V0), kept for ``profile_drift``, runs last from the smallest-eps
+    converged rung, recentred and cut to its even part about x = 0
+    (j <-> N - j), as a lopsided rung sends the polish along the nearly free
+    translation mode; cold if no rung converged or the warm solve raises or
+    ends unconverged.  ``message`` and an INFO record say which.
     """
     eps = check_eps_ladder(eps_list)
 
-    def make_record(e: float, res: GroundStateResult, note: str) -> SweepRecord:
+    def make_record(e: float, res: GroundStateResult) -> SweepRecord:
         y_eps = float(grid.x[peak(res.w)[0]])
         y_u = float(grid.x[int(np.argmax(np.abs(res.w.u.values)))])
         y_v = float(grid.x[int(np.argmax(np.abs(res.w.v.values)))])
@@ -291,40 +290,30 @@ def concentration_sweep(
             profile_drift=float(drift),
             el_residual=res.el_residual,
             converged=res.converged,
-            message=note + res.message,
+            message=res.message,
             solution=res.w if keep_solutions else None,
         )
 
-    solved: List[Tuple[float, GroundStateResult, str]] = []
+    solved: List[Tuple[float, GroundStateResult]] = []
     errors: dict = {}
 
-    prev = None  # (eps, solution, converged) of the last rung solved
+    prev = None  # (eps, solution) of the last rung, if it converged
     for e in eps:
-        warm, note = None, ""
+        warm = None
         try:
             if prev is not None:
-                e_prev, w_prev, prev_converged = prev
+                e_prev, w_prev = prev
                 j = peak(w_prev)[0]
                 warm = w_prev.shift(grid.index_of(grid.x[j] * e_prev / e) - j)
-                if prev_converged:
-                    polished, steps, resid = newton_first(warm, fam, potential.values(grid, e), cfg)
-                    outcome = "fell back" if polished is None else "accepted"
-                    log.info("eps=%g: newton first %s after %d steps, residual %.2e",
-                             e, outcome, steps, resid)
-                    note = f"newton first {outcome} ({steps} steps); "
-                    warm = warm if polished is None else polished
-                else:
-                    log.info("eps=%g: newton first skipped, the previous rung is unconverged", e)
-                    note = "newton first skipped; "
             res = solve_rescaled(e, potential, fam, grid, cfg, init=warm)
-            solved.append((e, res, note))
-            prev = (e, res.w, res.converged)
+            solved.append((e, res))
+            prev = (e, res.w) if res.converged else None
         except HalfwaveError as err:
             errors[e] = str(err)
             prev = None
 
     auto, start = None, "cold start, no rung converged"
-    converged = [(e, res.w) for e, res, _ in solved if res.converged]
+    converged = [(e, res.w) for e, res in solved if res.converged]
     if converged:
         w = recenter_pair(converged[-1][1])[0]
         even = [Field(grid, 0.5 * (a + np.roll(a[::-1], 1))) for a in (w.u.values, w.v.values)]

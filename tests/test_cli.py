@@ -331,11 +331,10 @@ class TestSweepCommand:
         summary = yaml.safe_load((out / "sweep_summary.yaml").read_text())
         assert summary["levels_in_window"] is True
         assert summary["theta_strictly_increasing"] is True
-        # the theta = V0 row is a cold solve of the autonomous problem, which
-        # the sweep starts from its last rung
+        # the theta = V0 row is the sweep's own autonomous solve
         theta_rows = [r.split(",") for r in (out / "theta.csv").read_text().strip().split("\n")]
         assert theta_rows[0][:2] == ["theta", "level"] and float(theta_rows[1][0]) == 1.0
-        assert float(theta_rows[1][1]) == pytest.approx(summary["autonomous_level"], rel=1e-12, abs=0)
+        assert float(theta_rows[1][1]) == summary["autonomous_level"]
         assert (out / "u_eps_0.125.bin").exists()
 
     def test_unconverged_rungs_exit_one(self, tmp_path, capsys):

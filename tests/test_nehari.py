@@ -453,7 +453,7 @@ class TestSymmetricSlice:
 
     def test_diagonal_work_counts(self, grid, monkeypatch):
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier"):
+        for name in ("apply_k", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         monkeypatch.setattr(_RaySlice, "ray_slope", counts.wrap("slopes", _RaySlice.ray_slope))
         fam = builtin_family("cubic_exp", beta0=1.0)
@@ -465,7 +465,7 @@ class TestSymmetricSlice:
         assert counts["slopes"] > 0
         # f and fp once per slope, f once per residual evaluation, F once
         # at the ray's maximum; nothing of g, and no FFT on q or r
-        assert counts == {"halflap": 0, "inv_multiplier": 0,
+        assert counts == {"apply_k": 0, "inv_multiplier": 0,
                           "slopes": counts["slopes"], "f": counts["slopes"] + 1, "g": 0,
                           "F": 1, "G": 0, "fp": counts["slopes"], "gp": 0}
         # slice Newton steps on the diagonal use f and fp alone too
@@ -495,14 +495,14 @@ class TestSymmetricSlice:
     def test_slice_newton_steps_take_no_fft(self, grid, monkeypatch):
         # q is exactly 0 on the diagonal, so the slice CG runs in t alone
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier", "_slice_pcg"):
+        for name in ("apply_k", "inv_multiplier", "_slice_pcg"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         b = gaussian_bump(grid)
         fam = builtin_family("cubic_exp", beta0=1.0)
         monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 4)
         pt = _inner(PairField(b, b), fam, 1.0, inner_tol=1e-17)
         assert pt.inner_iters == 4
-        assert counts == {"halflap": 0, "inv_multiplier": 0, "_slice_pcg": 3}
+        assert counts == {"apply_k": 0, "inv_multiplier": 0, "_slice_pcg": 3}
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -1287,10 +1287,10 @@ class TestKImages:
         z = inv_multiplier(b.reshape(rows, -1), grid, float(np.mean(V)))
         fresh = _fresh_k(z, V, grid) - jacobian["coupling"] * z[::-1]
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier"):
+        for name in ("apply_k", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         fused = op.matvec(b)
-        assert counts == {"halflap": 0, "inv_multiplier": 1}
+        assert counts == {"apply_k": 0, "inv_multiplier": 1}
         assert np.max(np.abs(fused - fresh.ravel())) <= 1e-13 * np.max(np.abs(fresh))
 
     @pytest.mark.parametrize("symmetric", [True, False], ids=["one_row", "stacked"])
@@ -1304,7 +1304,7 @@ class TestKImages:
         counts = _Counts()
         monkeypatch.setattr(energy_module, "halflap",
                             counts.wrap("K", energy_module.halflap))
-        for name in ("halflap", "inv_multiplier"):
+        for name in ("apply_k", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         real_gmres, real_strong, carried = nehari.gmres, nehari.strong_residual, []
 
@@ -1326,7 +1326,7 @@ class TestKImages:
         start = PairField(Field(grid, u), Field(grid, u))
         _, res, steps = nehari._newton_polish(start, fam if symmetric else self.ASYM, V, 5e-8)
         assert res <= 5e-8 and steps >= 2
-        assert counts == {"K": 1, "halflap": 0, "inv_multiplier": counts["products"],
+        assert counts == {"K": 1, "apply_k": 1, "inv_multiplier": counts["products"],
                           "products": counts["products"]}
         assert len(carried) > steps
         for uv, kuv in carried:
@@ -1347,12 +1347,12 @@ class TestKImages:
         m_tt, neg_hess = nehari._slice_hessian(sl, u, v)
         rho = inv_multiplier(r, grid, vbar)
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier"):
+        for name in ("apply_k", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         hess = counts.wrap("iterations", neg_hess)
         dt, dq, kdq = nehari._slice_pcg(hess, m_tt, jt, r, rho, V - vbar, grid, vbar, 1e-12)
         assert counts["iterations"] >= 5
-        assert counts == {"halflap": 0, "inv_multiplier": counts["iterations"],
+        assert counts == {"apply_k": 0, "inv_multiplier": counts["iterations"],
                           "iterations": counts["iterations"]}
         fresh = _fresh_k(dq, V, grid)
         assert np.max(np.abs(kdq - fresh)) <= 1e-13 * np.max(np.abs(fresh))
@@ -1396,7 +1396,7 @@ class TestKImages:
         phi = 1e-2 * smooth_random(grid, np.random.default_rng(2)).values
         start = _warm(1.0, phi, Va, grid) if warm else _cold(grid)
         counts = _Counts()
-        for name in ("halflap", "inv_multiplier"):
+        for name in ("apply_k", "inv_multiplier"):
             monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         real_hessian, cg_iterations = nehari._slice_hessian, []
 
@@ -1413,7 +1413,7 @@ class TestKImages:
         pt = inner_maximize(ahat, self.ASYM, Va, grid, inner_tol=1e-12, warm=start)
         assert pt.inner_iters >= 3
         # one multiplier per residual evaluation and per CG iteration
-        assert counts == {"halflap": 0, "inv_multiplier": pt.inner_iters + len(cg_iterations)}
+        assert counts == {"apply_k": 0, "inv_multiplier": pt.inner_iters + len(cg_iterations)}
 
     @pytest.mark.parametrize("antidiagonal", [0.0, 0.1], ids=["diagonal", "antidiagonal"])
     def test_descent_hands_each_inner_solve_its_warm_start(self, grid, monkeypatch,
@@ -1449,15 +1449,17 @@ class TestKImages:
     @pytest.mark.parametrize("antidiagonal", [0.0, 0.1], ids=["diagonal", "antidiagonal"])
     def test_descent_applies_halflap_to_its_start_alone(self, grid, monkeypatch, antidiagonal):
         # K a of the start, and K q when the start has an antidiagonal part;
-        # every trial's K a comes from the carried K d
+        # every trial's K a comes from the carried K d.  The one polish
+        # applies K once more, to its own start
         V = _sampled("single_well", grid)
         counts = _Counts()
-        monkeypatch.setattr(nehari, "halflap", counts.wrap("halflap", nehari.halflap))
+        for name in ("apply_k", "_newton_polish"):
+            monkeypatch.setattr(nehari, name, counts.wrap(name, getattr(nehari, name)))
         b = gaussian_bump(grid)
         q = smooth_random(grid, np.random.default_rng(3), amplitude=antidiagonal)
         res = outer_minimize(PairField(b + q, b - q), self.ASYM, V, SolverConfig(seed=0))
         assert res.converged and len(res.trace) >= 5
-        assert counts == {"halflap": 2 if antidiagonal else 1}
+        assert counts == {"apply_k": 3 if antidiagonal else 2, "_newton_polish": 1}
 
     # The residuals below are compared on the scale the solver holds them
     # against: minus_residual, ||rho|| / (sqrt(2) ||w||), is scale-free and

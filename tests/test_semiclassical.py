@@ -8,7 +8,7 @@ from halfwave.energy import PairField
 from halfwave.errors import InvalidField, NoAscent
 from halfwave.families import builtin_family
 from halfwave.grids import Field, Grid
-from halfwave import semiclassical
+from halfwave import nehari, semiclassical
 from halfwave.nehari import (
     LEVEL_TIE_RTOL,
     POLISH_TARGET,
@@ -303,7 +303,8 @@ def _record_rungs(monkeypatch, mark_unconverged=()):
 
 class TestNewtonFirst:
     """A warm rung starts with a Newton polish of the shifted previous rung;
-    the descent confirms what it reaches, or runs from the unpolished start."""
+    a polished state that meets the target is the rung, certified once, and
+    otherwise the descent runs from the unpolished start."""
 
     EPS = [1.0, 0.5, 0.25, 0.125]
 
@@ -312,21 +313,45 @@ class TestNewtonFirst:
         fam = builtin_family(name, beta0=1.0)
         pot = single_well(1.0, 2.0)
         tried, solved = _record_rungs(monkeypatch)
+        # per rung, the descents and certificates it ran, in call order
+        calls, per_rung = [], []
+
+        def counted(fn):
+            real = getattr(nehari, fn)
+
+            def call(*args, **kwargs):
+                calls.append(fn)
+                return real(*args, **kwargs)
+
+            return call
+
+        for fn in ("outer_minimize", "build_report"):
+            monkeypatch.setattr(nehari, fn, counted(fn))
+        recorded = semiclassical.solve_rescaled
+
+        def solve(*args, **kwargs):
+            calls.clear()
+            res = recorded(*args, **kwargs)
+            per_rung.append(list(calls))
+            return res
+
+        monkeypatch.setattr(semiclassical, "solve_rescaled", solve)
         caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
         sweep = concentration_sweep(self.EPS, pot, fam, sweep_grid, cfg)
         assert not sweep.errors and len(tried) == 3
         *logged, auto_logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
         assert [r.args[0] for r in logged] == self.EPS[1:]
         assert auto_logged.getMessage() == "autonomous solve: warm start from the eps=0.125 rung"
-        assert not sweep.records[0].message.startswith("newton first")
-        for (start, (out, steps, res)), (init, rung), rec, log_rec in zip(
-                tried, solved[1:], sweep.records[1:], logged):
-            # the polished state goes to the descent, which hands it over at
-            # once: one inner solve, no descent Newton step, one certificate
-            assert out is init and res <= POLISH_TARGET * cfg.el_tol
-            assert len(rung.trace) == 1 and rung.newton_steps == 0 and rung.converged
+        assert solved[0][0] is None and not sweep.records[0].message.startswith("newton first")
+        for (start, (out, steps, res)), (init, rung), rec, log_rec, ran in zip(
+                tried, solved[1:], sweep.records[1:], logged, per_rung[1:]):
+            # Newton's state is the rung: one certificate, no descent
+            assert init is start and out is rung
+            assert res <= POLISH_TARGET * cfg.el_tol and rung.converged
+            assert rung.trace == [] and rung.newton_steps == steps
             assert log_rec.args[1:] == ("accepted", steps, res)
-            assert rec.message == f"newton first accepted ({steps} steps); {rung.message}"
+            assert rec.message == rung.message == f"newton first accepted ({steps} steps)"
+            assert ran == ["build_report"]
 
         # the same sweep with every warm rung falling back to the descent
         monkeypatch.setattr(semiclassical, "newton_first", lambda *a: (None, 0, np.inf))
@@ -355,20 +380,22 @@ class TestNewtonFirst:
             assert rung.converged
             assert abs(abs(rec.x_eps) - 2.0) <= 0.05
 
-    def test_no_newton_first_after_an_unconverged_rung(self, fam, cfg, sweep_grid, monkeypatch,
-                                                       caplog):
-        tried, _ = _record_rungs(monkeypatch, mark_unconverged=(1.0,))
+    def test_rung_after_an_unconverged_rung_starts_cold(self, fam, cfg, sweep_grid, monkeypatch,
+                                                         caplog):
+        tried, solved = _record_rungs(monkeypatch, mark_unconverged=(1.0,))
         caplog.set_level(logging.INFO, logger="halfwave.semiclassical")
         sweep = concentration_sweep(self.EPS, single_well(1.0, 2.0), fam, sweep_grid, cfg)
+        # eps = 0.5 follows the unconverged rung: cold, with no Newton first;
+        # it converges, and eps = 0.25 starts warm from it again
+        assert [init is None for init, _ in solved] == [True, True, False, False]
         assert len(tried) == 2
+        assert all(start is init for (start, _), (init, _) in zip(tried, solved[2:]))
         messages = [r.message for r in sweep.records]
-        assert not messages[0].startswith("newton first")
-        assert messages[1].startswith("newton first skipped; ")
+        assert not any(m.startswith("newton first") for m in messages[:2])
         assert all(m.startswith("newton first accepted") for m in messages[2:])
-        logged = [r.getMessage() for r in caplog.records if r.name == "halfwave.semiclassical"]
-        assert logged[0] == "eps=0.5: newton first skipped, the previous rung is unconverged"
-        assert len(logged) == 4
-        assert logged[3] == "autonomous solve: warm start from the eps=0.125 rung"
+        logged = [r for r in caplog.records if r.name == "halfwave.semiclassical"]
+        assert [r.args[:2] for r in logged[:-1]] == [(0.25, "accepted"), (0.125, "accepted")]
+        assert logged[-1].getMessage() == "autonomous solve: warm start from the eps=0.125 rung"
 
 
 class TestAutonomousWarmStart:
