@@ -91,10 +91,15 @@ def _odd_power_exp(m: int, b: float):
     except (OverflowError, ZeroDivisionError) as err:
         raise OverflowGuard(f"beta0={b} puts b^{m + 1} out of double range") from err
 
+    # f and f' multiply in place into one fresh array (a 0-d input rebinds scalars)
     def f(t):
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        return math.prod([t2] * m, start=t * np.exp(b * t2))
+        out = np.exp(b * t2)
+        out *= t
+        for _ in range(m):
+            out *= t2
+        return out
 
     def F(t):
         t = np.asarray(t, dtype=float)
@@ -108,7 +113,13 @@ def _odd_power_exp(m: int, b: float):
     def fp(t):
         t = np.asarray(t, dtype=float)
         t2 = t * t
-        return math.prod([t2] * m, start=(2.0 * b * t2 + (2 * m + 1)) * np.exp(b * t2))
+        s = b * t2
+        out = s + s  # 2 b t^2 exactly; a subnormal one vanishes in + 2m+1
+        out += 2 * m + 1
+        out *= np.exp(s)
+        for _ in range(m):
+            out *= t2
+        return out
 
     return f, F, fp
 

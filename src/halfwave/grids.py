@@ -30,13 +30,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import GridMismatch, InvalidField
 
 MIN_POINTS = 16
+# distinct (grid, shift) pairs whose 1/(|k| + shift) inv_multiplier keeps
+_INVERSE_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,16 @@ def halflap(vals: np.ndarray, grid: Grid) -> np.ndarray:
     return multiply(vals, grid, grid.abs_k)
 
 
+@lru_cache(maxsize=_INVERSE_CACHE_SIZE)
+def _inverse(grid: Grid, shift: float) -> np.ndarray:
+    inv = 1.0 / (grid.abs_k + shift)
+    inv.flags.writeable = False
+    return inv
+
+
 def inv_multiplier(vals: np.ndarray, grid: Grid, shift: float) -> np.ndarray:
-    """((-Delta)^{1/2} + shift)^{-1}: the multiplier 1/(|k| + shift)."""
-    return multiply(vals, grid, 1.0 / (grid.abs_k + shift))
+    """((-Delta)^{1/2} + shift)^{-1}: the multiplier 1/(|k| + shift), cached read-only."""
+    return multiply(vals, grid, _inverse(grid, float(shift)))
 
 
 def translate(vals: np.ndarray, grid: Grid, s: float) -> np.ndarray:

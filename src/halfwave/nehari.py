@@ -225,6 +225,8 @@ class _RaySlice:
 
     def __init__(self, ahat: np.ndarray, fam: NonlinearityFamily, h: float, diagonal=False):
         self.ahat = ahat
+        self.ahat_sq = ahat * ahat
+        self.ahat_max = float(np.max(np.abs(ahat)))
         self.fam = fam
         self.h = h
         self.diagonal = diagonal
@@ -235,10 +237,17 @@ class _RaySlice:
             return u, u
         return t * self.ahat + q, t * self.ahat - q
 
+    def beyond_safe(self, t):
+        """On the diagonal slice, whether t ahat leaves the exp-safe amplitude:
+        rounding is monotone, so |t| max|ahat| is max|t ahat| bit for bit."""
+        return abs(t) * self.ahat_max > self.fam.max_safe_amplitude()
+
     def _safe_components(self, t, q):
         """components(t, q), or None beyond the exp-safe amplitude."""
+        if self.diagonal:
+            return None if self.beyond_safe(t) else self.components(t, q)
         u, v = self.components(t, q)
-        amp = max(np.max(np.abs(w), initial=0.0) for w in ((u,) if v is u else (u, v)))
+        amp = max(np.max(np.abs(u), initial=0.0), np.max(np.abs(v), initial=0.0))
         return None if amp > self.fam.max_safe_amplitude() else (u, v)
 
     def j_value(self, t, q, q_norm_sq):
@@ -246,31 +255,35 @@ class _RaySlice:
         uv = self._safe_components(t, q)
         if uv is None:
             return -np.inf
-        dens = _pair_sum(self.fam.F, self.fam.G, *uv)
-        return 0.5 * t * t - q_norm_sq - self.h * float(np.sum(dens))
+        u, v = uv
+        Fu = np.sum(self.fam.F(u))
+        phi = Fu + Fu if self.diagonal else Fu + np.sum(self.fam.G(v))
+        return 0.5 * t * t - q_norm_sq - self.h * float(phi)
 
     def ray_slope(self, t, q):
         """dJ/dt = t - integral((f(u) + g(v)) * ahat) and its t-derivative
         1 - integral((f'(u) + g'(v)) * ahat^2); (-inf, -inf) if the exponent
-        guard trips."""
+        guard trips.  Each integral is a sum of two dot products; on the
+        diagonal slice g(v) = f(u), and x + x = 2x is exact, so one dot
+        product doubled is the general path bit for bit."""
         uv = self._safe_components(t, q)
         if uv is None:
             return -np.inf, -np.inf
-        s = t - self.h * float(np.sum(_pair_sum(self.fam.f, self.fam.g, *uv) * self.ahat))
-        curv = _pair_sum(self.fam.fp, self.fam.gp, *uv)
-        return s, 1.0 - self.h * float(np.sum(curv * self.ahat * self.ahat))
+        u, v = uv
+        fam, ahat, ahat_sq = self.fam, self.ahat, self.ahat_sq
+        if self.diagonal:
+            nl, curv = 2.0 * (fam.f(u) @ ahat), 2.0 * (fam.fp(u) @ ahat_sq)
+        else:
+            nl = fam.f(u) @ ahat + fam.g(v) @ ahat
+            curv = fam.fp(u) @ ahat_sq + fam.gp(v) @ ahat_sq
+        return t - self.h * float(nl), 1.0 - self.h * float(curv)
 
     def ray_pairing(self, t, q_norm_sq, u, v, fu, gv):
         """<J'(w), w> = t^2 - 2||q||^2 - integral(f(u)u + g(v)v) at
         (u, v) = components(t, q), given fu = f(u) and gv = g(v), as
         ||(ahat, ahat)|| = 1 gives <u, v> = t^2/2 - ||q||^2."""
-        return t * t - 2.0 * q_norm_sq - self.h * float(np.sum(fu * u + gv * v))
-
-
-def _pair_sum(fk, gk, u, v):
-    """fk(u) + gk(v); on the diagonal slice (v is u, fk = gk) fk runs once."""
-    a = fk(u)
-    return a + (a if v is u else gk(v))
+        pairing = 2.0 * (fu @ u) if self.diagonal else fu @ u + gv @ v
+        return t * t - 2.0 * q_norm_sq - self.h * float(pairing)
 
 
 def _maximize_along_ray(sl: _RaySlice, t0: float, q, q_norm_sq, tol: float):
@@ -338,7 +351,7 @@ def _slice_hessian(sl: _RaySlice, u, v):
     gpv = fpu if v is u else sl.fam.gp(v)
     s = fpu + gpv
     c = (fpu - gpv) * ahat
-    m_tt = h * float(s @ (ahat * ahat)) - 1.0
+    m_tt = h * float(s @ sl.ahat_sq) - 1.0
 
     def neg_hess(dt, dq, kdq):
         if not dq.size:
@@ -422,8 +435,10 @@ def inner_maximize(
     start with q identically 0 (a ``warm`` with q all zero), q
     stays 0 bit for bit: r = -2 K q - f(u) + g(v) and the coupling
     (f'(u) - g'(v)) ahat vanish, so every step has dq = 0.  Then f, F and f'
-    run once for the pair, q and r take no FFT, and the results equal the
-    general path's.
+    run once for the pair, each integral is one dot product doubled, q and r
+    take no FFT, and the exp guard is the scalar test |t| max|ahat| (the
+    array guard runs only when it trips, to name the sample); the results
+    equal the general path's.
 
     When the residual targets are not met within INNER_MAX_ITERS iterations,
     or the line search stalls, the last iterate is returned: its residuals
@@ -455,11 +470,15 @@ def inner_maximize(
 
         # gradient: J_t, the L2 representative r of J_q, and rho = P r
         u, v = sl.components(t, q)
-        fam.guard_amplitude(u, "u")
-        if diagonal:  # r = -2 K 0 - f(u) + f(u): 0, or NaN where f(u) is not finite
-            fu = fam.f(u)  # r and rho are 0, held as empty q parts (see _slice_pcg)
+        if diagonal:
+            if sl.beyond_safe(t):  # the array guard names where
+                fam.guard_amplitude(u, "u")
+            # r = -2 K 0 - f(u) + f(u): 0, or NaN where f(u) is not finite;
+            # r and rho are 0, held as empty q parts (see _slice_pcg)
+            fu = fam.f(u)
             gv, r, rho, rho_norm_sq = fu, q[:0], q[:0], (0.0 if np.isfinite(fu).all() else np.nan)
         else:
+            fam.guard_amplitude(u, "u")
             fam.guard_amplitude(v, "v")
             fu, gv = fam.f(u), fam.g(v)
             r = -2.0 * kq - fu + gv

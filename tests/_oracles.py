@@ -10,6 +10,7 @@ two-level solver with a different scheme, and its Newton polish runs on
 scipy's GMRES rather than ``halfwave.krylov``.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -101,6 +102,47 @@ def phi_prime_pairing(w: PairField, fam: NonlinearityFamily) -> float:
     fam.guard_amplitude(w.v.values, "v")
     dens = fam.f(w.u.values) * w.u.values + fam.g(w.v.values) * w.v.values
     return float(w.grid.spacing * np.sum(dens))
+
+
+def builtin_kernels(name: str, beta0: float, sign_restricted: bool = False):
+    """{f, g, fp, gp} of a builtin family in their product forms: each power
+    of t^2 a ``math.prod`` factor on a fresh array, and f' forming b t^2
+    twice.  The in-place kernels of ``halfwave.families`` must equal these
+    bit for bit."""
+    b = float(beta0)
+
+    def odd_power_exp(m):
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            t2 = t * t
+            return math.prod([t2] * m, start=t * np.exp(b * t2))
+
+        def fp(t):
+            t = np.asarray(t, dtype=float)
+            t2 = t * t
+            return math.prod([t2] * m, start=(2.0 * b * t2 + (2 * m + 1)) * np.exp(b * t2))
+
+        return f, fp
+
+    if name == "cubic":
+        def f(t):
+            t = np.asarray(t, dtype=float)
+            return t * t * t
+
+        def fp(t):
+            t = np.asarray(t, dtype=float)
+            return 3.0 * t * t
+
+        g, gp = f, fp
+    else:
+        (f, fp), (g, gp) = odd_power_exp(1), odd_power_exp(2 if name == "cubic_quintic_exp" else 1)
+    kernels = {"f": f, "g": g, "fp": fp, "gp": gp}
+    if sign_restricted:
+        def restrict(fun):
+            return lambda t: np.where(t > 0.0, fun(np.maximum(t, 0.0)), 0.0)
+
+        kernels = {key: restrict(fun) for key, fun in kernels.items()}
+    return kernels
 
 
 def antiderivative(f, t, **kw):

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from _oracles import builtin_kernels
 from halfwave.errors import OverflowGuard, UnknownFamily
 from halfwave.families import (
     F_SERIES_RTOL,
+    SAFE_SAMPLE_FRACTION,
     NonlinearityFamily,
     _horner,
     audit_grid,
@@ -208,6 +210,23 @@ def test_antiderivatives_bitwise_equal_where_formula(name, beta):
         out = kernel(np.array([np.nan, 0.1, np.nan, 2.0]))
         assert np.array_equal(np.isnan(out), [True, False, True, False])
         assert np.isnan(kernel(np.nan))
+
+
+@pytest.mark.parametrize("beta0", [1.0, 16.0, 256.0])
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("name", ["cubic_exp", "cubic_quintic_exp", "cubic"])
+def test_kernels_bitwise_equal_product_forms(name, restricted, beta0):
+    # the in-place f, g, f', g' against their product forms, from t = 0 and
+    # subnormal t^2 up to the audit's exp-safe fraction, a NaN included
+    fam = builtin_family(name, beta0, sign_restricted=restricted)
+    t_max = SAFE_SAMPLE_FRACTION * fam.max_safe_amplitude() if fam.exponential else 10.0
+    t = np.random.default_rng(5).uniform(-t_max, t_max, 20000)
+    edges = [0.0, -0.0, t_max, -t_max, 1e-160, -1e-160, 1e-300, np.nan]
+    t = np.concatenate([edges, t, t_max * np.logspace(-12, 0, 200)])
+    for key, oracle in builtin_kernels(name, beta0, restricted).items():
+        got = getattr(fam, key)(t)
+        assert got.tobytes() == oracle(t).tobytes(), key
+        assert np.asarray(getattr(fam, key)(t[3])).tobytes() == np.asarray(oracle(t[3])).tobytes()
 
 
 class TestKernelShapes:

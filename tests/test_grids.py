@@ -8,6 +8,7 @@ import pytest
 
 from halfwave.energy import weighted_inner, weighted_norm
 from halfwave.errors import GridMismatch, InvalidField
+from halfwave import grids
 from halfwave.grids import (
     HALF,
     QUARTER,
@@ -21,6 +22,7 @@ from halfwave.grids import (
     inv_multiplier,
     l2_norm,
     linf_norm,
+    multiply,
     read_field_binary,
     seminorm_sq,
     translate,
@@ -279,6 +281,26 @@ class TestSpectralKernel:
         # |k| on the rfft half-spectrum: j = 0..N/2, k_j = 2 pi j / L
         assert g.abs_k.shape == (33,)
         assert np.allclose(g.abs_k, 2.0 * np.pi * np.arange(33) / g.length, rtol=1e-15)
+
+    def test_inverse_multiplier_cached_read_only(self):
+        # 1/(|k| + c) is built once per (grid, float(c)) into a bounded
+        # cache; applying it is the freshly built multiplier byte for byte
+        g = Grid(40.0, 128)
+        x = np.random.default_rng(3).normal(size=(2, 128))
+        for c in (1.0, 0.37, 2, np.float64(1e-3)):
+            fresh = multiply(x, g, 1.0 / (g.abs_k + c))
+            assert inv_multiplier(x, g, c).tobytes() == fresh.tobytes()
+        cache = grids._inverse
+        cache.cache_clear()
+        for grid, c in ((g, 2), (Grid(40, 128), 2.0), (Grid(40.0, np.int64(128)), np.float64(2.0))):
+            inv_multiplier(x, grid, c)
+        info = cache.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            cache(g, 2.0)[0] = 0.0
+        for c in range(3 * grids._INVERSE_CACHE_SIZE):
+            inv_multiplier(x, g, 0.5 + c)
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == 8
 
     def test_translate_by_whole_cells_is_roll(self):
         g = Grid(40.0, 64)

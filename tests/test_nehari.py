@@ -21,7 +21,7 @@ from halfwave.energy import (
     weighted_inner,
     weighted_norm,
 )
-from halfwave.errors import HalfwaveError, InvalidField, NoAscent
+from halfwave.errors import HalfwaveError, InvalidField, NoAscent, OverflowGuard
 from halfwave.families import builtin_family
 from halfwave import nehari
 from halfwave.grids import Field, Grid, halflap, inv_multiplier, l2_norm, translate
@@ -518,6 +518,45 @@ class TestSymmetricSlice:
         b = gaussian_bump(grid)
         with np.errstate(invalid="ignore"), pytest.raises(InvalidField, match="NaN/Inf"):
             _inner(PairField(b, b), sick, 1.0)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    def test_scalar_guard_trips_where_the_array_guard_does(self, grid, restricted, monkeypatch):
+        # the diagonal slice tests |t| max|ahat|, the general one max|t ahat|,
+        # against the exp-safe amplitude: the ray gives -inf, and the loop
+        # raises OverflowGuard at the same sample, from the same t to the ulp
+        sym = builtin_family("cubic_exp", beta0=256.0, sign_restricted=restricted)
+        general = dataclasses.replace(sym, symmetric=False)
+        ahat, q, h = _bump_ray(grid), np.zeros(grid.n_points), grid.spacing
+        fast, slow = _RaySlice(ahat, sym, h, diagonal=True), _RaySlice(ahat, general, h)
+        ts = [sym.max_safe_amplitude() / np.max(np.abs(ahat))]
+        for _ in range(3):
+            ts = [np.nextafter(ts[0], 0.0), *ts, np.nextafter(ts[-1], np.inf)]
+        tripped = []
+        for t in ts + [-t for t in ts]:
+            slope, j = fast.ray_slope(t, q), fast.j_value(t, q, 0.0)
+            assert repr((slope, j)) == repr((slow.ray_slope(t, q), slow.j_value(t, q, 0.0)))
+            tripped.append(j == -np.inf)
+            assert (slope == (-np.inf, -np.inf)) == tripped[-1]
+            assert np.isfinite(slope).all() != tripped[-1]
+        assert tripped[: len(ts)] == tripped[len(ts):]
+        assert any(tripped) and not all(tripped)
+
+        monkeypatch.setattr(nehari, "INNER_MAX_ITERS", 1)
+        Va = potential_array(1.0, grid)
+        for t, trips in zip(ts, tripped):
+            monkeypatch.setattr(nehari, "_maximize_along_ray",
+                                lambda sl, t0, q, q_norm_sq, tol, t=t: (t, 0.0))
+            wheres = []
+            for fam in (sym, general):
+                try:
+                    inner_maximize(ahat, fam, Va, grid, INNER_TOL, _cold(grid))
+                    wheres.append(None)
+                except OverflowGuard as err:
+                    wheres.append((err.where, str(err)))
+            assert wheres[0] == wheres[1]
+            assert (wheres[0] is not None) == trips
+            if trips:
+                assert wheres[0][0] == int(np.argmax(ahat))
 
 
 class TestGroundStateSolve:
